@@ -2,9 +2,7 @@
 
 Every source of randomness derives from the single --seed flag, and outputs
 are serialized with sorted keys and repr'd floats, so identical invocations
-produce byte-identical files.  STRINGSEP_THREADS (if set) caps worker
-parallelism; the current implementation is sequential, which always respects
-the cap.
+produce byte-identical files.
 """
 
 from __future__ import annotations

@@ -92,36 +92,26 @@ def _aggregated_lp(g: Graph, mode: str) -> tuple[LpProblem, list[Arc], int]:
         for x in g.vertices():
             if x == s:
                 continue
-            row = np.zeros(nv)
-            for ai in in_idx[x]:
-                row[base + ai] = 1.0
-            for ai in out_idx[x]:
-                row[base + ai] = -1.0
+            row = {base + ai: 1.0 for ai in in_idx[x]}
+            row.update((base + ai, -1.0) for ai in out_idx[x])
             lp.add(row, "=", 0.5)
 
-    n_load = 0
     if mode == "edge":
         for ei in range(g.m):
-            row = np.zeros(nv)
+            row = {0: -1.0}
             for s in g.vertices():
                 base = 1 + s * na
                 row[base + 2 * ei] = 1.0
                 row[base + 2 * ei + 1] = 1.0
-            row[0] = -1.0
             lp.add(row, "<=", 0.0)
-            n_load += 1
     else:
         for x in g.vertices():
-            row = np.zeros(nv)
+            row = {0: -1.0}
             for s in g.vertices():
                 base = 1 + s * na
-                for ai in out_idx[x]:
-                    row[base + ai] += 0.5
-                for ai in in_idx[x]:
-                    row[base + ai] += 0.5
-            row[0] = -1.0
+                row.update((base + ai, 0.5) for ai in out_idx[x] + in_idx[x])
             lp.add(row, "<=", 0.0)
-            n_load += 1
+    n_load = g.m if mode == "edge" else n
     return lp, arcs, n_load
 
 
@@ -195,7 +185,7 @@ def _solve(g: Graph, mode: str, allow_large: bool) -> FlowSolution:
         raise ContractViolation("congestion needs n >= 2")
     if not allow_large and (g.n > 12 or g.m > 30):
         raise SizeCapExceeded(
-            f"n={g.n}, m={g.m} beyond the dense-simplex cap (n<=12, m<=30); "
+            f"n={g.n}, m={g.m} beyond the congestion LP cap (n<=12, m<=30); "
             "pass allow_large=True to override"
         )
     if not g.is_connected():

@@ -25,6 +25,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .embedding import best_embedding, default_trials
 from .errors import ContractViolation, SizeCapExceeded
@@ -43,11 +45,13 @@ class MengerCertificate:
 def min_vertex_cut(g: Graph, xs, ys) -> MengerCertificate:
     """Minimum set of vertices whose removal separates X from Y.
 
-    Node-split reduction: each vertex becomes an in/out arc of capacity one;
-    graph edges and super-terminal attachments get capacity n+1.  The cut is
-    read from the residual reachability of the super-source (saturated split
-    arcs on the frontier); the certificate paths come from the integral flow.
-    Vertices of X or Y may themselves be cut.
+    Node-split reduction: vertex v becomes an arc in(v) -> out(v) of capacity
+    one; graph edges and super-terminal attachments get capacity n+1.  The
+    max-flow is scipy.sparse.csgraph.maximum_flow.  The cut is read from the
+    residual reachability of the super-source (saturated split arcs on the
+    frontier), the unique minimal source-side minimum cut; the certificate
+    paths are peeled from the integral flow.  Vertices of X or Y may
+    themselves be cut.
     """
     xs, ys = frozenset(xs), frozenset(ys)
     if not xs or not ys:
@@ -58,96 +62,41 @@ def min_vertex_cut(g: Graph, xs, ys) -> MengerCertificate:
     n = g.n
     big = n + 1
     src, snk = 2 * n, 2 * n + 1
+    # in(v) = 2v, out(v) = 2v + 1
+    verts = np.arange(n)
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    x_arr, y_arr = np.array(sorted(xs)), np.array(sorted(ys))
+    arc_from = np.concatenate([2 * verts, 2 * ends[:, 0] + 1, 2 * ends[:, 1] + 1,
+                               np.full(len(x_arr), src), 2 * y_arr + 1])
+    arc_to = np.concatenate([2 * verts + 1, 2 * ends[:, 1], 2 * ends[:, 0],
+                             2 * x_arr, np.full(len(y_arr), snk)])
+    caps = np.full(len(arc_from), big, dtype=np.int32)
+    caps[:n] = 1
+    cap = csr_array((caps, (arc_from, arc_to)), shape=(2 * n + 2, 2 * n + 2))
+    res = maximum_flow(cap, src, snk)
+    flow = res.flow.tocoo()
 
-    def v_in(v: int) -> int:
-        return 2 * v
+    residual = (cap - res.flow).tocsr()
+    residual.eliminate_zeros()  # to csgraph, an explicit zero is an arc
+    reach = np.zeros(2 * n + 2, dtype=bool)
+    reach[breadth_first_order(residual, src, return_predecessors=False)] = True
+    cut = frozenset(int(v) for v in np.flatnonzero(reach[0::2][:n] & ~reach[1::2][:n]))
 
-    def v_out(v: int) -> int:
-        return 2 * v + 1
-
-    cap: dict[tuple[int, int], int] = {}
-
-    def add(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-
-    for v in g.vertices():
-        add(v_in(v), v_out(v), 1)
-    for u, v in g.edges:
-        add(v_out(u), v_in(v), big)
-        add(v_out(v), v_in(u), big)
-    for x in sorted(xs):
-        add(src, v_in(x), big)
-    for y in sorted(ys):
-        add(v_out(y), snk, big)
-
-    adj: dict[int, list[int]] = {}
-    for a, b in cap:
-        adj.setdefault(a, []).append(b)
-    for a in adj:
-        adj[a].sort()
-
-    flow: dict[tuple[int, int], int] = {e: 0 for e in cap}
-    while True:
-        parent = {src: src}
-        queue = [src]
-        qi = 0
-        while qi < len(queue) and snk not in parent:
-            a = queue[qi]
-            qi += 1
-            for b in adj.get(a, ()):
-                if b not in parent and cap[(a, b)] - flow[(a, b)] > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if snk not in parent:
-            break
-        path = [snk]
-        while path[-1] != src:
-            path.append(parent[path[-1]])
-        path.reverse()
-        aug = min(cap[(a, b)] - flow[(a, b)] for a, b in zip(path, path[1:]))
-        for a, b in zip(path, path[1:]):
-            flow[(a, b)] += aug
-            flow[(b, a)] -= aug
-
-    reach = {src}
-    stack = [src]
-    while stack:
-        a = stack.pop()
-        for b in adj.get(a, ()):
-            if b not in reach and cap[(a, b)] - flow[(a, b)] > 0:
-                reach.add(b)
-                stack.append(b)
-    cut = frozenset(v for v in g.vertices() if v_in(v) in reach and v_out(v) not in reach)
-
-    paths = _disjoint_paths(g, xs, flow, src, snk)
-    if len(paths) != len(cut):
+    # every vertex carries at most one unit, so each node on a flow path has
+    # exactly one successor with positive flow
+    pos = flow.data > 0
+    tails, heads = flow.row[pos], flow.col[pos]
+    succ = dict(zip(tails.tolist(), heads.tolist()))
+    paths = []
+    for node in sorted(heads[tails == src].tolist()):
+        path = []
+        while node != snk:
+            path.append(node // 2)
+            node = succ[succ[node]]  # in(v) -> out(v) -> next in(w) or the sink
+        paths.append(tuple(path))
+    if res.flow_value != len(cut) or len(paths) != len(cut):
         raise RuntimeError("max-flow value disagrees with the extracted cut")
     return MengerCertificate(cut, tuple(paths))
-
-
-def _disjoint_paths(g, xs, flow, src, snk) -> list[tuple[int, ...]]:
-    used = {e: f for e, f in flow.items() if f > 0}
-    paths = []
-    for x in sorted(xs):
-        while used.get((src, 2 * x), 0) > 0:
-            used[(src, 2 * x)] -= 1
-            node = 2 * x
-            verts = []
-            while node != snk:
-                if node % 2 == 0:
-                    verts.append(node // 2)
-                nxt = None
-                for (a, b), f in used.items():
-                    if a == node and f > 0:
-                        nxt = b
-                        break
-                if nxt is None:
-                    raise RuntimeError("flow decomposition lost a unit")
-                used[(node, nxt)] -= 1
-                node = nxt
-            paths.append(tuple(verts))
-    return paths
 
 
 @dataclass(frozen=True)
@@ -260,19 +209,10 @@ def find_separator(g: Graph, seed: int = 0, trials: int | None = None) -> Separa
         res = fhl_sweep(sub, np.ones(sub.n), f)
         trace.append((sub.n, float(res.sparsity)))
         separator.update(back[v] for v in res.S)
-        remaining = part - {back[v] for v in res.S}
-        if remaining:
-            keep_sub, keep_back = g.induced(remaining)
-            for comp in keep_sub.components():
-                parts.append(frozenset(keep_back[v] for v in comp))
+        remaining = part - separator
+        parts.extend(g.components(removed=frozenset(g.vertices()) - remaining))
 
-    side_a: set[int] = set()
-    side_b: set[int] = set()
-    for part in sorted(parts, key=lambda p: (-len(p), min(p))):
-        if len(side_a) <= len(side_b):
-            side_a |= part
-        else:
-            side_b |= part
+    side_a, side_b = _greedy_sides(parts)
     cut = VertexCut(frozenset(side_a), frozenset(side_b), frozenset(separator))
     ok, why = check_separator(g, cut)
     if not ok:
@@ -313,34 +253,26 @@ def min_separator_exact(g: Graph) -> tuple[int, VertexCut]:
 
 
 def _grouping_within_limit(g: Graph, s_set: frozenset[int], limit: int):
-    rest = [v for v in g.vertices() if v not in s_set]
-    comps = []
-    alive = set(rest)
-    while alive:
-        v0 = min(alive)
-        comp = {v0}
-        stack = [v0]
-        alive.discard(v0)
-        while stack:
-            x = stack.pop()
-            for y in g.adjacency[x]:
-                if y in alive:
-                    alive.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        if len(comp) > limit:
-            return None
-        comps.append(comp)
-    side_a: set[int] = set()
-    side_b: set[int] = set()
-    for comp in sorted(comps, key=lambda c: (-len(c), min(c))):
-        if len(side_a) <= len(side_b):
-            side_a |= comp
-        else:
-            side_b |= comp
+    comps = g.components(removed=s_set)
+    if any(len(c) > limit for c in comps):
+        return None
+    side_a, side_b = _greedy_sides(comps)
     if len(side_a) <= limit and len(side_b) <= limit:
         return side_a, side_b
     return None
+
+
+def _greedy_sides(parts) -> tuple[set[int], set[int]]:
+    """Whole parts by descending size (ties: least vertex), each onto the
+    currently smaller side."""
+    side_a: set[int] = set()
+    side_b: set[int] = set()
+    for part in sorted(parts, key=lambda p: (-len(p), min(p))):
+        if len(side_a) <= len(side_b):
+            side_a |= part
+        else:
+            side_b |= part
+    return side_a, side_b
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,12 @@ class Graph:
         )
         return Graph(len(order), edges), back
 
-    def components(self) -> list[frozenset[int]]:
+    def components(self, removed=frozenset()) -> list[frozenset[int]]:
+        """Connected components of the graph minus `removed`, ordered by
+        their least vertex."""
         seen = [False] * self.n
+        for v in removed:
+            seen[v] = True
         comps = []
         for s in range(self.n):
             if seen[s]:
@@ -87,7 +91,7 @@ class Graph:
             while stack:
                 x = stack.pop()
                 comp.append(x)
-                for y in sorted(self.adjacency[x]):
+                for y in self.adjacency[x]:
                     if not seen[y]:
                         seen[y] = True
                         stack.append(y)

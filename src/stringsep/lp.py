@@ -1,17 +1,15 @@
-"""Self-contained dense linear-program solver.
+"""Linear programs over nonnegative variables, solved by HiGHS.
 
-Two-phase primal simplex on the standard-form conversion.  The entering rule
-is Dantzig's (most negative reduced cost) while the objective is moving, with
-a fallback to Bland's rule (lowest eligible index, ratio ties broken by the
-lowest basis variable index) whenever the objective stalls; Bland steps rule
-out cycling, so every solve terminates, and both rules are index-deterministic.
-All variables are implicitly nonnegative.
+`LpProblem` collects rows as dense coefficient vectors or as sparse
+{column: coefficient} dicts; `lp_solve` assembles them into one sparse
+matrix and hands it to `scipy.optimize.linprog(method="highs")`.  The
+primal point is checked against every original row before it is reported
+optimal.
 
-Solutions expose dual values per constraint, read off the reduced costs of
-each row's identity column in the final tableau.  Convention: duals satisfy
-value = sum_i b_i * y_i, with y_i >= 0 on binding ">=" rows of a
-minimization (and the sign map mirrored for maximization), i.e. the same
-convention as the mechanically constructed dual of `dual_of`.
+Solutions expose dual values per constraint, taken from HiGHS's marginals.
+Convention: duals satisfy value = sum_i b_i * y_i, with y_i >= 0 on binding
+">=" rows of a minimization (and the sign map mirrored for maximization),
+i.e. the same convention as the mechanically constructed dual of `dual_of`.
 """
 
 from __future__ import annotations
@@ -19,19 +17,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
-FEAS_TOL = 1e-9
-PIVOT_TOL = 1e-12
-MAX_ITERS = 500_000
+RESIDUAL_TOL = 1e-6
 
 Relation = str  # "<=", "=", ">="
+
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 @dataclass
 class LpProblem:
     objective: np.ndarray
     sense: str = "max"  # "max" | "min"
-    rows: list[tuple[np.ndarray, Relation, float]] = field(default_factory=list)
+    # coefficients are a dense vector or a {column: coefficient} dict
+    rows: list[tuple[np.ndarray | dict[int, float], Relation, float]] = field(default_factory=list)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -43,9 +43,14 @@ class LpProblem:
         return len(self.objective)
 
     def add(self, coeffs, rel: Relation, rhs: float) -> None:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.n_vars,):
-            raise ValueError("coefficient vector length mismatch")
+        if isinstance(coeffs, dict):
+            coeffs = {int(j): float(c) for j, c in coeffs.items()}
+            if any(not 0 <= j < self.n_vars for j in coeffs):
+                raise ValueError("coefficient column out of range")
+        else:
+            coeffs = np.asarray(coeffs, dtype=float)
+            if coeffs.shape != (self.n_vars,):
+                raise ValueError("coefficient vector length mismatch")
         if rel not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {rel!r}")
         if not np.isfinite(rhs):
@@ -62,178 +67,59 @@ class LpSolution:
     duals: np.ndarray  # one per constraint row, canonical-dual convention
 
 
-def lp_solve(problem: LpProblem) -> LpSolution:
-    m = len(problem.rows)
-    n = problem.n_vars
-    minimize = problem.sense == "min"
-    c_struct = problem.objective if minimize else -problem.objective
-
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    rels = []
-    sign = np.ones(m)
-    for i, (coeffs, rel, rhs) in enumerate(problem.rows):
-        A[i] = coeffs
-        b[i] = rhs
-        rels.append(rel)
-        if rhs < 0:
-            A[i] = -A[i]
-            b[i] = -rhs
-            sign[i] = -1.0
-            rels[i] = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-
-    n_slack = sum(1 for r in rels if r in ("<=", ">="))
-    n_art = sum(1 for r in rels if r in ("=", ">="))
-    ncols = n + n_slack + n_art
-    T = np.zeros((m, ncols + 1))
-    T[:, :n] = A
-    T[:, -1] = b
-
-    slack_at = n
-    art_at = n + n_slack
-    identity_col = np.zeros(m, dtype=int)
-    art_cols = []
-    basis = np.zeros(m, dtype=int)
-    for i, rel in enumerate(rels):
-        if rel == "<=":
-            T[i, slack_at] = 1.0
-            identity_col[i] = slack_at
-            basis[i] = slack_at
-            slack_at += 1
-        elif rel == ">=":
-            T[i, slack_at] = -1.0
-            slack_at += 1
-            T[i, art_at] = 1.0
-            identity_col[i] = art_at
-            basis[i] = art_at
-            art_cols.append(art_at)
-            art_at += 1
+def _row_matrix(problem: LpProblem, row_scale=None) -> csr_array:
+    """The rows as one sparse matrix, row i multiplied by row_scale[i]."""
+    rows, cols, vals = [], [], []
+    for i, (coeffs, _, _) in enumerate(problem.rows):
+        if isinstance(coeffs, dict):
+            idx, val = list(coeffs), np.fromiter(coeffs.values(), float, len(coeffs))
         else:
-            T[i, art_at] = 1.0
-            identity_col[i] = art_at
-            basis[i] = art_at
-            art_cols.append(art_at)
-            art_at += 1
-    art_mask = np.zeros(ncols, dtype=bool)
-    art_mask[art_cols] = True
+            idx = np.flatnonzero(coeffs)
+            val = coeffs[idx]
+        rows.extend([i] * len(idx))
+        cols.extend(idx)
+        vals.extend(val if row_scale is None else val * row_scale[i])
+    return csr_array((vals, (rows, cols)), shape=(len(problem.rows), problem.n_vars))
 
-    iterations = 0
 
-    buf = np.empty_like(T)
+def lp_solve(problem: LpProblem) -> LpSolution:
+    # scipy.optimize adds about 15 MB of resident memory on import; only the
+    # congestion LPs need it, so the separator pipeline never loads it
+    from scipy.optimize import linprog
 
-    def run(cost: np.ndarray, eligible: np.ndarray, protect_arts: bool = False) -> str:
-        nonlocal iterations
-        r = cost - cost[basis] @ T[:, :-1]
-        obj = float(cost[basis] @ T[:, -1])
-        stall = 0
-        bland = False
-        while True:
-            neg = (r < -FEAS_TOL) & eligible
-            if not neg.any():
-                return "optimal"
-            if bland:
-                j = int(np.flatnonzero(neg)[0])  # Bland: lowest index enters
-            else:
-                j = int(np.where(neg, r, 0.0).argmin())  # Dantzig: steepest
-            col = T[:, j]
-            leave = -1
-            if protect_arts:
-                # a zero-level basic artificial whose row meets the entering
-                # column must leave first, else the equality it stands for
-                # could be silently violated
-                guard = np.flatnonzero(
-                    art_mask[basis] & (np.abs(col) > 1e-9) & (T[:, -1] <= 1e-9)
-                )
-                if guard.size:
-                    leave = int(guard[np.argmin(basis[guard])])
-            if leave < 0:
-                rows = np.flatnonzero(col > PIVOT_TOL)
-                if rows.size == 0:
-                    return "unbounded"
-                ratios = T[rows, -1] / col[rows]
-                rmin = ratios.min()
-                tie = rows[ratios <= rmin + 1e-12]
-                leave = int(tie[np.argmin(basis[tie])])  # lowest basis index leaves
-            piv = T[leave, j]
-            T[leave] /= piv
-            factor = T[:, j].copy()
-            factor[leave] = 0.0
-            np.multiply(factor[:, None], T[leave][None, :], out=buf)
-            T[:, :] -= buf
-            r = r - r[j] * T[leave, :-1]
-            r[j] = 0.0
-            basis[leave] = j
-            rhs = T[:, -1]
-            rhs[(rhs < 0.0) & (rhs > -1e-9)] = 0.0
-            iterations += 1
-            if iterations > MAX_ITERS:
-                return "stalled"
-            new_obj = float(cost[basis] @ rhs)
-            if new_obj < obj - 1e-12:
-                obj = new_obj
-                stall = 0
-                bland = False
-            else:
-                stall += 1
-                if stall > 30:
-                    bland = True  # degenerate run: Bland's rule breaks the cycle
+    m, n = len(problem.rows), problem.n_vars
+    minimize = problem.sense == "min"
+    c = problem.objective if minimize else -problem.objective
+    rels = np.array([rel for _, rel, _ in problem.rows], dtype=str)
+    # ">=" rows enter HiGHS negated, as "<=" rows
+    sign = np.where(rels == ">=", -1.0, 1.0)
+    a = _row_matrix(problem, sign)
+    b = sign * np.array([rhs for _, _, rhs in problem.rows])
+    ub = rels != "="
+    kw = {}
+    if ub.any():
+        kw.update(A_ub=a[ub], b_ub=b[ub])
+    if not ub.all():
+        kw.update(A_eq=a[~ub], b_eq=b[~ub])
+    res = linprog(c, bounds=(0, None), method="highs", **kw)
+    status = _STATUS.get(res.status, "numerical_failure")
+    if status != "optimal":
+        return LpSolution(status, np.nan, np.zeros(n), int(res.nit), np.zeros(m))
 
-    dummy_duals = np.zeros(m)
-
-    status = "optimal"
-    if art_cols:
-        cost1 = np.zeros(ncols)
-        cost1[art_cols] = 1.0
-        outcome = run(cost1, np.ones(ncols, dtype=bool))
-        if outcome == "stalled":
-            return LpSolution("numerical_failure", np.nan, np.zeros(n), iterations, dummy_duals)
-        phase1_obj = cost1[basis] @ T[:, -1]
-        if phase1_obj > 1e-7:
-            return LpSolution("infeasible", np.nan, np.zeros(n), iterations, dummy_duals)
-        # pivot zero-level artificials out of the basis where possible
-        for i in range(m):
-            if art_mask[basis[i]]:
-                choices = np.flatnonzero((np.abs(T[i, :-1]) > 1e-9) & ~art_mask)
-                if choices.size:
-                    j = int(choices[0])
-                    piv = T[i, j]
-                    T[i] /= piv
-                    factor = T[:, j].copy()
-                    factor[i] = 0.0
-                    T -= np.outer(factor, T[i])
-                    basis[i] = j
-
-    cost2 = np.zeros(ncols)
-    cost2[:n] = c_struct
-    outcome = run(cost2, ~art_mask, protect_arts=bool(art_cols))
-    if outcome == "stalled":
-        return LpSolution("numerical_failure", np.nan, np.zeros(n), iterations, dummy_duals)
-    if outcome == "unbounded":
-        return LpSolution("unbounded", np.nan, np.zeros(n), iterations, dummy_duals)
-
-    x = np.zeros(ncols)
-    x[basis] = T[:, -1]
-    xs = x[:n]
-    r_final = cost2 - cost2[basis] @ T[:, :-1]
-    y_norm = -r_final[identity_col]
-    duals = sign * y_norm
-    value = float(c_struct @ xs)
-    if not minimize:
-        value = -value
-        duals = -duals
+    xs = np.asarray(res.x, dtype=float)
+    duals = np.zeros(m)
+    if ub.any():
+        duals[ub] = res.ineqlin.marginals
+    if not ub.all():
+        duals[~ub] = res.eqlin.marginals
+    duals = sign * duals if minimize else -sign * duals
+    value = float(problem.objective @ xs)
 
     # residual check on the original rows
-    for (coeffs, rel, rhs) in problem.rows:
-        lhs = float(coeffs @ xs)
-        bad = (
-            (rel == "<=" and lhs > rhs + 1e-6)
-            or (rel == ">=" and lhs < rhs - 1e-6)
-            or (rel == "=" and abs(lhs - rhs) > 1e-6)
-        )
-        if bad:
-            return LpSolution("numerical_failure", value, xs, iterations, duals)
-
-    return LpSolution("optimal", value, xs, iterations, duals)
+    excess = a @ xs - b
+    if np.where(ub, excess, np.abs(excess)).max(initial=0.0) > RESIDUAL_TOL:
+        return LpSolution("numerical_failure", value, xs, int(res.nit), duals)
+    return LpSolution("optimal", value, xs, int(res.nit), duals)
 
 
 def dual_of(problem: LpProblem) -> LpProblem:
@@ -243,9 +129,8 @@ def dual_of(problem: LpProblem) -> LpProblem:
     two nonnegatives; sign-restricted ones are negated where needed so that
     every dual variable is nonnegative.
     """
-    m = len(problem.rows)
     n = problem.n_vars
-    A = np.array([row[0] for row in problem.rows]) if m else np.zeros((0, n))
+    A = _row_matrix(problem).toarray()
     b = np.array([row[2] for row in problem.rows])
     rels = [row[1] for row in problem.rows]
 

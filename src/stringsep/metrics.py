@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import ContractViolation, NoVertexCut, SizeCapExceeded
 from .graphs import EdgeCut, Graph, VertexCut
@@ -22,22 +24,19 @@ def shortest_path_metric(g: Graph, weights=None) -> np.ndarray:
     """All-pairs shortest-path distances under nonnegative edge weights.
 
     `weights` maps edges (or indexes g.edges) to weights; omitted means unit
-    weights.  Floyd-Warshall on the dense matrix; exact for integer-scaled
-    weights.  Disconnected input raises (infinite distances unsupported).
+    weights, for which csgraph counts hops.  Dijkstra from every source
+    (scipy.sparse.csgraph); zero weights stay edges.  Disconnected input
+    raises (infinite distances unsupported).
     """
     if not g.is_connected():
         raise ContractViolation("metric requires a connected graph")
     w = _edge_weights(g, weights)
     if (w < 0).any():
         raise ContractViolation("edge weights must be nonnegative")
-    d = np.full((g.n, g.n), np.inf)
-    np.fill_diagonal(d, 0.0)
-    for (u, v), we in zip(g.edges, w):
-        if we < d[u, v]:
-            d[u, v] = d[v, u] = we
-    for k in range(g.n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    return d
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    # explicit zeros in a sparse graph are zero-weight edges to csgraph
+    adj = csr_array((w, (ends[0], ends[1])), shape=(g.n, g.n))
+    return shortest_path(adj, method="D", directed=False, unweighted=weights is None)
 
 
 def _edge_weights(g: Graph, weights) -> np.ndarray:
@@ -177,11 +176,10 @@ def _vspars_exact(g: Graph) -> tuple[Fraction, VertexCut]:
     for size in range(0, g.n - 1):
         for s_tuple in combinations(range(g.n), size):
             s_set = frozenset(s_tuple)
-            rest = [v for v in g.vertices() if v not in s_set]
-            comps = _components_within(g, rest)
+            comps = g.components(removed=s_set)
             if len(comps) < 2:
                 continue
-            a_set, b_set = _balanced_split(comps, len(rest))
+            a_set, b_set = _balanced_split(comps, g.n - size)
             val = Fraction(size, (len(a_set) + size) * (len(b_set) + size))
             key = (val, tuple(sorted(s_set)), tuple(sorted(a_set)))
             if best is None or key < best_key:
@@ -191,24 +189,6 @@ def _vspars_exact(g: Graph) -> tuple[Fraction, VertexCut]:
     if best is None:
         raise NoVertexCut("complete graph: no vertex cut exists")
     return best, best_cut
-
-
-def _components_within(g: Graph, rest: list[int]) -> list[frozenset[int]]:
-    alive = set(rest)
-    comps = []
-    while alive:
-        s = min(alive)
-        stack, comp = [s], {s}
-        alive.discard(s)
-        while stack:
-            x = stack.pop()
-            for y in g.adjacency[x]:
-                if y in alive:
-                    alive.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
 
 
 def _balanced_split(comps: list[frozenset[int]], total: int) -> tuple[set[int], set[int]]:

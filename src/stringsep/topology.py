@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation, ParseError, StandardnessError
 from .geometry import (
     Point,
     PolylineCurve,
@@ -102,7 +102,7 @@ def _pair_intersections(w: WeakRealization, i: int, j: int) -> tuple[set[RatPoin
     e1, e2 = w.atg.graph.edges[i], w.atg.graph.edges[j]
     try:
         pts = curve_pair_points(w.edge_curves[i], w.edge_curves[j])
-    except Exception:
+    except StandardnessError:
         return set(), True
     for v in set(e1) & set(e2):
         vp = w.vertex_points[v]

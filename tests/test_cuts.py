@@ -16,9 +16,12 @@ from stringsep.cuts import (
 from stringsep.errors import ContractViolation
 from stringsep.graphs import Graph, check_separator, generate, graph_from_pairs
 from stringsep.metrics import derived_edge_weights, shortest_path_metric, sparsity_exact
+from stringsep.embedding import best_embedding, default_trials
 from stringsep.errors import NoVertexCut
+from stringsep.geometry import intersection_graph, random_segment_instance
 
 from .conftest import connected_graphs
+from .oracles import edmonds_karp_vertex_cut
 
 
 def brute_min_vertex_cut(g: Graph, xs, ys) -> int:
@@ -73,6 +76,31 @@ def test_min_vertex_cut_matches_brute_force(g, data):
         assert len(set(p) & cert.cut) == 1
         for a, b in zip(p, p[1:]):
             assert g.has_edge(a, b)
+
+
+def _assert_sweep_cuts_match_oracle(g, seed):
+    """Every prefix/suffix split of a sweep order gets the oracle's cut set."""
+    emb = best_embedding(shortest_path_metric(g), default_trials(g.n), seed)
+    order = sorted(g.vertices(), key=lambda v: (emb.values[v], v))
+    for i in range(1, g.n):
+        xs, ys = order[:i], order[i:]
+        assert min_vertex_cut(g, xs, ys).cut == edmonds_karp_vertex_cut(g, xs, ys), (order, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(min_n=2, max_n=10), st.integers(0, 1000))
+def test_min_vertex_cut_matches_edmonds_karp_on_sweep_splits(g, seed):
+    _assert_sweep_cuts_match_oracle(g, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_min_vertex_cut_matches_edmonds_karp_on_segment_instances(seed):
+    rep = random_segment_instance(60, seed=seed, span=54)
+    g, _ = intersection_graph(rep)
+    giant = max(g.components(), key=lambda c: (len(c), -min(c)))
+    sub, _ = g.induced(giant)
+    assert sub.n >= 20
+    _assert_sweep_cuts_match_oracle(sub, seed)
 
 
 def test_fhl_sweep_p3(p3):

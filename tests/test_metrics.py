@@ -18,6 +18,7 @@ from stringsep.metrics import (
 )
 
 from .conftest import connected_graphs
+from .oracles import floyd_warshall
 
 
 def test_shortest_path_examples(p3):
@@ -42,6 +43,30 @@ def test_metric_matrix_is_metric(g, seed):
     w = rng.integers(0, 8, g.m).astype(float)
     d = shortest_path_metric(g, w)
     validate_metric(d)
+
+
+@settings(max_examples=40)
+@given(connected_graphs(min_n=1, max_n=9), st.integers(0, 2**31))
+def test_shortest_path_metric_matches_floyd_warshall(g, seed):
+    rng = np.random.default_rng(seed)
+    assert (shortest_path_metric(g) == floyd_warshall(g, np.ones(g.m))).all()
+    w = rng.integers(0, 4, g.m).astype(float)  # about a quarter are zeros
+    assert (shortest_path_metric(g, w) == floyd_warshall(g, w)).all()
+    w = np.where(rng.random(g.m) < 0.3, 0.0, rng.random(g.m))
+    assert np.allclose(shortest_path_metric(g, w), floyd_warshall(g, w), rtol=1e-12, atol=1e-15)
+
+
+def test_shortest_path_metric_matches_floyd_warshall_on_load_duals():
+    zeros = 0
+    for seed in range(6):
+        g = generate("gnp_connected", (7, 45), seed=seed)
+        w = np.array([edge_congestion(g).load_duals[e] for e in g.edges])
+        s = vertex_congestion(g).load_duals
+        for weights in (w, derived_edge_weights(g, s)):
+            zeros += int((weights == 0).sum())
+            d = shortest_path_metric(g, weights)
+            assert np.allclose(d, floyd_warshall(g, weights), rtol=1e-12, atol=1e-15)
+    assert zeros > 0  # the dual weights do exercise zero-weight edges
 
 
 def test_ratio_functional_examples(p3):

@@ -1,6 +1,7 @@
 import pytest
 
-from stringsep.errors import ContractViolation
+from stringsep import topology
+from stringsep.errors import ContractViolation, StandardnessError
 from stringsep.geometry import (
     PolylineCurve,
     SegmentRelation,
@@ -30,6 +31,23 @@ def crossing_pair(allowed: bool) -> WeakRealization:
         ((0, 0), (10, 0), (5, -5), (5, 5)),
         (PolylineCurve("e0", ((0, 0), (10, 0))), PolylineCurve("e1", ((5, -5), (5, 5)))),
     )
+
+
+def test_overlapping_edges_reported_as_overlap():
+    w = crossing_pair(allowed=True)
+    # e1 runs along e0 from x = 5 to x = 8
+    bent = PolylineCurve("e1", ((5, -5), (5, 0), (8, 0), (8, 5)))
+    w = WeakRealization(w.atg, ((0, 0), (10, 0), (5, -5), (8, 5)), (w.edge_curves[0], bent))
+    assert [v.kind for v in validate_weak_realization(w)] == ["overlap"]
+
+
+def test_unrelated_intersection_error_propagates(monkeypatch):
+    def broken(c1, c2):
+        raise ZeroDivisionError("not an overlap")
+
+    monkeypatch.setattr(topology, "curve_pair_points", broken)
+    with pytest.raises(ZeroDivisionError):
+        validate_weak_realization(crossing_pair(allowed=True))
 
 
 def test_allowed_crossing_passes():
