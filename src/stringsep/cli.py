@@ -141,10 +141,7 @@ def cmd_embed(args) -> int:
 
 def cmd_sweep(args) -> int:
     g = _load_graph_arg(args)
-    d = metrics.shortest_path_metric(g)
-    trials = args.trials or embedding.default_trials(g.n)
-    emb = embedding.best_embedding(d, trials, args.seed)
-    f = np.asarray(emb.values) if not emb.is_constant else d[0]
+    f = cuts._embed_or_fallback(g, args.seed, args.trials or None)
     res = cuts.fhl_sweep(g, np.ones(g.n), f)
     payload = _cut_json(
         res.A,

@@ -1,10 +1,13 @@
 """Vertex cuts by max-flow, the embedding sweep, and the separator pipeline.
 
 The sweep orders vertices by a 1-Lipschitz embedding, computes for every
-prefix/suffix split a minimum vertex cut between the sides (node-split
-max-flow with a Menger certificate of vertex-disjoint paths), and keeps the
+prefix/suffix split a minimum vertex cut between the sides, and keeps the
 sparsest (A_i, B_i, S_i).  Its sparsity never exceeds
-(sum of vertex weights) / (sum of embedding gaps over pairs).
+(sum of vertex weights) / (sum of embedding gaps over pairs).  One
+warm-started unit flow on the node-split network serves all n-1 splits:
+moving a vertex across cancels at most one path and re-augments.  The
+winning split is recomputed from scratch by min_vertex_cut (scipy max-flow
+with a Menger certificate of vertex-disjoint paths) as a cross-check.
 
 A sweep position whose A or B side is empty has sparsity exactly 1/n
 (|S| / (|S| n)), while every non-complete graph admits a proper cut of
@@ -130,6 +133,12 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     Vertices are ordered by f (ties by id); position i separates the first i
     from the rest with a minimum vertex cut.  f must be non-constant and
     1-Lipschitz with respect to the metric of the derived edge weights of s.
+
+    The cuts come from one flow carried from position to position
+    (_sweep_cuts), each equal to what min_vertex_cut returns for that split.
+    Checked at run time: the flow value equals the cut size at every
+    position, min_vertex_cut recomputes the winning position's cut, and the
+    result's sparsity is within its bound.
     """
     weights = _vertex_weights(g, s)
     vals = np.asarray(f, dtype=float)
@@ -150,13 +159,9 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     best = None
     best_key = None
     positions = []
-    for i in range(1, g.n):
-        xs = frozenset(order[:i])
-        ys = frozenset(order[i:])
-        cert = min_vertex_cut(g, xs, ys)
-        s_i = cert.cut
-        a_i = xs - s_i
-        b_i = ys - s_i
+    for i, s_i in enumerate(_sweep_cuts(g, order), start=1):
+        a_i = frozenset(order[:i]) - s_i
+        b_i = frozenset(order[i:]) - s_i
         val = Fraction(len(s_i), (len(a_i) + len(s_i)) * (len(b_i) + len(s_i)))
         positions.append(SweepPosition(i, len(s_i), val, len(a_i), len(b_i)))
         key = (val, not (a_i and b_i), i)  # prefer proper cuts at equal sparsity
@@ -164,6 +169,9 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
             best, best_key = (a_i, b_i, s_i), key
 
     a_i, b_i, s_i = best
+    win = best_key[2]
+    if min_vertex_cut(g, order[:win], order[win:]).cut != s_i:
+        raise RuntimeError(f"warm-started sweep disagrees with a fresh max-flow at position {win}")
     total_w = float(weights.sum())
     total_gap = float(np.abs(vals[:, None] - vals[None, :]).sum()) / 2.0
     res = SweepResult(
@@ -172,6 +180,104 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     if float(res.sparsity) > res.bound + 1e-9:
         raise RuntimeError("sweep sparsity exceeded its theoretical bound")
     return res
+
+
+_NONE, _SRC = -1, -2  # pred entries that are not vertices
+
+
+def _sweep_cuts(g: Graph, order):
+    """The cut min_vertex_cut(g, order[:i], order[i:]) for i = 1..n-1.
+
+    One flow on min_vertex_cut's node-split network is kept across the
+    positions.  Every vertex carries at most one unit, so the flow is a set
+    of vertex-disjoint paths, stored as pred[v]: the vertex before v on its
+    path, _SRC if v starts it, _NONE if v carries no flow.  An augmenting
+    path stops at the first Y vertex it reaches, so every flow path runs
+    through X vertices to one Y vertex, and a Y vertex that carries flow
+    ends its path.  Moving v from Y to X removes the arc out(v) -> sink, so
+    the one path that ended at v is cancelled, and adds source -> in(v);
+    breadth-first augmentation then restores a maximum flow.  The last,
+    failing search gives the residual reachability of the source, and the
+    minimal source-side minimum cut read from it is the same for every
+    maximum flow.
+    """
+    n = g.n
+    adj = [sorted(a) for a in g.adjacency]
+    pred = [_NONE] * n
+    in_x = [False] * n
+    value = 0
+    for i, v in enumerate(order[:-1], start=1):
+        if pred[v] != _NONE:
+            value -= 1
+            u = v
+            while u != _SRC:
+                p = pred[u]
+                pred[u] = _NONE
+                u = p
+        in_x[v] = True
+        while True:
+            par, end = _augmenting_search(adj, pred, in_x, order[:i])
+            if end is None:
+                break
+            _augment(par, pred, end)
+            value += 1
+        cut = frozenset(u for u in range(n) if par[2 * u] != -1 and par[2 * u + 1] == -1)
+        if len(cut) != value:
+            raise RuntimeError("sweep flow value disagrees with the extracted cut")
+        yield cut
+
+
+def _augmenting_search(adj, pred, in_x, xs):
+    """Breadth-first search of the residual network from the source.
+
+    Node 2v is in(v), 2v + 1 is out(v) and 2n the source.  Returns the
+    parent of every reached node (-1 where unreached) and the out-node of
+    the first Y vertex reached, whose arc to the sink closes an augmenting
+    path, or None when there is none.  The residual arc out(x) -> in(x) of
+    a used X vertex is left out: the source reaches in(x) directly.
+    """
+    n = len(adj)
+    par = [-1] * (2 * n)
+    queue = []
+    for x in xs:
+        par[2 * x] = 2 * n
+        queue.append(2 * x)
+    for a in queue:  # the queue grows while it is read
+        v = a >> 1
+        if a & 1 == 0:
+            # in(v): forward through a free vertex, else back along the unit
+            # that enters it (none to follow when it comes from the source)
+            p = pred[v]
+            b = a + 1 if p == _NONE else 2 * p + 1
+            if p != _SRC and par[b] == -1:
+                par[b] = a
+                queue.append(b)
+        elif not in_x[v]:
+            return par, a
+        else:
+            for w in adj[v]:
+                if par[2 * w] == -1:
+                    par[2 * w] = a
+                    queue.append(2 * w)
+    return par, None
+
+
+def _augment(par, pred, end):
+    """Push one unit along the search path from the source to out(end // 2).
+
+    Only the arcs source -> in(x) and out(u) -> in(w) set a pred entry.  The
+    split arc in(v) -> out(v) leaves it to the arc into in(v), and the arc
+    in(u) -> out(w), which cancels the unit w -> u, finds pred[u] already
+    set by the arc into in(u).
+    """
+    src = len(par)
+    b = end
+    while par[b] != src:
+        a = par[b]
+        if a & 1:
+            pred[b >> 1] = a >> 1
+        b = a
+    pred[b >> 1] = _SRC
 
 
 @dataclass(frozen=True)
@@ -204,7 +310,7 @@ def find_separator(g: Graph, seed: int = 0, trials: int | None = None) -> Separa
         part = max(oversized, key=lambda p: (len(p), -min(p)))
         parts.remove(part)
         sub, back = g.induced(part)
-        f = _embed_or_fallback(sub, seed, trials, round_no)
+        f = _embed_or_fallback(sub, seed * 1_000_003 + round_no, trials)
         round_no += 1
         res = fhl_sweep(sub, np.ones(sub.n), f)
         trace.append((sub.n, float(res.sparsity)))
@@ -220,10 +326,13 @@ def find_separator(g: Graph, seed: int = 0, trials: int | None = None) -> Separa
     return SeparatorResult(cut, len(separator), (len(side_a), len(side_b), g.n), tuple(trace))
 
 
-def _embed_or_fallback(sub: Graph, seed: int, trials: int | None, round_no: int):
+def _embed_or_fallback(sub: Graph, seed: int, trials: int | None):
+    """Values of the best hop-metric line embedding of `sub` (default trials
+    when `trials` is None), or the distances from vertex 0 if every trial
+    was constant."""
     d = shortest_path_metric(sub)
     t = default_trials(sub.n) if trials is None else trials
-    emb = best_embedding(d, t, seed * 1_000_003 + round_no)
+    emb = best_embedding(d, t, seed)
     if not emb.is_constant:
         return np.asarray(emb.values)
     # all-constant trials are astronomically rare; distances from the first

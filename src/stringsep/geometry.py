@@ -192,8 +192,8 @@ def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set[RatPoint]:
     length (infinitely many intersections).
     """
     pts: set[RatPoint] = set()
-    for i, (p, q) in _indexed_by_x(c1.segments):
-        for j, (r, s) in _overlapping_by_x(c2.segments, p, q):
+    for p, q in c1.segments:
+        for r, s in _bbox_overlapping(c2.segments, p, q):
             rel = segments_intersect(p, q, r, s)
             if rel is SegmentRelation.OVERLAPPING:
                 raise StandardnessError(
@@ -206,20 +206,17 @@ def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set[RatPoint]:
     return pts
 
 
-def _indexed_by_x(segs):
-    return list(enumerate(segs))
-
-
-def _overlapping_by_x(segs, p, q):
-    # bounding-box prefilter; quadratic fallback is fine at package scale
+def _bbox_overlapping(segs, p, q):
+    """The segments of `segs` whose bounding box meets that of pq; a linear
+    scan is fine at package scale."""
     x0, x1 = min(p[0], q[0]), max(p[0], q[0])
     y0, y1 = min(p[1], q[1]), max(p[1], q[1])
-    for j, (r, s) in enumerate(segs):
+    for r, s in segs:
         if max(r[0], s[0]) < x0 or min(r[0], s[0]) > x1:
             continue
         if max(r[1], s[1]) < y0 or min(r[1], s[1]) > y1:
             continue
-        yield j, (r, s)
+        yield r, s
 
 
 @dataclass(frozen=True)

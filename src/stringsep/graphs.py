@@ -124,9 +124,17 @@ class EdgeCut:
     A: frozenset[int]
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the plain graph format: first line "n m", then m lines "u v"."""
-    lines = text.splitlines()
+# A graph file lists only its edges, so n is not bounded by the input's
+# length; this cap keeps a bad header from sizing per-vertex arrays.
+MAX_GRAPH_VERTICES = 100_000
+
+
+def parse_header(lines: list[str], max_n: int) -> tuple[int, int]:
+    """The "n m" first line of a graph or realization file.
+
+    Both must be nonnegative integers, n at most max_n, and m at most the
+    number of lines, as every edge needs a line of its own.
+    """
     if not lines:
         raise ParseError("empty input", 1)
     head = lines[0].split()
@@ -138,6 +146,20 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(f"expected integers 'n m', got {lines[0]!r}", 1) from None
     if n < 0 or m < 0:
         raise ParseError("n and m must be nonnegative", 1)
+    if n > max_n:
+        raise ParseError(f"n must be at most {max_n}", 1)
+    if m > len(lines):
+        raise ParseError(f"m must be at most the {len(lines)} lines of the input", 1)
+    return n, m
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the plain graph format: first line "n m", then m lines "u v".
+
+    n is capped at MAX_GRAPH_VERTICES.
+    """
+    lines = text.splitlines()
+    n, m = parse_header(lines, MAX_GRAPH_VERTICES)
     edges: list[Edge] = []
     seen: set[Edge] = set()
     row = 1

@@ -24,7 +24,7 @@ from .geometry import (
     sq_dist_points,
     sq_dist_segments,
 )
-from .graphs import Edge, Graph, graph_from_pairs
+from .graphs import Edge, Graph, graph_from_pairs, parse_header
 
 EdgePair = frozenset  # frozenset of two Edge tuples
 
@@ -544,20 +544,16 @@ def write_realization_file(w: WeakRealization) -> str:
 
 
 def parse_realization_file(text: str) -> WeakRealization:
-    lines = [ln for ln in text.splitlines()]
-    if not lines:
-        raise ParseError("empty realization file", 1)
-    try:
-        n, m = (int(t) for t in lines[0].split())
-    except ValueError:
-        raise ParseError("expected 'n m'", 1) from None
+    lines = text.splitlines()
+    # every vertex and every edge has a line of its own
+    n, m = parse_header(lines, len(lines))
+    if len(lines) < 1 + m:
+        raise ParseError(f"expected {m} edge lines", len(lines))
     edges: list[Edge] = []
-    for i in range(m):
-        lineno = 2 + i
-        try:
-            u, v = (int(t) for t in lines[1 + i].split())
-        except Exception:
-            raise ParseError("expected 'u v'", lineno) from None
+    for lineno, raw in enumerate(lines[1 : 1 + m], start=2):
+        u, v = _ints(raw.split(), 2, "'u v'", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"vertex id out of range [0, {n})", lineno)
         edges.append((min(u, v), max(u, v)))
     graph = Graph(n, tuple(sorted(edges)))
     order = {e: i for i, e in enumerate(graph.edges)}
@@ -570,23 +566,23 @@ def parse_realization_file(text: str) -> WeakRealization:
         if not raw.strip():
             continue
         if raw.startswith("allow "):
-            try:
-                i, j = (int(t) for t in raw.split()[1:])
-            except ValueError:
-                raise ParseError("expected 'allow i j'", off) from None
+            i, j = _ints(raw.split()[1:], 2, "'allow i j'", off)
             if not (0 <= i < m and 0 <= j < m):
                 raise ParseError("allow index out of range", off)
             allowed_pairs.add(frozenset((raw_order[i], raw_order[j])))
         elif raw.startswith("vertex "):
-            parts = raw.split()
-            if len(parts) != 4:
-                raise ParseError("expected 'vertex v x y'", off)
-            v, x, y = (int(t) for t in parts[1:])
+            v, x, y = _ints(raw.split()[1:], 3, "'vertex v x y'", off)
+            if not 0 <= v < n:
+                raise ParseError(f"vertex index out of range [0, {n})", off)
             points[v] = (x, y)
         elif raw.startswith("edge "):
-            head, coords = raw.split(":", 1)
-            i = int(head.split()[1])
-            vals = [int(t) for t in coords.split()]
+            head, colon, coords = raw.partition(":")
+            (i,) = _ints(head.split()[1:], 1, "'edge i: x0 y0 x1 y1 ...'", off)
+            vals = _ints(coords.split(), None, "integer coordinates", off)
+            if not colon or len(vals) < 4 or len(vals) % 2:
+                raise ParseError("expected 'edge i: x0 y0 x1 y1 ...'", off)
+            if not 0 <= i < m:
+                raise ParseError("edge index out of range", off)
             pts = tuple(zip(vals[::2], vals[1::2]))
             curves[i] = PolylineCurve(f"e{order[raw_order[i]]}", pts)
         else:
@@ -600,3 +596,14 @@ def parse_realization_file(text: str) -> WeakRealization:
     for i in range(m):
         ordered_curves[order[raw_order[i]]] = curves[i]
     return WeakRealization(atg, tuple(points[v] for v in range(n)), tuple(ordered_curves))
+
+
+def _ints(tokens: list[str], count: int | None, expected: str, lineno: int) -> list[int]:
+    """The tokens as integers, `count` of them unless None."""
+    try:
+        vals = [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"expected {expected}", lineno) from None
+    if count is not None and len(vals) != count:
+        raise ParseError(f"expected {expected}", lineno)
+    return vals

@@ -98,6 +98,26 @@ def test_contract_error_exit_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command,text",
+    [
+        ("weak2str", "1 0\nvertex 0 a 1\n"),
+        ("weak2str", "2 1\n0 1\nvertex 0 0 0\nvertex 1 1 0\nedge 3: 0 0 1 0\n"),
+        ("weak2str", "99999999999999999999 0\n"),
+        ("separator", "99999999999999999999 0\n"),
+        ("separator", "9999999999 0\n"),
+    ],
+    ids=["bad-int", "edge-index", "realization-huge-n", "graph-n-overflow", "graph-n-memory"],
+)
+def test_malformed_input_exit_1(capsys, tmp_path, command, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    flag = "--realization" if command == "weak2str" else "--graph"
+    code, out, err = run(capsys, command, flag, str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line ")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("econg", "--graph", "{p3}"),

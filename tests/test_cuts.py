@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stringsep.cuts
 from stringsep.cuts import (
+    _sweep_cuts,
     balanced_edge_cut,
     fhl_sweep,
     find_separator,
@@ -79,12 +81,17 @@ def test_min_vertex_cut_matches_brute_force(g, data):
 
 
 def _assert_sweep_cuts_match_oracle(g, seed):
-    """Every prefix/suffix split of a sweep order gets the oracle's cut set."""
+    """Every prefix/suffix split of a sweep order gets the oracle's cut set,
+    from min_vertex_cut and from the warm-started sweep alike."""
     emb = best_embedding(shortest_path_metric(g), default_trials(g.n), seed)
     order = sorted(g.vertices(), key=lambda v: (emb.values[v], v))
+    warm = list(_sweep_cuts(g, order))
+    assert len(warm) == g.n - 1
     for i in range(1, g.n):
         xs, ys = order[:i], order[i:]
-        assert min_vertex_cut(g, xs, ys).cut == edmonds_karp_vertex_cut(g, xs, ys), (order, i)
+        expected = edmonds_karp_vertex_cut(g, xs, ys)
+        assert min_vertex_cut(g, xs, ys).cut == expected, (order, i)
+        assert warm[i - 1] == expected, (order, i)
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,6 +108,25 @@ def test_min_vertex_cut_matches_edmonds_karp_on_segment_instances(seed):
     sub, _ = g.induced(giant)
     assert sub.n >= 20
     _assert_sweep_cuts_match_oracle(sub, seed)
+
+
+def test_sweep_cuts_match_edmonds_karp_on_dense_segment_instance():
+    g, _ = intersection_graph(random_segment_instance(30, seed=4))
+    giant = max(g.components(), key=lambda c: (len(c), -min(c)))
+    sub, _ = g.induced(giant)
+    assert sub.n >= 20 and sub.m >= 4 * sub.n
+    _assert_sweep_cuts_match_oracle(sub, 4)
+
+
+def test_fhl_sweep_cross_check_catches_a_wrong_cut(monkeypatch):
+    g = generate("grid", (3, 3))
+    f = shortest_path_metric(g)[0]
+    fhl_sweep(g, np.ones(g.n), f)
+    monkeypatch.setattr(
+        stringsep.cuts, "_sweep_cuts", lambda g, order: (frozenset() for _ in order[1:])
+    )
+    with pytest.raises(RuntimeError, match="fresh max-flow"):
+        fhl_sweep(g, np.ones(g.n), f)
 
 
 def test_fhl_sweep_p3(p3):

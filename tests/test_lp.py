@@ -171,8 +171,8 @@ def test_rank_deficient_equalities():
 
 
 def test_beale_degenerate_cycle_terminates():
-    # classic cycling example for naive pivoting; the Bland fallback
-    # guarantees termination at the optimum
+    # classic cycling example for naive simplex pivoting; the solver must
+    # still terminate at the optimum
     p = LpProblem(np.array([0.75, -150, 0.02, -6]), "max")
     p.add([0.25, -60, -1 / 25, 9], "<=", 0)
     p.add([0.5, -90, -1 / 50, 3], "<=", 0)
