@@ -147,7 +147,8 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     if len(set(vals.tolist())) < 2:
         raise ContractViolation("f is constant")
     d = shortest_path_metric(g, derived_edge_weights(g, weights))
-    gap = np.abs(vals[:, None] - vals[None, :]) - d
+    spread = np.abs(vals[:, None] - vals[None, :])
+    gap = spread - d
     if gap.max() > 1e-9:
         u, v = np.unravel_index(int(gap.argmax()), gap.shape)
         raise ContractViolation(
@@ -173,7 +174,7 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     if min_vertex_cut(g, order[:win], order[win:]).cut != s_i:
         raise RuntimeError(f"warm-started sweep disagrees with a fresh max-flow at position {win}")
     total_w = float(weights.sum())
-    total_gap = float(np.abs(vals[:, None] - vals[None, :]).sum()) / 2.0
+    total_gap = float(spread.sum()) / 2.0
     res = SweepResult(
         a_i, b_i, s_i, best_key[0], tuple(positions), total_w, total_gap
     )

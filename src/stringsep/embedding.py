@@ -43,8 +43,15 @@ class Embedding:
 
     def spread(self) -> float:
         """Sum of |f(u) - f(v)| over unordered pairs."""
-        v = np.asarray(self.values)
-        return float(np.abs(v[:, None] - v[None, :]).sum()) / 2.0
+        return _spread(np.asarray(self.values))
+
+
+def _spread(f: np.ndarray) -> float:
+    """Sum of |f(u) - f(v)| over unordered pairs, in O(n log n): the i-th
+    smallest of n values (i from 0) is added i times and subtracted n-1-i
+    times.  Exact when the values are integers, as on hop metrics."""
+    n = f.shape[0]
+    return float(np.sort(f) @ (2 * np.arange(n) - (n - 1)))
 
 
 def scale_count(n: int) -> int:
@@ -55,22 +62,26 @@ def scale_count(n: int) -> int:
     return k
 
 
-def bourgain_sample(d: np.ndarray, seed: int) -> Embedding:
-    """One random line embedding of the metric d; deterministic per seed."""
+def _sample(d: np.ndarray, seed: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """One random line embedding of d as arrays: (scale j, anchor mask, f)."""
     n = d.shape[0]
     if n < 2:
         raise ContractViolation("need at least two points")
     rng = np.random.default_rng((seed, 431))
-    k = scale_count(n)
-    j = int(rng.integers(0, k + 1))
-    p = 2.0 ** (-j)
-    members = rng.random(n) < p
+    j = int(rng.integers(0, scale_count(n) + 1))
+    members = rng.random(n) < 2.0 ** (-j)
+    f = d[:, members].min(axis=1) if members.any() else np.zeros(n)
+    return j, members, f
+
+
+def _embedding(seed: int, j: int, members: np.ndarray, f: np.ndarray) -> Embedding:
     anchors = frozenset(int(i) for i in np.flatnonzero(members))
-    if anchors:
-        f = d[:, sorted(anchors)].min(axis=1)
-    else:
-        f = np.zeros(n)
     return Embedding(tuple(float(x) for x in f), seed, j, anchors)
+
+
+def bourgain_sample(d: np.ndarray, seed: int) -> Embedding:
+    """One random line embedding of the metric d; deterministic per seed."""
+    return _embedding(seed, *_sample(d, seed))
 
 
 def default_trials(n: int) -> int:
@@ -85,18 +96,22 @@ def best_embedding(d: np.ndarray, trials: int, seed: int) -> Embedding:
     Trial t draws from the derived stream (seed, t); ties in spread keep the
     lowest trial index.  If every trial is constant (possible only for a
     degenerate metric) the first is returned; callers can inspect
-    .is_constant.
+    .is_constant.  Trials are scored as arrays by the sorted-prefix spread,
+    and only the winner becomes an Embedding.  On a hop metric every spread
+    is an exact integer; on other metrics it may differ from the pairwise
+    sum in the last bits.
     """
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
-    best: Embedding | None = None
+    best = None
     best_spread = -1.0
     for t in range(trials):
-        emb = bourgain_sample(d, _mix(seed, t))
-        s = emb.spread()
+        trial_seed = _mix(seed, t)
+        j, members, f = _sample(d, trial_seed)
+        s = _spread(f)
         if s > best_spread:
-            best, best_spread = emb, s
-    return best
+            best, best_spread = (trial_seed, j, members, f), s
+    return _embedding(*best)
 
 
 def _mix(seed: int, trial: int) -> int:

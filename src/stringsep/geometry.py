@@ -1,7 +1,8 @@
 """Polygonal curves and exact intersection predicates.
 
 All predicates use integer (or exact rational) arithmetic: orientations are
-signs of 2x2 determinants and intersection points are Fractions, so results
+signs of 2x2 determinants and intersection points are exact, kept as
+normalised integer triples (X, Y, D) and returned as Fractions, so results
 are invariant under integer translation and never depend on an epsilon.
 """
 
@@ -11,14 +12,18 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
-from .errors import ContractViolation, GenerationError, StandardnessError
+from .errors import ContractViolation, GenerationError, ParseError, StandardnessError
 from .graphs import Graph, graph_from_pairs
 
 Point = tuple[int, int]
 RatPoint = tuple[Fraction, Fraction]
+# the exact point (X/D, Y/D) as the integers (X, Y, D), D > 0 and gcd(X, Y, D) = 1,
+# so equal points have equal keys
+PointKey = tuple[int, int, int]
 
 
 class SegmentRelation(Enum):
@@ -87,26 +92,41 @@ def segment_shared_point(p, q, r, s) -> RatPoint | None:
 
     Raises StandardnessError for overlapping segments (no unique point).
     """
-    rel = segments_intersect(p, q, r, s)
-    if rel is SegmentRelation.DISJOINT:
-        return None
+    rel, key = _meeting(p, q, r, s)
     if rel is SegmentRelation.OVERLAPPING:
         raise StandardnessError("overlapping segments have no unique shared point")
+    return None if key is None else _rational(key)
+
+
+def _meeting(p, q, r, s) -> tuple[SegmentRelation, PointKey | None]:
+    """How pq and rs meet, and their shared point when there is exactly one."""
+    rel = segments_intersect(p, q, r, s)
     if rel is SegmentRelation.TOUCHING:
+        # the one shared point is an endpoint lying on the other segment
         for pt in (r, s):
             if on_segment(p, q, pt):
-                return (Fraction(pt[0]), Fraction(pt[1]))
+                return rel, (pt[0], pt[1], 1)
         for pt in (p, q):
             if on_segment(r, s, pt):
-                return (Fraction(pt[0]), Fraction(pt[1]))
+                return rel, (pt[0], pt[1], 1)
         raise AssertionError("touching segments must share an endpoint of one of them")
-    # proper crossing: solve p + t (q - p) with t = cross(r - p, s - r) / cross(q - p, s - r)
-    dqp = (q[0] - p[0], q[1] - p[1])
-    dsr = (s[0] - r[0], s[1] - r[1])
-    denom = dqp[0] * dsr[1] - dqp[1] * dsr[0]
-    num = (r[0] - p[0]) * dsr[1] - (r[1] - p[1]) * dsr[0]
-    t = Fraction(num, denom)
-    return (p[0] + t * dqp[0], p[1] + t * dqp[1])
+    if rel is not SegmentRelation.PROPER_CROSSING:
+        return rel, None
+    # p + t (q - p) with t = num / den = cross(r - p, s - r) / cross(q - p, s - r)
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    ex, ey = s[0] - r[0], s[1] - r[1]
+    den = dx * ey - dy * ex
+    num = (r[0] - p[0]) * ey - (r[1] - p[1]) * ex
+    x, y = p[0] * den + num * dx, p[1] * den + num * dy
+    if den < 0:
+        x, y, den = -x, -y, -den
+    g = gcd(x, y, den)
+    return rel, (x // g, y // g, den // g)
+
+
+def _rational(key: PointKey) -> RatPoint:
+    x, y, den = key
+    return (Fraction(x, den), Fraction(y, den))
 
 
 def sq_dist_points(p, q) -> Fraction:
@@ -191,19 +211,22 @@ def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set[RatPoint]:
     Raises StandardnessError when the curves share a sub-segment of positive
     length (infinitely many intersections).
     """
-    pts: set[RatPoint] = set()
+    return {_rational(key) for key in _pair_keys(c1, c2)}
+
+
+def _pair_keys(c1: PolylineCurve, c2: PolylineCurve) -> dict[PointKey, None]:
+    """The intersection points of c1 and c2 as keys, in the order first met."""
+    keys: dict[PointKey, None] = {}
     for p, q in c1.segments:
         for r, s in _bbox_overlapping(c2.segments, p, q):
-            rel = segments_intersect(p, q, r, s)
+            rel, key = _meeting(p, q, r, s)
             if rel is SegmentRelation.OVERLAPPING:
                 raise StandardnessError(
                     f"curves {c1.id} and {c2.id} overlap on a common sub-segment"
                 )
-            if rel is not SegmentRelation.DISJOINT:
-                pt = segment_shared_point(p, q, r, s)
-                assert pt is not None
-                pts.add(pt)
-    return pts
+            if key is not None:
+                keys[key] = None
+    return keys
 
 
 def _bbox_overlapping(segs, p, q):
@@ -235,57 +258,74 @@ class StringRepresentation:
         return tuple(sorted(self.curves, key=lambda c: (len(c.id), c.id)))
 
 
-def validate_standardness(rep: StringRepresentation) -> None:
-    """Enforce the standard-representation invariants.
+def validate_standardness(rep: StringRepresentation) -> dict[tuple[int, int], int]:
+    """Enforce the standard-representation invariants; return the point counts.
 
     Every curve is simple, every pairwise intersection set is finite (no
     collinear overlaps between distinct curves), and no point lies on three
-    or more curves.
+    or more curves.  Returns the number of distinct intersection points of
+    every pair (i, j), i < j, of curves that meet, indexed in id-sorted order
+    and listed in lexicographic order.  Only pairs whose bounding boxes meet
+    are tested; they are visited in lexicographic order, so the first
+    violation raised does not depend on how they were found.
     """
     curves = rep.sorted_curves()
     for c in curves:
         c.validate()
-    point_owner: dict[RatPoint, tuple[str, str]] = {}
-    boxes = [c.bbox() for c in curves]
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            if not _boxes_meet(boxes[i], boxes[j]):
-                continue
-            for pt in curve_pair_points(curves[i], curves[j]):
-                prev = point_owner.get(pt)
-                if prev is not None and not set(prev).issubset({curves[i].id, curves[j].id}):
-                    involved = sorted(set(prev) | {curves[i].id, curves[j].id})
-                    raise StandardnessError(
-                        f"triple point at ({pt[0]}, {pt[1]}): curves {', '.join(involved)}"
-                    )
-                point_owner[pt] = (curves[i].id, curves[j].id)
+    owner: dict[PointKey, tuple[int, int]] = {}
+    counts: dict[tuple[int, int], int] = {}
+    for i, j in _box_pairs([c.bbox() for c in curves]):
+        keys = _pair_keys(curves[i], curves[j])
+        if not keys:
+            continue
+        if not owner.keys().isdisjoint(keys):
+            _raise_triple_point(curves, owner, i, j, keys)
+        owner.update(dict.fromkeys(keys, (i, j)))
+        counts[(i, j)] = len(keys)
+    return counts
 
 
-def _boxes_meet(a, b) -> bool:
-    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
+def _box_pairs(boxes) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, whose closed boxes meet, in lexicographic
+    order: a sweep over the boxes sorted by left edge."""
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
+    pairs = []
+    for k, i in enumerate(order):
+        _, y0, x1, y1 = boxes[i]
+        for m in range(k + 1, len(order)):
+            j = order[m]
+            b = boxes[j]
+            if b[0] > x1:
+                break
+            if b[1] <= y1 and y0 <= b[3]:
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
+
+
+def _raise_triple_point(curves, owner, i, j, keys):
+    """Report the first point of the pair (i, j), in curve_pair_points'
+    order, that an earlier pair already owns."""
+    key_of = {_rational(key): key for key in keys}
+    for pt in curve_pair_points(curves[i], curves[j]):
+        prev = owner.get(key_of[pt])
+        if prev is not None:
+            involved = sorted({curves[k].id for k in (i, j, *prev)})
+            raise StandardnessError(
+                f"triple point at ({pt[0]}, {pt[1]}): curves {', '.join(involved)}"
+            )
+    raise AssertionError("a shared key must come from a shared point")
 
 
 def intersection_graph(rep: StringRepresentation) -> tuple[Graph, dict[tuple[int, int], int]]:
     """Intersection graph of a standard string representation.
 
     Vertex i is the i-th curve in id-sorted order.  Also returns, for every
-    adjacent pair, the number of distinct intersection points.
+    adjacent pair, the number of distinct intersection points: the counts
+    validate_standardness collects in its one pass over the pairs.
     """
-    validate_standardness(rep)
-    curves = rep.sorted_curves()
-    n = len(curves)
-    boxes = [c.bbox() for c in curves]
-    counts: dict[tuple[int, int], int] = {}
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not _boxes_meet(boxes[i], boxes[j]):
-                continue
-            pts = curve_pair_points(curves[i], curves[j])
-            if pts:
-                pairs.append((i, j))
-                counts[(i, j)] = len(pts)
-    return graph_from_pairs(n, pairs), counts
+    counts = validate_standardness(rep)
+    return graph_from_pairs(len(rep.curves), list(counts)), counts
 
 
 def parse_strings_file(text: str) -> StringRepresentation:
@@ -295,15 +335,15 @@ def parse_strings_file(text: str) -> StringRepresentation:
         if not raw.strip():
             continue
         if ":" not in raw:
-            raise ContractViolation(f"line {lineno}: expected 'id: x0 y0 ...'")
+            raise ParseError("expected 'id: x0 y0 ...'", lineno)
         label, coords = raw.split(":", 1)
         nums = coords.split()
         if len(nums) < 4 or len(nums) % 2:
-            raise ContractViolation(f"line {lineno}: need an even count >= 4 of coordinates")
+            raise ParseError("need an even count >= 4 of coordinates", lineno)
         try:
             vals = [int(t) for t in nums]
         except ValueError:
-            raise ContractViolation(f"line {lineno}: coordinates must be integers") from None
+            raise ParseError("coordinates must be integers", lineno) from None
         pts = tuple(zip(vals[::2], vals[1::2]))
         curves.append(PolylineCurve(label.strip(), pts))
     return StringRepresentation(tuple(curves))
@@ -334,7 +374,7 @@ def random_segment_instance(
     rng = np.random.default_rng((seed, 977))
     side = max(8, 2 * count)
     placed: list[tuple[Point, Point]] = []
-    known_points: set[RatPoint] = set()
+    known_points: set[PointKey] = set()
     for k in range(count):
         for _ in range(1000):
             if span is None:
@@ -347,16 +387,15 @@ def random_segment_instance(
             p, q = (x0, y0), (x1, y1)
             if p == q:
                 continue
-            new_pts: list[RatPoint] = []
+            new_pts: list[PointKey] = []
             ok = True
             for r, s in placed:
-                rel = segments_intersect(p, q, r, s)
+                rel, key = _meeting(p, q, r, s)
                 if rel is SegmentRelation.OVERLAPPING:
                     ok = False
                     break
-                if rel is not SegmentRelation.DISJOINT:
-                    pt = segment_shared_point(p, q, r, s)
-                    new_pts.append(pt)
+                if key is not None:
+                    new_pts.append(key)
                 if on_segment(r, s, p) or on_segment(r, s, q):
                     ok = False
                     break

@@ -1,12 +1,22 @@
-"""Slow reference algorithms that the scipy-backed routines are tested against.
+"""Slow reference algorithms that the fast routines are tested against.
 
 `edmonds_karp_vertex_cut` is a dict-based Edmonds-Karp on the same
 node-split network as `stringsep.cuts.min_vertex_cut`, reading the cut from
 the residual reachability of the super-source; `floyd_warshall` is the dense
-all-pairs relaxation.
+all-pairs relaxation.  `fraction_validate_standardness` and
+`fraction_intersection_graph` test every pair of curves and every pair of
+segments with Fraction points; `pairwise_best_embedding` builds an
+`Embedding` per trial and scores it by the n x n sum of |f(u) - f(v)|.
 """
 
+from fractions import Fraction
+
 import numpy as np
+
+from stringsep.embedding import Embedding, _mix, scale_count
+from stringsep.errors import StandardnessError
+from stringsep.geometry import SegmentRelation, on_segment, segments_intersect
+from stringsep.graphs import graph_from_pairs
 
 
 def edmonds_karp_vertex_cut(g, xs, ys) -> frozenset[int]:
@@ -79,3 +89,89 @@ def floyd_warshall(g, weights) -> np.ndarray:
     for k in range(g.n):
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     return d
+
+
+def fraction_segment_point(p, q, r, s):
+    """The unique shared point of segments pq and rs as Fractions, or None."""
+    rel = segments_intersect(p, q, r, s)
+    if rel is SegmentRelation.DISJOINT:
+        return None
+    if rel is SegmentRelation.OVERLAPPING:
+        raise StandardnessError("overlapping segments have no unique shared point")
+    if rel is SegmentRelation.TOUCHING:
+        for a, b, pt in ((p, q, r), (p, q, s), (r, s, p), (r, s, q)):
+            if on_segment(a, b, pt):
+                return (Fraction(pt[0]), Fraction(pt[1]))
+        raise AssertionError("touching segments must share an endpoint of one of them")
+    dqp = (q[0] - p[0], q[1] - p[1])
+    dsr = (s[0] - r[0], s[1] - r[1])
+    denom = dqp[0] * dsr[1] - dqp[1] * dsr[0]
+    t = Fraction((r[0] - p[0]) * dsr[1] - (r[1] - p[1]) * dsr[0], denom)
+    return (p[0] + t * dqp[0], p[1] + t * dqp[1])
+
+
+def fraction_curve_pair_points(c1, c2) -> set:
+    """Every segment pair of c1 x c2, in order, into one set of Fraction points."""
+    pts = set()
+    for p, q in c1.segments:
+        for r, s in c2.segments:
+            rel = segments_intersect(p, q, r, s)
+            if rel is SegmentRelation.OVERLAPPING:
+                raise StandardnessError(
+                    f"curves {c1.id} and {c2.id} overlap on a common sub-segment"
+                )
+            if rel is not SegmentRelation.DISJOINT:
+                pts.add(fraction_segment_point(p, q, r, s))
+    return pts
+
+
+def fraction_validate_standardness(rep) -> None:
+    """Simple curves, then every pair of curves in lexicographic order."""
+    curves = rep.sorted_curves()
+    for c in curves:
+        c.validate()
+    point_owner = {}
+    for i in range(len(curves)):
+        for j in range(i + 1, len(curves)):
+            ids = {curves[i].id, curves[j].id}
+            for pt in fraction_curve_pair_points(curves[i], curves[j]):
+                prev = point_owner.get(pt)
+                if prev is not None and not set(prev).issubset(ids):
+                    involved = sorted(set(prev) | ids)
+                    raise StandardnessError(
+                        f"triple point at ({pt[0]}, {pt[1]}): curves {', '.join(involved)}"
+                    )
+                point_owner[pt] = (curves[i].id, curves[j].id)
+
+
+def fraction_intersection_graph(rep):
+    """(graph, counts) from a second all-pairs pass after validation."""
+    fraction_validate_standardness(rep)
+    curves = rep.sorted_curves()
+    counts = {}
+    for i in range(len(curves)):
+        for j in range(i + 1, len(curves)):
+            pts = fraction_curve_pair_points(curves[i], curves[j])
+            if pts:
+                counts[(i, j)] = len(pts)
+    return graph_from_pairs(len(curves), list(counts)), counts
+
+
+def pairwise_best_embedding(d, trials: int, seed: int) -> Embedding:
+    """The trial with the largest n x n spread; the first of equal ones."""
+    n = d.shape[0]
+    k = scale_count(n)
+    best, best_spread = None, -1.0
+    for t in range(trials):
+        trial_seed = _mix(seed, t)
+        rng = np.random.default_rng((trial_seed, 431))
+        j = int(rng.integers(0, k + 1))
+        members = rng.random(n) < 2.0 ** (-j)
+        anchors = frozenset(int(i) for i in np.flatnonzero(members))
+        f = d[:, sorted(anchors)].min(axis=1) if anchors else np.zeros(n)
+        emb = Embedding(tuple(float(x) for x in f), trial_seed, j, anchors)
+        v = np.asarray(emb.values)
+        spread = float(np.abs(v[:, None] - v[None, :]).sum()) / 2.0
+        if spread > best_spread:
+            best, best_spread = emb, spread
+    return best

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stringsep.cli import main
+from stringsep import geometry, graphs, topology
+from stringsep.cli import USAGE_ERRORS, main
 
 
 def run(capsys, *argv):
@@ -105,16 +108,43 @@ def test_contract_error_exit_1(capsys, tmp_path):
         ("weak2str", "99999999999999999999 0\n"),
         ("separator", "99999999999999999999 0\n"),
         ("separator", "9999999999 0\n"),
+        ("build-ig", "a 0 0 1 1\n"),
+        ("build-ig", "a: 0 0 1 1\nb: 0 1 1\n"),
+        ("build-ig", "\na: 0 0 x 1\n"),
     ],
-    ids=["bad-int", "edge-index", "realization-huge-n", "graph-n-overflow", "graph-n-memory"],
+    ids=["bad-int", "edge-index", "realization-huge-n", "graph-n-overflow", "graph-n-memory",
+         "strings-no-colon", "strings-odd-count", "strings-not-int"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, command, text):
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
-    flag = "--realization" if command == "weak2str" else "--graph"
+    flag = {"weak2str": "--realization", "build-ig": "--strings"}.get(command, "--graph")
     code, out, err = run(capsys, command, flag, str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error: line ")
+
+
+_token = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "7", "99999999999999999999", "1.5", "x", ":", "a:", "3:",
+     "vertex", "edge", "allow", ""]
+)
+_fuzz_text = st.one_of(
+    st.text(max_size=120),
+    st.lists(st.tuples(_token, st.sampled_from([" ", " ", "\n", "\t", ":"])), max_size=40).map(
+        lambda parts: "".join(tok + sep for tok, sep in parts)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_text)
+def test_parsers_raise_only_usage_errors(text):
+    # any text parses or fails with an error main reports as "error: ..." and exit 1
+    for parse in (geometry.parse_strings_file, graphs.parse_graph, topology.parse_realization_file):
+        try:
+            parse(text)
+        except USAGE_ERRORS:
+            pass
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringsep.embedding import (
+    Embedding,
     best_embedding,
     bourgain_sample,
     default_trials,
@@ -11,10 +12,12 @@ from stringsep.embedding import (
     scale_count,
 )
 from stringsep.errors import ContractViolation
+from stringsep.geometry import intersection_graph, random_segment_instance
 from stringsep.graphs import generate
 from stringsep.metrics import shortest_path_metric
 
 from .conftest import connected_graphs
+from .oracles import pairwise_best_embedding
 
 
 def test_scale_count():
@@ -104,3 +107,36 @@ def test_success_probability_floor_small():
     freq = hits / n_samples
     np.fill_diagonal(freq, 1.0)
     assert freq.min() >= 0.02 / (k + 1)
+
+
+@settings(max_examples=40)
+@given(connected_graphs(max_n=12), st.integers(0, 2**62), st.integers(1, 60))
+def test_best_embedding_matches_pairwise_oracle(g, seed, trials):
+    d = shortest_path_metric(g)
+    assert best_embedding(d, trials, seed) == pairwise_best_embedding(d, trials, seed)
+
+
+@pytest.mark.parametrize("count,span,seed", [(100, 80, 1), (80, 60, 2), (40, None, 3)])
+def test_best_embedding_matches_pairwise_oracle_on_segment_cores(count, span, seed):
+    g, _ = intersection_graph(random_segment_instance(count, seed=seed, span=span))
+    giant = max(g.components(), key=len)
+    core, _ = g.induced(sorted(giant))
+    d = shortest_path_metric(core)
+    trials = default_trials(core.n)
+    assert best_embedding(d, trials, seed) == pairwise_best_embedding(d, trials, seed)
+
+
+@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=40))
+def test_spread_is_the_pairwise_sum(values):
+    v = np.asarray(values, dtype=float)
+    emb = Embedding(tuple(v.tolist()), 0, 0, frozenset())
+    assert emb.spread() == float(np.abs(v[:, None] - v[None, :]).sum()) / 2.0
+
+
+@given(st.lists(st.floats(0, 100), min_size=1, max_size=40))
+def test_spread_of_fractional_values_within_rounding(values):
+    # summed in another order, so only equal up to float64 rounding
+    v = np.asarray(values)
+    emb = Embedding(tuple(values), 0, 0, frozenset())
+    pairwise = float(np.abs(v[:, None] - v[None, :]).sum()) / 2.0
+    assert emb.spread() == pytest.approx(pairwise, rel=1e-12, abs=1e-9)

@@ -1,21 +1,28 @@
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringsep.errors import ContractViolation, StandardnessError
+from stringsep.errors import ContractViolation, ParseError, StandardnessError
 from stringsep.geometry import (
     PolylineCurve,
     SegmentRelation,
     StringRepresentation,
+    _pair_keys,
+    curve_pair_points,
     intersection_graph,
+    parse_strings_file,
     random_segment_instance,
     segment_shared_point,
     segments_intersect,
     sq_dist_segments,
     validate_standardness,
 )
+
+from .oracles import fraction_curve_pair_points, fraction_intersection_graph
 
 coord = st.integers(-50, 50)
 point = st.tuples(coord, coord)
@@ -131,6 +138,12 @@ def test_standardness_rejects_triple_point():
     assert "triple" in str(err.value)
 
 
+def test_parse_strings_file_errors_carry_the_line():
+    with pytest.raises(ParseError) as err:
+        parse_strings_file("a: 0 0 1 1\n\nb: 0 x 1 1\n")
+    assert err.value.line == 3 and str(err.value) == "line 3: coordinates must be integers"
+
+
 def test_random_instance_standard():
     rep = random_segment_instance(20, seed=7)
     assert len(rep.curves) == 20
@@ -150,3 +163,70 @@ def test_random_instance_trivial_and_errors():
     assert g.n == 1 and g.m == 0
     with pytest.raises(ContractViolation):
         random_segment_instance(0, seed=0)
+
+
+# small grids make shared endpoints, corners, collinear overlaps and
+# concurrent crossings common; the wider one gives crossings with large
+# denominators
+grid_point = st.tuples(st.integers(0, 4), st.integers(0, 4))
+wide_point = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+
+
+def _rep(point_lists):
+    return StringRepresentation(
+        tuple(PolylineCurve(f"c{i}", tuple(pts)) for i, pts in enumerate(point_lists))
+    )
+
+
+def _outcome(fn, rep):
+    try:
+        return fn(rep)
+    except (ContractViolation, StandardnessError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(grid_point, min_size=2, max_size=3), min_size=1, max_size=6))
+def test_intersection_graph_matches_fraction_oracle(point_lists):
+    rep = _rep(point_lists)
+    assert _outcome(intersection_graph, rep) == _outcome(fraction_intersection_graph, rep)
+
+
+@pytest.mark.parametrize(
+    "point_lists",
+    [
+        [[(0, 0), (4, 0)], [(4, 0), (4, 4)], [(0, 0), (0, 4)]],  # shared endpoints only
+        [[(0, 0), (2, 2), (4, 0)], [(2, 2), (2, 4)]],  # a corner on another curve
+        [[(0, 0), (4, 0)], [(2, 0), (2, 3), (5, 3), (5, 0), (3, 0)]],  # collinear overlap
+        [[(0, 0), (4, 4)], [(0, 4), (4, 0)], [(2, 0), (2, 4)]],  # three through (2, 2)
+        # two triple points in one pair: the reported one is the oracle's
+        [[(0, 0), (1, 2), (2, 0), (3, 2), (4, 0)], [(0, 4), (1, 2), (2, 4), (3, 2), (4, 4)],
+         [(0, 2), (4, 2)]],
+        [[(0, 0), (6, 3)], [(0, 3), (6, 0)], [(1, 0), (5, 3)]],  # crossings at thirds
+    ],
+    ids=["endpoints", "corner", "overlap", "concurrent", "two-triples", "rational"],
+)
+def test_intersection_graph_matches_fraction_oracle_examples(point_lists):
+    rep = _rep(point_lists)
+    assert _outcome(intersection_graph, rep) == _outcome(fraction_intersection_graph, rep)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(wide_point, min_size=2, max_size=4, unique=True),
+    st.lists(wide_point, min_size=2, max_size=4, unique=True),
+)
+def test_point_keys_are_the_exact_fraction_points(a, b):
+    c1, c2 = PolylineCurve("a", tuple(a)), PolylineCurve("b", tuple(b))
+    try:
+        want = fraction_curve_pair_points(c1, c2)
+    except StandardnessError as exc:
+        with pytest.raises(StandardnessError, match=re.escape(str(exc))):
+            _pair_keys(c1, c2)
+        return
+    keys = _pair_keys(c1, c2)
+    for x, y, den in keys:
+        assert den > 0 and gcd(x, y, den) == 1
+    assert {(Fraction(x, den), Fraction(y, den)) for x, y, den in keys} == want
+    # same points inserted in the same order, so the sets iterate alike
+    assert list(curve_pair_points(c1, c2)) == list(want)
