@@ -126,7 +126,7 @@ def cmd_sparsity(args) -> int:
 def cmd_embed(args) -> int:
     g = _load_graph_arg(args)
     d = metrics.shortest_path_metric(g)
-    trials = args.trials or embedding.default_trials(g.n)
+    trials = embedding.default_trials(g.n) if args.trials is None else args.trials
     emb = embedding.best_embedding(d, trials, args.seed)
     payload = {
         "f": list(emb.values),
@@ -141,7 +141,7 @@ def cmd_embed(args) -> int:
 
 def cmd_sweep(args) -> int:
     g = _load_graph_arg(args)
-    f = cuts._embed_or_fallback(g, args.seed, args.trials or None)
+    f = cuts._embed_or_fallback(g, args.seed, args.trials)
     res = cuts.fhl_sweep(g, np.ones(g.n), f)
     payload = _cut_json(
         res.A,
@@ -208,8 +208,9 @@ def cmd_conflicts(args) -> int:
     g = _load_graph_arg(args)
     sol = congestion.vertex_congestion(g)
     phi = congestion.decompose_to_paths(g, sol)
+    trials = 100 if args.trials is None else args.trials
     stats = experiments.drawing_conflict_experiment(
-        g, phi, trials=args.trials or 100, seed=args.seed, vcong=sol.congestion
+        g, phi, trials=trials, seed=args.seed, vcong=sol.congestion
     )
     payload = {
         "trials": stats.trials,

@@ -12,6 +12,9 @@ optimum with n instead of n(n-1)/2 commodity blocks.
 Reported solutions are per unordered pair: each source flow is split by
 target and the two half-flows of a pair are merged (one reversed), giving
 unit-demand per-pair flows that satisfy the usual conservation identities.
+One path peel (`_peel`) serves both that by-target split, which walks the
+reversed source flow from each target, and the per-pair
+`decompose_to_paths`.
 
 Vertex mode uses the load (inflow(v) + outflow(v)) / 2 per vertex.  Optimal
 flows can be taken cycle-free, and on a cycle-free flow this half-sum equals
@@ -25,6 +28,7 @@ are out of scope.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,68 +119,71 @@ def _aggregated_lp(g: Graph, mode: str) -> tuple[LpProblem, list[Arc], int]:
     return lp, arcs, n_load
 
 
+def _peel(
+    out: dict[int, dict[int, float]], start: int, stop: int, demand: float
+) -> tuple[list[tuple[tuple[int, ...], float]], float]:
+    """Peel paths start .. stop off the residual flow `out[a][b]`, in place.
+
+    Walks from `start` to the lowest-numbered next node, cancels any cycle
+    met on the way and drops the stranded arc at a dead end (it carries only
+    roundoff).  Each path found is subtracted at its bottleneck weight,
+    capped by the demand left.  Stops when the demand is served or `start`
+    has no flow left; returns the paths and the unserved demand.
+    """
+    paths: list[tuple[tuple[int, ...], float]] = []
+    guard = 0
+    while demand > 1e-7:
+        guard += 1
+        if guard > 10000:
+            raise RuntimeError("path peeling failed to terminate")
+        walk = [start]
+        seen = {start: 0}
+        while walk[-1] != stop:
+            nxt = min(out.get(walk[-1], ()), default=None)
+            if nxt is None or nxt in seen:
+                break
+            seen[nxt] = len(walk)
+            walk.append(nxt)
+        if walk[-1] == stop:
+            seq, cap = walk, demand
+        elif nxt is not None:
+            seq, cap = walk[seen[nxt] :] + [nxt], math.inf  # cancel the cycle, retry
+        elif len(walk) > 1:
+            del out[walk[-2]][walk[-1]]
+            continue
+        else:
+            break
+        w = min(cap, *(out[a][b] for a, b in zip(seq, seq[1:])))
+        for a, b in zip(seq, seq[1:]):
+            out[a][b] -= w
+            if out[a][b] <= FLOW_TOL:
+                del out[a][b]
+        if seq is walk:
+            paths.append((tuple(walk), w))
+            demand -= w
+    return paths, demand
+
+
 def _split_by_target(
     g: Graph, s: int, flow: dict[Arc, float]
 ) -> dict[int, list[tuple[tuple[int, ...], float]]]:
     """Decompose a single-source flow (1/2 unit into every t != s) by target.
 
-    Walks backward from each target to the source, cancelling any cycles met
-    on the way; leftover circulation is discarded.
+    Peels the reversed flow from each target back to the source; leftover
+    circulation is discarded.
     """
-    residual = {arc: w for arc, w in flow.items() if w > FLOW_TOL}
+    back: dict[int, dict[int, float]] = {}
+    for (a, b), w in flow.items():
+        if w > FLOW_TOL:
+            back.setdefault(b, {})[a] = w
     per_target: dict[int, list[tuple[tuple[int, ...], float]]] = {}
     for t in sorted(g.vertices()):
         if t == s:
             continue
-        remaining = 0.5
-        paths: list[tuple[tuple[int, ...], float]] = []
-        guard = 0
-        while remaining > 1e-7:
-            guard += 1
-            if guard > 10000:
-                raise RuntimeError("flow splitting failed to terminate")
-            walk = [t]
-            seen = {t: 0}
-            cancelled = False
-            while walk[-1] != s:
-                here = walk[-1]
-                prev = min(
-                    (a for (a, b), w in residual.items() if b == here and w > FLOW_TOL),
-                    default=None,
-                )
-                if prev is None:
-                    break
-                if prev in seen:
-                    cyc = walk[seen[prev] :] + [prev]  # b <- a order
-                    w = min(residual[(a, b)] for b, a in zip(cyc, cyc[1:]))
-                    for b, a in zip(cyc, cyc[1:]):
-                        residual[(a, b)] -= w
-                        if residual[(a, b)] <= FLOW_TOL:
-                            del residual[(a, b)]
-                    cancelled = True
-                    break
-                seen[prev] = len(walk)
-                walk.append(prev)
-            if walk[-1] != s:
-                if cancelled:
-                    continue  # retry after removing the cycle
-                if len(walk) > 1 and (walk[-1], walk[-2]) in residual:
-                    # numerical dead end upstream; the arc carries roundoff only
-                    del residual[(walk[-1], walk[-2])]
-                    continue
-                break
-            path = tuple(reversed(walk))  # s .. t
-            w = min(residual[(a, b)] for a, b in zip(path, path[1:]))
-            w = min(w, remaining)
-            for a, b in zip(path, path[1:]):
-                residual[(a, b)] -= w
-                if residual[(a, b)] <= FLOW_TOL:
-                    del residual[(a, b)]
-            paths.append((path, w))
-            remaining -= w
+        paths, remaining = _peel(back, t, s, 0.5)
         if remaining > 1e-6:
             raise RuntimeError(f"source {s}: target {t} under-served by {remaining}")
-        per_target[t] = paths
+        per_target[t] = [(path[::-1], w) for path, w in paths]
     return per_target
 
 
@@ -201,25 +208,16 @@ def _solve(g: Graph, mode: str, allow_large: bool) -> FlowSolution:
     commodities: dict[Pair, dict[Arc, float]] = {
         (u, v): {} for u in g.vertices() for v in g.vertices() if u < v
     }
-
-    def bump(pair: Pair, arc: Arc, w: float) -> None:
-        d = commodities[pair]
-        d[arc] = d.get(arc, 0.0) + w
-
     for s in g.vertices():
         base = 1 + s * na
-        flow = {
-            arcs[ai]: float(sol.x[base + ai])
-            for ai in range(na)
-            if sol.x[base + ai] > FLOW_TOL
-        }
+        flow = dict(zip(arcs, sol.x[base : base + na].tolist()))
         for t, paths in _split_by_target(g, s, flow).items():
             pair = (s, t) if s < t else (t, s)
-            forward = pair[0] == s
+            d = commodities[pair]
             for path, w in paths:
-                seq = path if forward else tuple(reversed(path))
+                seq = path if pair[0] == s else path[::-1]
                 for a, b in zip(seq, seq[1:]):
-                    bump(pair, (a, b), w)
+                    d[(a, b)] = d.get((a, b), 0.0) + w
 
     load_dual_vals = sol.duals[-n_load:]
     # min problem, <= rows: canonical duals are <= 0; the metric weights are
@@ -250,93 +248,53 @@ def validate_flows(g: Graph, flows: FlowSolution, tol: float = 1e-6) -> None:
     """Check per-pair conservation and the load cap; raises ContractViolation."""
     if not flows.is_finite():
         raise ContractViolation("infinite congestion carries no flows")
+    edge = flows.mode == "edge"
+    load: dict = defaultdict(int)  # per edge, or per vertex before halving
     for (s, t), fl in flows.commodities.items():
+        outs: dict[int, float] = defaultdict(int)
+        ins: dict[int, float] = defaultdict(int)
+        for (a, b), w in fl.items():
+            outs[a] += w
+            ins[b] += w
+            if not edge:
+                for x in {a, b}:
+                    load[x] += w
         for x in g.vertices():
-            net = sum(w for (a, b), w in fl.items() if a == x) - sum(
-                w for (a, b), w in fl.items() if b == x
-            )
+            net = outs[x] - ins[x]
             want = 1.0 if x == s else -1.0 if x == t else 0.0
             if abs(net - want) > tol:
                 raise ContractViolation(
                     f"commodity {(s, t)}: net flow {net:.2e} at vertex {x}, expected {want}"
                 )
-    if flows.mode == "edge":
+        if edge:
+            for u, v in g.edges:
+                load[(u, v)] += fl.get((u, v), 0.0) + fl.get((v, u), 0.0)
+    if edge:
         for u, v in g.edges:
-            load = sum(
-                fl.get((u, v), 0.0) + fl.get((v, u), 0.0)
-                for fl in flows.commodities.values()
-            )
-            if load > flows.congestion + tol:
-                raise ContractViolation(f"edge ({u},{v}) load {load} exceeds congestion")
+            if load[(u, v)] > flows.congestion + tol:
+                raise ContractViolation(
+                    f"edge ({u},{v}) load {load[(u, v)]} exceeds congestion"
+                )
     else:
         for x in g.vertices():
-            load = 0.5 * sum(
-                w
-                for fl in flows.commodities.values()
-                for (a, b), w in fl.items()
-                if a == x or b == x
-            )
-            if load > flows.congestion + tol:
-                raise ContractViolation(f"vertex {x} load {load} exceeds congestion")
+            if 0.5 * load[x] > flows.congestion + tol:
+                raise ContractViolation(f"vertex {x} load {0.5 * load[x]} exceeds congestion")
 
 
 def decompose_to_paths(g: Graph, flows: FlowSolution) -> PathFlow:
     """Flow decomposition: extract weighted simple paths, discard cycles.
 
-    Per commodity, repeatedly follows positive residual arcs from the source
-    (lowest-numbered neighbor first), cancels any cycle encountered, and
-    subtracts each found path at its bottleneck weight.
+    Per commodity, peels the flow from the source (lowest-numbered neighbor
+    first), cancelling any cycle encountered, until the source is exhausted.
     """
     validate_flows(g, flows)
     out: dict[Pair, tuple[tuple[tuple[int, ...], float], ...]] = {}
     for (s, t), fl in flows.commodities.items():
-        residual = {arc: w for arc, w in fl.items() if w > FLOW_TOL}
-        found: list[tuple[tuple[int, ...], float]] = []
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 10000:
-                raise RuntimeError("path extraction failed to terminate")
-            walk = [s]
-            seen = {s: 0}
-            reached = False
-            cancelled = False
-            while True:
-                here = walk[-1]
-                if here == t:
-                    reached = True
-                    break
-                nxt = min(
-                    (b for (a, b), w in residual.items() if a == here and w > FLOW_TOL),
-                    default=None,
-                )
-                if nxt is None:
-                    break
-                if nxt in seen:
-                    cyc = walk[seen[nxt] :] + [nxt]
-                    w = min(residual[(a, b)] for a, b in zip(cyc, cyc[1:]))
-                    for a, b in zip(cyc, cyc[1:]):
-                        residual[(a, b)] -= w
-                        if residual[(a, b)] <= FLOW_TOL:
-                            del residual[(a, b)]
-                    cancelled = True
-                    break
-                seen[nxt] = len(walk)
-                walk.append(nxt)
-            if reached:
-                w = min(residual[(a, b)] for a, b in zip(walk, walk[1:]))
-                for a, b in zip(walk, walk[1:]):
-                    residual[(a, b)] -= w
-                    if residual[(a, b)] <= FLOW_TOL:
-                        del residual[(a, b)]
-                found.append((tuple(walk), w))
-            elif cancelled:
-                continue  # retry after removing the cycle
-            elif len(walk) == 1:
-                break  # source exhausted
-            elif (walk[-2], walk[-1]) in residual:
-                # numerical dead end: the stranded arc carries only roundoff
-                del residual[(walk[-2], walk[-1])]
+        fwd: dict[int, dict[int, float]] = {}
+        for (a, b), w in fl.items():
+            if w > FLOW_TOL:
+                fwd.setdefault(a, {})[b] = w
+        found, _ = _peel(fwd, s, t, math.inf)
         total = sum(w for _, w in found)
         if abs(total - 1.0) > 1e-6:
             raise ContractViolation(f"commodity {(s, t)} decomposes to {total}, not 1")

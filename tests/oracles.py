@@ -7,14 +7,18 @@ all-pairs relaxation.  `fraction_validate_standardness` and
 `fraction_intersection_graph` test every pair of curves and every pair of
 segments with Fraction points; `pairwise_best_embedding` builds an
 `Embedding` per trial and scores it by the n x n sum of |f(u) - f(v)|.
+`scan_split_by_target` and `scan_decompose_to_paths` peel flow paths by
+scanning every residual arc at every step, and `scan_validate_flows` sums
+a commodity's arcs once per vertex.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from stringsep.congestion import FLOW_TOL, PathFlow
 from stringsep.embedding import Embedding, _mix, scale_count
-from stringsep.errors import StandardnessError
+from stringsep.errors import ContractViolation, StandardnessError
 from stringsep.geometry import SegmentRelation, on_segment, segments_intersect
 from stringsep.graphs import graph_from_pairs
 
@@ -175,3 +179,167 @@ def pairwise_best_embedding(d, trials: int, seed: int) -> Embedding:
         if spread > best_spread:
             best, best_spread = emb, spread
     return best
+
+
+def scan_split_by_target(g, s: int, flow: dict) -> dict:
+    """Decompose a single-source flow (1/2 unit into every t != s) by target.
+
+    Walks backward from each target to the source, cancelling any cycles met
+    on the way; leftover circulation is discarded.
+    """
+    residual = {arc: w for arc, w in flow.items() if w > FLOW_TOL}
+    per_target = {}
+    for t in sorted(g.vertices()):
+        if t == s:
+            continue
+        remaining = 0.5
+        paths = []
+        guard = 0
+        while remaining > 1e-7:
+            guard += 1
+            if guard > 10000:
+                raise RuntimeError("flow splitting failed to terminate")
+            walk = [t]
+            seen = {t: 0}
+            cancelled = False
+            while walk[-1] != s:
+                here = walk[-1]
+                prev = min(
+                    (a for (a, b), w in residual.items() if b == here and w > FLOW_TOL),
+                    default=None,
+                )
+                if prev is None:
+                    break
+                if prev in seen:
+                    cyc = walk[seen[prev] :] + [prev]  # b <- a order
+                    w = min(residual[(a, b)] for b, a in zip(cyc, cyc[1:]))
+                    for b, a in zip(cyc, cyc[1:]):
+                        residual[(a, b)] -= w
+                        if residual[(a, b)] <= FLOW_TOL:
+                            del residual[(a, b)]
+                    cancelled = True
+                    break
+                seen[prev] = len(walk)
+                walk.append(prev)
+            if walk[-1] != s:
+                if cancelled:
+                    continue  # retry after removing the cycle
+                if len(walk) > 1 and (walk[-1], walk[-2]) in residual:
+                    # numerical dead end upstream; the arc carries roundoff only
+                    del residual[(walk[-1], walk[-2])]
+                    continue
+                break
+            path = tuple(reversed(walk))  # s .. t
+            w = min(residual[(a, b)] for a, b in zip(path, path[1:]))
+            w = min(w, remaining)
+            for a, b in zip(path, path[1:]):
+                residual[(a, b)] -= w
+                if residual[(a, b)] <= FLOW_TOL:
+                    del residual[(a, b)]
+            paths.append((path, w))
+            remaining -= w
+        if remaining > 1e-6:
+            raise RuntimeError(f"source {s}: target {t} under-served by {remaining}")
+        per_target[t] = paths
+    return per_target
+
+
+def scan_validate_flows(g, flows, tol: float = 1e-6) -> None:
+    """Check per-pair conservation and the load cap; raises ContractViolation."""
+    if not flows.is_finite():
+        raise ContractViolation("infinite congestion carries no flows")
+    for (s, t), fl in flows.commodities.items():
+        for x in g.vertices():
+            net = sum(w for (a, b), w in fl.items() if a == x) - sum(
+                w for (a, b), w in fl.items() if b == x
+            )
+            want = 1.0 if x == s else -1.0 if x == t else 0.0
+            if abs(net - want) > tol:
+                raise ContractViolation(
+                    f"commodity {(s, t)}: net flow {net:.2e} at vertex {x}, expected {want}"
+                )
+    if flows.mode == "edge":
+        for u, v in g.edges:
+            load = sum(
+                fl.get((u, v), 0.0) + fl.get((v, u), 0.0)
+                for fl in flows.commodities.values()
+            )
+            if load > flows.congestion + tol:
+                raise ContractViolation(f"edge ({u},{v}) load {load} exceeds congestion")
+    else:
+        for x in g.vertices():
+            load = 0.5 * sum(
+                w
+                for fl in flows.commodities.values()
+                for (a, b), w in fl.items()
+                if a == x or b == x
+            )
+            if load > flows.congestion + tol:
+                raise ContractViolation(f"vertex {x} load {load} exceeds congestion")
+
+
+def scan_decompose_to_paths(g, flows) -> PathFlow:
+    """Flow decomposition: extract weighted simple paths, discard cycles.
+
+    Per commodity, repeatedly follows positive residual arcs from the source
+    (lowest-numbered neighbor first), cancels any cycle encountered, and
+    subtracts each found path at its bottleneck weight.
+    """
+    scan_validate_flows(g, flows)
+    out = {}
+    for (s, t), fl in flows.commodities.items():
+        residual = {arc: w for arc, w in fl.items() if w > FLOW_TOL}
+        found = []
+        guard = 0
+        while True:
+            guard += 1
+            if guard > 10000:
+                raise RuntimeError("path extraction failed to terminate")
+            walk = [s]
+            seen = {s: 0}
+            reached = False
+            cancelled = False
+            while True:
+                here = walk[-1]
+                if here == t:
+                    reached = True
+                    break
+                nxt = min(
+                    (b for (a, b), w in residual.items() if a == here and w > FLOW_TOL),
+                    default=None,
+                )
+                if nxt is None:
+                    break
+                if nxt in seen:
+                    cyc = walk[seen[nxt] :] + [nxt]
+                    w = min(residual[(a, b)] for a, b in zip(cyc, cyc[1:]))
+                    for a, b in zip(cyc, cyc[1:]):
+                        residual[(a, b)] -= w
+                        if residual[(a, b)] <= FLOW_TOL:
+                            del residual[(a, b)]
+                    cancelled = True
+                    break
+                seen[nxt] = len(walk)
+                walk.append(nxt)
+            if reached:
+                w = min(residual[(a, b)] for a, b in zip(walk, walk[1:]))
+                for a, b in zip(walk, walk[1:]):
+                    residual[(a, b)] -= w
+                    if residual[(a, b)] <= FLOW_TOL:
+                        del residual[(a, b)]
+                found.append((tuple(walk), w))
+            elif cancelled:
+                continue  # retry after removing the cycle
+            elif len(walk) == 1:
+                break  # source exhausted
+            elif (walk[-2], walk[-1]) in residual:
+                # numerical dead end: the stranded arc carries only roundoff
+                del residual[(walk[-2], walk[-1])]
+        total = sum(w for _, w in found)
+        if abs(total - 1.0) > 1e-6:
+            raise ContractViolation(f"commodity {(s, t)} decomposes to {total}, not 1")
+        merged = {}
+        for path, w in found:
+            merged[path] = merged.get(path, 0.0) + w
+        out[(s, t)] = tuple(sorted(merged.items()))
+    return PathFlow(out)

@@ -111,9 +111,18 @@ def test_contract_error_exit_1(capsys, tmp_path):
         ("build-ig", "a 0 0 1 1\n"),
         ("build-ig", "a: 0 0 1 1\nb: 0 1 1\n"),
         ("build-ig", "\na: 0 0 x 1\n"),
+        ("econg", "3 2\n0 1\n1 1\n"),
+        ("vcong", "3 2\n0 1\n0 5\n"),
+        ("sparsity", "3 2\n0 1\n1 0\n"),
+        ("embed", "3 2\n0 1\n"),
+        ("sweep", "3 1\n0 1\n1 2\n"),
+        ("conflicts", "3 1\n0 x\n"),
+        ("report", "3 1\n0 1 2\n"),
     ],
     ids=["bad-int", "edge-index", "realization-huge-n", "graph-n-overflow", "graph-n-memory",
-         "strings-no-colon", "strings-odd-count", "strings-not-int"],
+         "strings-no-colon", "strings-odd-count", "strings-not-int",
+         "econg-self-loop", "vcong-out-of-range", "sparsity-duplicate-edge",
+         "embed-missing-edge", "sweep-extra-edge", "conflicts-not-int", "report-three-fields"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, command, text):
     bad = tmp_path / "bad.txt"
@@ -122,6 +131,12 @@ def test_malformed_input_exit_1(capsys, tmp_path, command, text):
     code, out, err = run(capsys, command, flag, str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error: line ")
+
+
+@pytest.mark.parametrize("command", ["embed", "sweep", "conflicts", "separator"])
+def test_zero_trials_rejected(capsys, p3_file, command):
+    code, out, err = run(capsys, command, "--graph", p3_file, "--trials", "0")
+    assert (code, out, err) == (1, "", "error: trials must be >= 1\n")
 
 
 _token = st.sampled_from(

@@ -3,16 +3,23 @@
 The frozen small values are backed by two independent oracles: a counting
 argument (a specific edge or vertex must carry a computable load, see each
 case) and, on every graph up to five vertices, the exponential path LP built
-over all simple paths, which the edge-flow formulation must match.
+over all simple paths, which the edge-flow formulation must match.  Path
+peeling and flow validation are checked for exact equality against the
+arc-scanning loops in `tests/oracles.py`.
 """
 
 import math
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from stringsep import congestion
 from stringsep.congestion import (
+    FlowSolution,
+    _split_by_target,
     decompose_to_paths,
     edge_congestion,
     validate_flows,
@@ -21,6 +28,9 @@ from stringsep.congestion import (
 from stringsep.errors import ContractViolation, SizeCapExceeded
 from stringsep.graphs import Graph, generate, graph_from_pairs
 from stringsep.lp import LpProblem, lp_solve
+
+from .conftest import connected_graphs
+from .oracles import scan_decompose_to_paths, scan_split_by_target, scan_validate_flows
 
 
 def all_simple_paths(g: Graph, u: int, v: int):
@@ -201,3 +211,105 @@ def test_decompose_rejects_bad_flows(p3):
     broken[(0, 1)] = {(0, 1): 0.5}
     with pytest.raises(ContractViolation):
         decompose_to_paths(p3, type(sol)(sol.mode, sol.congestion, broken))
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=8))
+def test_peel_matches_scan_oracles(g):
+    for solve in (edge_congestion, vertex_congestion):
+        sol = solve(g)
+        with patch.object(congestion, "_split_by_target", scan_split_by_target):
+            ref = solve(g)
+        # same pairs, arcs, insertion order and float bits
+        assert {p: list(fl.items()) for p, fl in sol.commodities.items()} == {
+            p: list(fl.items()) for p, fl in ref.commodities.items()
+        }
+        assert decompose_to_paths(g, sol).paths == scan_decompose_to_paths(g, ref).paths
+
+
+# Hand-built flows for the two side branches of the peel.  "cycle": the
+# lowest-numbered step leads back into the walk, which must cancel that cycle
+# and retry.  "dead-end": the lowest-numbered step follows a 5e-8 roundoff arc
+# to a node with no flow onward, whose arc must be dropped before a retry.
+FORWARD = {
+    "cycle": (
+        graph_from_pairs(3, [(0, 1), (1, 2)]),
+        {(0, 2): {(0, 1): 1.3, (1, 0): 0.3, (1, 2): 1.0}},
+        {(0, 2): (((0, 1, 2), 1.0),)},
+    ),
+    "dead-end": (
+        graph_from_pairs(4, [(0, 1), (0, 2), (2, 3)]),
+        {(0, 3): {(0, 1): 5e-8, (0, 2): 1.0, (2, 3): 1.0}},
+        {(0, 3): (((0, 2, 3), 1.0),)},
+    ),
+}
+BACKWARD = {  # source s, then its flow of 1/2 into every other vertex
+    "cycle": (
+        graph_from_pairs(3, [(0, 1), (1, 2)]),
+        2,
+        {(2, 1): 1.0, (1, 0): 0.8, (0, 1): 0.3},
+        {0: [((2, 1, 0), 0.5)], 1: [((2, 1), 0.5)]},
+    ),
+    "dead-end": (  # target 1 is served first, stranding the arc 1 -> 3
+        graph_from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+        0,
+        {(0, 1): 0.5, (0, 2): 1.0, (2, 3): 0.5, (1, 3): 5e-8},
+        {1: [((0, 1), 0.5)], 2: [((0, 2), 0.5)], 3: [((0, 2, 3), 0.5)]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORWARD))
+def test_decompose_side_branches(case):
+    g, commodities, want = FORWARD[case]
+    sol = FlowSolution("edge", 2.0, commodities)
+    got = decompose_to_paths(g, sol).paths
+    assert got == scan_decompose_to_paths(g, sol).paths
+    assert got.keys() == want.keys()
+    for pair, plist in want.items():
+        assert [p for p, _ in got[pair]] == [p for p, _ in plist]
+        assert [w for _, w in got[pair]] == pytest.approx([w for _, w in plist], abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(BACKWARD))
+def test_split_side_branches(case):
+    g, s, flow, want = BACKWARD[case]
+    got = _split_by_target(g, s, flow)
+    assert got == scan_split_by_target(g, s, flow)
+    assert got.keys() == want.keys()
+    for t, plist in want.items():
+        assert [p for p, _ in got[t]] == [p for p, _ in plist]
+        assert [w for _, w in got[t]] == pytest.approx([w for _, w in plist], abs=1e-12)
+
+
+def _verdict(check, g, flows):
+    try:
+        check(g, flows)
+    except ContractViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_flows_matches_scan_oracle(p3, c4, k4):
+    verdicts = []
+    for g in (p3, c4, k4, generate("gnp_connected", (7, 45), seed=1)):
+        for solve in (edge_congestion, vertex_congestion):
+            sol = solve(g)
+            first, last = min(sol.commodities), max(sol.commodities)
+            for delta in (0.0, 1e-7, 0.25):
+                for slack in (0.0, -0.1):
+                    flows = {pair: dict(fl) for pair, fl in sol.commodities.items()}
+                    for pair in (first, last):
+                        arc = min(flows[pair])
+                        flows[pair][arc] += delta
+                    broken = FlowSolution(sol.mode, sol.congestion + slack, flows)
+                    verdict = _verdict(validate_flows, g, broken)
+                    assert verdict == _verdict(scan_validate_flows, g, broken)
+                    verdicts.append(verdict)
+    infinite = FlowSolution("edge", math.inf, {})
+    assert _verdict(validate_flows, p3, infinite) == _verdict(scan_validate_flows, p3, infinite)
+    # valid flows, conservation errors and both load errors all occur above
+    assert None in verdicts
+    assert any(v and "net flow" in v for v in verdicts)
+    assert any(v and v.startswith("edge") for v in verdicts)
+    assert any(v and v.startswith("vertex") for v in verdicts)
