@@ -206,9 +206,11 @@ def cmd_pcr_bound(args) -> int:
 
 def cmd_conflicts(args) -> int:
     g = _load_graph_arg(args)
+    trials = 100 if args.trials is None else args.trials
+    if trials < 1:
+        raise ContractViolation("trials must be >= 1")
     sol = congestion.vertex_congestion(g)
     phi = congestion.decompose_to_paths(g, sol)
-    trials = 100 if args.trials is None else args.trials
     stats = experiments.drawing_conflict_experiment(
         g, phi, trials=trials, seed=args.seed, vcong=sol.congestion
     )

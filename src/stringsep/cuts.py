@@ -31,7 +31,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .embedding import best_embedding, default_trials
+from .embedding import _spread, best_embedding, default_trials
 from .errors import ContractViolation, SizeCapExceeded
 from .graphs import Graph, VertexCut, EdgeCut, balance_limit, check_separator
 from .metrics import derived_edge_weights, shortest_path_metric, sparsity_exact, _vertex_weights
@@ -131,8 +131,9 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     """Sweep the threshold cuts of a 1-Lipschitz embedding for a sparse vertex cut.
 
     Vertices are ordered by f (ties by id); position i separates the first i
-    from the rest with a minimum vertex cut.  f must be non-constant and
-    1-Lipschitz with respect to the metric of the derived edge weights of s.
+    from the rest with a minimum vertex cut.  g must be connected and f
+    non-constant and 1-Lipschitz with respect to the metric of the derived
+    edge weights of s, which is checked edge by edge.
 
     The cuts come from one flow carried from position to position
     (_sweep_cuts), each equal to what min_vertex_cut returns for that split.
@@ -146,14 +147,18 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
         raise ContractViolation("need one embedding value per vertex")
     if len(set(vals.tolist())) < 2:
         raise ContractViolation("f is constant")
-    d = shortest_path_metric(g, derived_edge_weights(g, weights))
-    spread = np.abs(vals[:, None] - vals[None, :])
-    gap = spread - d
-    if gap.max() > 1e-9:
-        u, v = np.unravel_index(int(gap.argmax()), gap.shape)
+    if not g.is_connected():
+        raise ContractViolation("metric requires a connected graph")
+    # every distance of d_s is a sum of edge weights along a path
+    w = derived_edge_weights(g, weights)
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    excess = np.abs(vals[ends[:, 0]] - vals[ends[:, 1]]) - w
+    if excess.size and excess.max() > 1e-9:
+        k = int(excess.argmax())
+        u, v = g.edges[k]
         raise ContractViolation(
             f"f is not 1-Lipschitz for d_s: |f({u})-f({v})| = {abs(vals[u]-vals[v])} "
-            f"> d = {d[u, v]}"
+            f"> w({u},{v}) = {w[k]}"
         )
 
     order = sorted(g.vertices(), key=lambda v: (vals[v], v))
@@ -174,7 +179,7 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     if min_vertex_cut(g, order[:win], order[win:]).cut != s_i:
         raise RuntimeError(f"warm-started sweep disagrees with a fresh max-flow at position {win}")
     total_w = float(weights.sum())
-    total_gap = float(spread.sum()) / 2.0
+    total_gap = _spread(vals)
     res = SweepResult(
         a_i, b_i, s_i, best_key[0], tuple(positions), total_w, total_gap
     )
@@ -299,6 +304,8 @@ def find_separator(g: Graph, seed: int = 0, trials: int | None = None) -> Separa
     """
     if g.n < 2:
         raise ContractViolation("separator needs n >= 2")
+    if trials is not None and trials < 1:
+        raise ContractViolation("trials must be >= 1")
     limit = balance_limit(g.n)
     parts: list[frozenset[int]] = list(g.components())
     separator: set[int] = set()

@@ -4,6 +4,13 @@ All predicates use integer (or exact rational) arithmetic: orientations are
 signs of 2x2 determinants and intersection points are exact, kept as
 normalised integer triples (X, Y, D) and returned as Fractions, so results
 are invariant under integer translation and never depend on an epsilon.
+
+Many segment pairs at once go through one screen, `_meets`, that decides
+exactly and as arrays whether closed segments share a point.  It computes
+in int64 when every |coordinate| is below 2^30, so every cross product
+stays below 2^63, and otherwise on Python ints (dtype=object); the code is
+the same and the dtype follows from the input.  Only pairs that pass it
+reach the scalar predicates.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 
 import numpy as np
 
@@ -24,6 +33,12 @@ RatPoint = tuple[Fraction, Fraction]
 # the exact point (X/D, Y/D) as the integers (X, Y, D), D > 0 and gcd(X, Y, D) = 1,
 # so equal points have equal keys
 PointKey = tuple[int, int, int]
+
+# below this bound on |coordinate|, differences stay below 2^31 and every
+# cross product of _meets below 2^63, so int64 is exact
+_INT64_BOUND = 1 << 30
+# candidate segment pairs expanded at once by _segment_pairs
+_PAIR_CHUNK = 1 << 18
 
 
 class SegmentRelation(Enum):
@@ -87,17 +102,6 @@ def segments_intersect(p, q, r, s) -> SegmentRelation:
     return SegmentRelation.DISJOINT
 
 
-def segment_shared_point(p, q, r, s) -> RatPoint | None:
-    """The unique shared point of pq and rs, or None when disjoint.
-
-    Raises StandardnessError for overlapping segments (no unique point).
-    """
-    rel, key = _meeting(p, q, r, s)
-    if rel is SegmentRelation.OVERLAPPING:
-        raise StandardnessError("overlapping segments have no unique shared point")
-    return None if key is None else _rational(key)
-
-
 def _meeting(p, q, r, s) -> tuple[SegmentRelation, PointKey | None]:
     """How pq and rs meet, and their shared point when there is exactly one."""
     rel = segments_intersect(p, q, r, s)
@@ -122,6 +126,47 @@ def _meeting(p, q, r, s) -> tuple[SegmentRelation, PointKey | None]:
         x, y, den = -x, -y, -den
     g = gcd(x, y, den)
     return rel, (x // g, y // g, den // g)
+
+
+def _coords(values) -> np.ndarray:
+    """Integer coordinates as an int64 array, or as Python ints (dtype=object)
+    when some do not fit in int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _meets(P, Q, R, S) -> np.ndarray:
+    """For every k, whether the closed segments P[k]Q[k] and R[k]S[k] share a point.
+
+    The arguments are integer arrays of shape (k, 2), or (2,) for one
+    segment against many.  Exact for non-degenerate segments: the boxes
+    meet, o(p,q,r) o(p,q,s) <= 0 and o(r,s,p) o(r,s,q) <= 0.  Computed in
+    int64 when every |coordinate| is below 2^30, else on Python ints.
+    """
+    args = [a if isinstance(a, np.ndarray) else _coords(a) for a in (P, Q, R, S)]
+    flat = np.concatenate([a.ravel() for a in args])
+    if flat.dtype == object or flat.size and (
+        flat.max() >= _INT64_BOUND or flat.min() <= -_INT64_BOUND
+    ):
+        args = [a.astype(object) for a in args]
+    cols = [a[..., i] for a in args for i in (0, 1)]
+    px, py, qx, qy, rx, ry, sx, sy = cols
+    hit = (
+        (np.minimum(px, qx) <= np.maximum(rx, sx))
+        & (np.minimum(rx, sx) <= np.maximum(px, qx))
+        & (np.minimum(py, qy) <= np.maximum(ry, sy))
+        & (np.minimum(ry, sy) <= np.maximum(py, qy))
+    )
+    # the orientations only where the boxes meet; a single point's columns broadcast
+    k = np.flatnonzero(hit)
+    px, py, qx, qy, rx, ry, sx, sy = (c[k] if c.ndim else c for c in cols)
+    dx, dy, ex, ey = qx - px, qy - py, sx - rx, sy - ry
+    hit[k] = (
+        np.sign(dx * (ry - py) - dy * (rx - px)) * np.sign(dx * (sy - py) - dy * (sx - px)) <= 0
+    ) & (np.sign(ex * (py - ry) - ey * (px - rx)) * np.sign(ex * (qy - ry) - ey * (qx - rx)) <= 0)
+    return hit
 
 
 def _rational(key: PointKey) -> RatPoint:
@@ -175,11 +220,6 @@ class PolylineCurve:
     def segments(self) -> tuple[tuple[Point, Point], ...]:
         return tuple(zip(self.points, self.points[1:]))
 
-    def bbox(self) -> tuple[int, int, int, int]:
-        xs = [p[0] for p in self.points]
-        ys = [p[1] for p in self.points]
-        return min(xs), min(ys), max(xs), max(ys)
-
     def validate(self) -> None:
         if len(self.points) < 2:
             raise ContractViolation(f"curve {self.id}: needs at least 2 points")
@@ -216,30 +256,64 @@ def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set[RatPoint]:
 
 def _pair_keys(c1: PolylineCurve, c2: PolylineCurve) -> dict[PointKey, None]:
     """The intersection points of c1 and c2 as keys, in the order first met."""
+    segs = c1.segments + c2.segments
+    a, b = _segment_pairs(segs, np.repeat([0, 1], [len(c1.segments), len(c2.segments)]))
+    return _point_keys(c1, c2, ((segs[x], segs[y]) for x, y in zip(a.tolist(), b.tolist())))
+
+
+def _point_keys(c1: PolylineCurve, c2: PolylineCurve, seg_pairs) -> dict[PointKey, None]:
+    """The shared points of the segment pairs ((p, q), (r, s)) of c1 x c2, in
+    order; raises StandardnessError when a pair overlaps."""
     keys: dict[PointKey, None] = {}
-    for p, q in c1.segments:
-        for r, s in _bbox_overlapping(c2.segments, p, q):
-            rel, key = _meeting(p, q, r, s)
-            if rel is SegmentRelation.OVERLAPPING:
-                raise StandardnessError(
-                    f"curves {c1.id} and {c2.id} overlap on a common sub-segment"
-                )
-            if key is not None:
-                keys[key] = None
+    for (p, q), (r, s) in seg_pairs:
+        rel, key = _meeting(p, q, r, s)
+        if rel is SegmentRelation.OVERLAPPING:
+            raise StandardnessError(
+                f"curves {c1.id} and {c2.id} overlap on a common sub-segment"
+            )
+        if key is not None:
+            keys[key] = None
     return keys
 
 
-def _bbox_overlapping(segs, p, q):
-    """The segments of `segs` whose bounding box meets that of pq; a linear
-    scan is fine at package scale."""
-    x0, x1 = min(p[0], q[0]), max(p[0], q[0])
-    y0, y1 = min(p[1], q[1]), max(p[1], q[1])
-    for r, s in segs:
-        if max(r[0], s[0]) < x0 or min(r[0], s[0]) > x1:
-            continue
-        if max(r[1], s[1]) < y0 or min(r[1], s[1]) > y1:
-            continue
-        yield r, s
+def _segment_pairs(segs, curve_of) -> tuple[np.ndarray, np.ndarray]:
+    """The segment pairs (a, b) of distinct curves that share a point, as two
+    index arrays, a of the lower curve and sorted by (curve_of[a],
+    curve_of[b], a, b).  Segments must be listed curve by curve.
+
+    Candidates come from a sweep over the closed segment boxes sorted by
+    left edge: each box meets in x the boxes that start before it ends.
+    They are expanded at most _PAIR_CHUNK at a time (or one box's worth),
+    pairs of one curve and pairs whose y-ranges miss are dropped, and the
+    rest go through the exact screen _meets.
+    """
+    ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
+    x0, x1 = np.minimum(ends[:, 0], ends[:, 2]), np.maximum(ends[:, 0], ends[:, 2])
+    y0, y1 = np.minimum(ends[:, 1], ends[:, 3]), np.maximum(ends[:, 1], ends[:, 3])
+    n = len(segs)
+    order = np.argsort(x0, kind="stable")
+    # position k meets positions k+1 .. stop[k]-1 in x
+    width = np.searchsorted(x0[order], x1[order], side="right") - np.arange(1, n + 1)
+    total = np.cumsum(width)
+    found_a, found_b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    lo = 0
+    while lo < n:
+        done = int(total[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(total, done + _PAIR_CHUNK, side="right")), lo + 1)
+        w = width[lo:hi]
+        first = np.repeat(np.arange(lo, hi), w)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(w) - w, w)
+        a, b = order[first], order[second]
+        keep = (curve_of[a] != curve_of[b]) & (y0[a] <= y1[b]) & (y0[b] <= y1[a])
+        a, b = a[keep], b[keep]
+        hit = _meets(ends[a, :2], ends[a, 2:], ends[b, :2], ends[b, 2:])
+        found_a.append(a[hit])
+        found_b.append(b[hit])
+        lo = hi
+    a, b = np.concatenate(found_a), np.concatenate(found_b)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    by = np.lexsort((b, a, curve_of[b], curve_of[a]))
+    return a[by], b[by]
 
 
 @dataclass(frozen=True)
@@ -265,42 +339,27 @@ def validate_standardness(rep: StringRepresentation) -> dict[tuple[int, int], in
     collinear overlaps between distinct curves), and no point lies on three
     or more curves.  Returns the number of distinct intersection points of
     every pair (i, j), i < j, of curves that meet, indexed in id-sorted order
-    and listed in lexicographic order.  Only pairs whose bounding boxes meet
-    are tested; they are visited in lexicographic order, so the first
-    violation raised does not depend on how they were found.
+    and listed in lexicographic order.  Only the segment pairs that
+    _segment_pairs finds meeting are tested; they are visited by curve pair
+    in lexicographic order, so the first violation raised does not depend
+    on how they were found.
     """
     curves = rep.sorted_curves()
     for c in curves:
         c.validate()
+    segs = [seg for c in curves for seg in c.segments]
+    curve_of = np.repeat(np.arange(len(curves)), [len(c.segments) for c in curves])
+    a, b = _segment_pairs(segs, curve_of)
     owner: dict[PointKey, tuple[int, int]] = {}
     counts: dict[tuple[int, int], int] = {}
-    for i, j in _box_pairs([c.bbox() for c in curves]):
-        keys = _pair_keys(curves[i], curves[j])
-        if not keys:
-            continue
+    rows = zip(curve_of[a].tolist(), curve_of[b].tolist(), a.tolist(), b.tolist())
+    for (i, j), group in groupby(rows, key=itemgetter(0, 1)):
+        keys = _point_keys(curves[i], curves[j], ((segs[x], segs[y]) for _, _, x, y in group))
         if not owner.keys().isdisjoint(keys):
             _raise_triple_point(curves, owner, i, j, keys)
         owner.update(dict.fromkeys(keys, (i, j)))
         counts[(i, j)] = len(keys)
     return counts
-
-
-def _box_pairs(boxes) -> list[tuple[int, int]]:
-    """The pairs (i, j), i < j, whose closed boxes meet, in lexicographic
-    order: a sweep over the boxes sorted by left edge."""
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
-    pairs = []
-    for k, i in enumerate(order):
-        _, y0, x1, y1 = boxes[i]
-        for m in range(k + 1, len(order)):
-            j = order[m]
-            b = boxes[j]
-            if b[0] > x1:
-                break
-            if b[1] <= y1 and y0 <= b[3]:
-                pairs.append((i, j) if i < j else (j, i))
-    pairs.sort()
-    return pairs
 
 
 def _raise_triple_point(curves, owner, i, j, keys):
@@ -367,13 +426,16 @@ def random_segment_instance(
     endpoints avoid the existing segments.  By default both endpoints are
     uniform over the box, which crosses any two segments with constant
     probability; passing `span` caps the segment extent, thinning the
-    intersection graph of large instances.
+    intersection graph of large instances.  A candidate goes through the
+    array screen _meets against all placed segments at once, and only the
+    placed segments it meets are checked exactly.
     """
     if count < 1:
         raise ContractViolation("count must be >= 1")
     rng = np.random.default_rng((seed, 977))
     side = max(8, 2 * count)
     placed: list[tuple[Point, Point]] = []
+    ends = np.zeros((count, 4), dtype=np.int64)  # placed[k] as (x0, y0, x1, y1)
     known_points: set[PointKey] = set()
     for k in range(count):
         for _ in range(1000):
@@ -389,7 +451,8 @@ def random_segment_instance(
                 continue
             new_pts: list[PointKey] = []
             ok = True
-            for r, s in placed:
+            for h in np.flatnonzero(_meets(p, q, ends[:k, :2], ends[:k, 2:])).tolist():
+                r, s = placed[h]
                 rel, key = _meeting(p, q, r, s)
                 if rel is SegmentRelation.OVERLAPPING:
                     ok = False
@@ -406,6 +469,7 @@ def random_segment_instance(
             if any(pt in known_points for pt in new_pts):
                 continue  # would create a triple point
             placed.append((p, q))
+            ends[k] = (x0, y0, x1, y1)
             known_points.update(new_pts)
             break
         else:

@@ -9,7 +9,8 @@ optimal.
 Solutions expose dual values per constraint, taken from HiGHS's marginals.
 Convention: duals satisfy value = sum_i b_i * y_i, with y_i >= 0 on binding
 ">=" rows of a minimization (and the sign map mirrored for maximization),
-i.e. the same convention as the mechanically constructed dual of `dual_of`.
+i.e. the same convention as the mechanically constructed dual LP (the test
+oracle `dual_of` builds one).
 """
 
 from __future__ import annotations
@@ -120,39 +121,3 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     if np.where(ub, excess, np.abs(excess)).max(initial=0.0) > RESIDUAL_TOL:
         return LpSolution("numerical_failure", value, xs, int(res.nit), duals)
     return LpSolution("optimal", value, xs, int(res.nit), duals)
-
-
-def dual_of(problem: LpProblem) -> LpProblem:
-    """Mechanically constructed dual, for duality spot-checks.
-
-    Free dual variables (from equality rows) are split into differences of
-    two nonnegatives; sign-restricted ones are negated where needed so that
-    every dual variable is nonnegative.
-    """
-    n = problem.n_vars
-    A = _row_matrix(problem).toarray()
-    b = np.array([row[2] for row in problem.rows])
-    rels = [row[1] for row in problem.rows]
-
-    # columns of the dual LP: one var per sign-restricted row, two per free row
-    cols = []  # (row index, multiplier)
-    for i, rel in enumerate(rels):
-        if problem.sense == "min":
-            mult = {"<=": -1.0, ">=": 1.0}.get(rel)
-        else:
-            mult = {"<=": 1.0, ">=": -1.0}.get(rel)
-        if mult is None:
-            cols.append((i, 1.0))
-            cols.append((i, -1.0))
-        else:
-            cols.append((i, mult))
-
-    obj = np.array([b[i] * mult for i, mult in cols])
-    dual = LpProblem(obj, "min" if problem.sense == "max" else "max", [])
-    for j in range(n):
-        coeffs = np.array([A[i, j] * mult for i, mult in cols])
-        if problem.sense == "min":
-            dual.add(coeffs, "<=", problem.objective[j])
-        else:
-            dual.add(coeffs, ">=", problem.objective[j])
-    return dual

@@ -68,22 +68,6 @@ def derived_edge_weights(g: Graph, s) -> np.ndarray:
     return np.array([(arr[u] + arr[v]) / 2.0 for u, v in g.edges])
 
 
-def validate_metric(d: np.ndarray, tol: float = 1e-9) -> None:
-    """Symmetry, zero diagonal, nonnegativity, triangle inequality."""
-    n = d.shape[0]
-    if d.shape != (n, n):
-        raise ContractViolation("metric matrix must be square")
-    if np.abs(np.diag(d)).max(initial=0.0) > tol:
-        raise ContractViolation("nonzero diagonal")
-    if (d < -tol).any():
-        raise ContractViolation("negative distance")
-    if np.abs(d - d.T).max(initial=0.0) > tol:
-        raise ContractViolation("asymmetric matrix")
-    for k in range(n):
-        if (d - (d[:, k, None] + d[None, k, :])).max() > tol:
-            raise ContractViolation("triangle inequality violated")
-
-
 def pair_sum(d: np.ndarray) -> float:
     return float(np.triu(d, 1).sum())
 

@@ -9,7 +9,11 @@ segments with Fraction points; `pairwise_best_embedding` builds an
 `Embedding` per trial and scores it by the n x n sum of |f(u) - f(v)|.
 `scan_split_by_target` and `scan_decompose_to_paths` peel flow paths by
 scanning every residual arc at every step, and `scan_validate_flows` sums
-a commodity's arcs once per vertex.
+a commodity's arcs once per vertex.  `scan_random_segment_instance` tests
+each candidate segment against every placed segment in turn.
+
+`segment_shared_point`, `dual_of` and `validate_metric` have no caller in
+the package; they serve the tests only.
 """
 
 from fractions import Fraction
@@ -18,9 +22,18 @@ import numpy as np
 
 from stringsep.congestion import FLOW_TOL, PathFlow
 from stringsep.embedding import Embedding, _mix, scale_count
-from stringsep.errors import ContractViolation, StandardnessError
-from stringsep.geometry import SegmentRelation, on_segment, segments_intersect
+from stringsep.errors import ContractViolation, GenerationError, StandardnessError
+from stringsep.geometry import (
+    PolylineCurve,
+    SegmentRelation,
+    StringRepresentation,
+    _meeting,
+    _rational,
+    on_segment,
+    segments_intersect,
+)
 from stringsep.graphs import graph_from_pairs
+from stringsep.lp import LpProblem, _row_matrix
 
 
 def edmonds_karp_vertex_cut(g, xs, ys) -> frozenset[int]:
@@ -93,6 +106,18 @@ def floyd_warshall(g, weights) -> np.ndarray:
     for k in range(g.n):
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     return d
+
+
+def segment_shared_point(p, q, r, s):
+    """The unique shared point of pq and rs as Fractions, from the package's
+    normalised key, or None when disjoint.
+
+    Raises StandardnessError for overlapping segments (no unique point).
+    """
+    rel, key = _meeting(p, q, r, s)
+    if rel is SegmentRelation.OVERLAPPING:
+        raise StandardnessError("overlapping segments have no unique shared point")
+    return None if key is None else _rational(key)
 
 
 def fraction_segment_point(p, q, r, s):
@@ -343,3 +368,105 @@ def scan_decompose_to_paths(g, flows) -> PathFlow:
             merged[path] = merged.get(path, 0.0) + w
         out[(s, t)] = tuple(sorted(merged.items()))
     return PathFlow(out)
+
+
+def dual_of(problem: LpProblem) -> LpProblem:
+    """Mechanically constructed dual, for duality spot-checks.
+
+    Free dual variables (from equality rows) are split into differences of
+    two nonnegatives; sign-restricted ones are negated where needed so that
+    every dual variable is nonnegative.
+    """
+    n = problem.n_vars
+    A = _row_matrix(problem).toarray()
+    b = np.array([row[2] for row in problem.rows])
+    rels = [row[1] for row in problem.rows]
+
+    # columns of the dual LP: one var per sign-restricted row, two per free row
+    cols = []  # (row index, multiplier)
+    for i, rel in enumerate(rels):
+        if problem.sense == "min":
+            mult = {"<=": -1.0, ">=": 1.0}.get(rel)
+        else:
+            mult = {"<=": 1.0, ">=": -1.0}.get(rel)
+        if mult is None:
+            cols.append((i, 1.0))
+            cols.append((i, -1.0))
+        else:
+            cols.append((i, mult))
+
+    obj = np.array([b[i] * mult for i, mult in cols])
+    dual = LpProblem(obj, "min" if problem.sense == "max" else "max", [])
+    for j in range(n):
+        coeffs = np.array([A[i, j] * mult for i, mult in cols])
+        if problem.sense == "min":
+            dual.add(coeffs, "<=", problem.objective[j])
+        else:
+            dual.add(coeffs, ">=", problem.objective[j])
+    return dual
+
+
+def validate_metric(d: np.ndarray, tol: float = 1e-9) -> None:
+    """Symmetry, zero diagonal, nonnegativity, triangle inequality."""
+    n = d.shape[0]
+    if d.shape != (n, n):
+        raise ContractViolation("metric matrix must be square")
+    if np.abs(np.diag(d)).max(initial=0.0) > tol:
+        raise ContractViolation("nonzero diagonal")
+    if (d < -tol).any():
+        raise ContractViolation("negative distance")
+    if np.abs(d - d.T).max(initial=0.0) > tol:
+        raise ContractViolation("asymmetric matrix")
+    for k in range(n):
+        if (d - (d[:, k, None] + d[None, k, :])).max() > tol:
+            raise ContractViolation("triangle inequality violated")
+
+
+def scan_random_segment_instance(count: int, seed: int, span: int | None = None):
+    """random_segment_instance with every candidate tested against every
+    placed segment in turn."""
+    if count < 1:
+        raise ContractViolation("count must be >= 1")
+    rng = np.random.default_rng((seed, 977))
+    side = max(8, 2 * count)
+    placed = []
+    known_points = set()
+    for k in range(count):
+        for _ in range(1000):
+            if span is None:
+                x0, y0, x1, y1 = (int(v) for v in rng.integers(0, side + 1, size=4))
+            else:
+                x0, y0 = (int(v) for v in rng.integers(0, side + 1, size=2))
+                dx, dy = (int(v) for v in rng.integers(-span, span + 1, size=2))
+                x1 = min(max(x0 + dx, 0), side)
+                y1 = min(max(y0 + dy, 0), side)
+            p, q = (x0, y0), (x1, y1)
+            if p == q:
+                continue
+            new_pts = []
+            ok = True
+            for r, s in placed:
+                rel, key = _meeting(p, q, r, s)
+                if rel is SegmentRelation.OVERLAPPING:
+                    ok = False
+                    break
+                if key is not None:
+                    new_pts.append(key)
+                if on_segment(r, s, p) or on_segment(r, s, q):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if len(set(new_pts)) != len(new_pts):
+                continue
+            if any(pt in known_points for pt in new_pts):
+                continue
+            placed.append((p, q))
+            known_points.update(new_pts)
+            break
+        else:
+            raise GenerationError(f"segment {k}: resample cap (1000) exceeded")
+    width = len(str(count - 1))
+    return StringRepresentation(
+        tuple(PolylineCurve(f"s{i:0{width}d}", (p, q)) for i, (p, q) in enumerate(placed))
+    )

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stringsep
 from stringsep import geometry, graphs, topology
 from stringsep.cli import USAGE_ERRORS, main
 
@@ -134,9 +139,26 @@ def test_malformed_input_exit_1(capsys, tmp_path, command, text):
 
 
 @pytest.mark.parametrize("command", ["embed", "sweep", "conflicts", "separator"])
-def test_zero_trials_rejected(capsys, p3_file, command):
-    code, out, err = run(capsys, command, "--graph", p3_file, "--trials", "0")
-    assert (code, out, err) == (1, "", "error: trials must be >= 1\n")
+def test_zero_trials_rejected(capsys, tmp_path, p3_file, command):
+    paths = [p3_file]
+    if command in ("conflicts", "separator"):
+        # three isolated vertices: no part needs a sweep, no pair carries flow
+        isolated = tmp_path / "isolated.txt"
+        isolated.write_text("3 0\n")
+        paths.append(str(isolated))
+    for path in paths:
+        code, out, err = run(capsys, command, "--graph", path, "--trials", "0")
+        assert (code, out, err) == (1, "", "error: trials must be >= 1\n")
+
+
+def test_python_m_stringsep():
+    paths = [str(Path(stringsep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringsep", "pcr-bound", "--n", "10"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "42\n", "")
 
 
 _token = st.sampled_from(

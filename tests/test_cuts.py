@@ -141,7 +141,9 @@ def test_fhl_sweep_contracts(p3):
         fhl_sweep(p3, np.ones(3), [1.0, 1.0, 1.0])  # constant
     with pytest.raises(ContractViolation) as err:
         fhl_sweep(p3, np.ones(3), [0.0, 5.0, 2.0])  # not 1-Lipschitz
-    assert "Lipschitz" in str(err.value)
+    assert str(err.value) == "f is not 1-Lipschitz for d_s: |f(0)-f(1)| = 5.0 > w(0,1) = 1.0"
+    with pytest.raises(ContractViolation, match="connected"):
+        fhl_sweep(graph_from_pairs(3, [(0, 1)]), np.ones(3), [0.0, 1.0, 2.0])
 
 
 def test_fhl_sweep_star_contract():

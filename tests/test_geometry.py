@@ -3,26 +3,33 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stringsep import geometry
 from stringsep.errors import ContractViolation, ParseError, StandardnessError
 from stringsep.geometry import (
     PolylineCurve,
     SegmentRelation,
     StringRepresentation,
+    _coords,
+    _meets,
     _pair_keys,
     curve_pair_points,
     intersection_graph,
     parse_strings_file,
     random_segment_instance,
-    segment_shared_point,
     segments_intersect,
     sq_dist_segments,
     validate_standardness,
 )
 
-from .oracles import fraction_curve_pair_points, fraction_intersection_graph
+from .oracles import (
+    fraction_curve_pair_points,
+    fraction_intersection_graph,
+    scan_random_segment_instance,
+    segment_shared_point,
+)
 
 coord = st.integers(-50, 50)
 point = st.tuples(coord, coord)
@@ -192,7 +199,7 @@ def test_intersection_graph_matches_fraction_oracle(point_lists):
     assert _outcome(intersection_graph, rep) == _outcome(fraction_intersection_graph, rep)
 
 
-@pytest.mark.parametrize(
+ORACLE_EXAMPLES = pytest.mark.parametrize(
     "point_lists",
     [
         [[(0, 0), (4, 0)], [(4, 0), (4, 4)], [(0, 0), (0, 4)]],  # shared endpoints only
@@ -203,9 +210,18 @@ def test_intersection_graph_matches_fraction_oracle(point_lists):
         [[(0, 0), (1, 2), (2, 0), (3, 2), (4, 0)], [(0, 4), (1, 2), (2, 4), (3, 2), (4, 4)],
          [(0, 2), (4, 2)]],
         [[(0, 0), (6, 3)], [(0, 3), (6, 0)], [(1, 0), (5, 3)]],  # crossings at thirds
+        # c0, c1, c2 meet at (10, 0), and c3, c4 overlap further left: the
+        # sweep meets c3-c4 first, but the triple point of (c0, c2) comes
+        # first in pair order
+        [[(8, 0), (12, 0)], [(10, -2), (10, 2)], [(8, -2), (12, 2)], [(0, 5), (4, 5)],
+         [(2, 5), (6, 5)]],
     ],
-    ids=["endpoints", "corner", "overlap", "concurrent", "two-triples", "rational"],
+    ids=["endpoints", "corner", "overlap", "concurrent", "two-triples", "rational",
+         "triple-before-overlap"],
 )
+
+
+@ORACLE_EXAMPLES
 def test_intersection_graph_matches_fraction_oracle_examples(point_lists):
     rep = _rep(point_lists)
     assert _outcome(intersection_graph, rep) == _outcome(fraction_intersection_graph, rep)
@@ -230,3 +246,68 @@ def test_point_keys_are_the_exact_fraction_points(a, b):
     assert {(Fraction(x, den), Fraction(y, den)) for x, y, den in keys} == want
     # same points inserted in the same order, so the sets iterate alike
     assert list(curve_pair_points(c1, c2)) == list(want)
+
+
+# the 6x6 grid, placed in frames (x, y) -> (base + step x, base + step y)
+# that keep every incidence: near 2^29 and spread to +-(2^30 - 1) the screen
+# runs in int64, at 2^30 and 2^70 on Python ints
+grid6 = st.tuples(st.integers(0, 5), st.integers(0, 5))
+SCREEN_FRAMES = [
+    (0, 1), (2**29 - 5, 1), (-(2**29), 1), (2**30, 1), (2**70, 1), (-(2**70), 1),
+    (-(2**30 - 1), 429496729),
+]
+
+
+@pytest.mark.parametrize("base,step", SCREEN_FRAMES)
+@settings(max_examples=150)
+@given(st.lists(st.tuples(grid6, grid6, grid6, grid6), min_size=1, max_size=20))
+def test_meets_matches_segments_intersect(base, step, quads):
+    quads = [q for q in quads if q[0] != q[1] and q[2] != q[3]]
+    assume(quads)
+    quads = [[(base + step * x, base + step * y) for x, y in q] for q in quads]
+    want = [segments_intersect(*q) is not SegmentRelation.DISJOINT for q in quads]
+    P, Q, R, S = (_coords([q[i] for q in quads]) for i in range(4))
+    assert _meets(P, Q, R, S).tolist() == want
+    # one segment against many, as the generator screens a candidate
+    p, q = quads[0][:2]
+    want = [segments_intersect(p, q, *other[2:]) is not SegmentRelation.DISJOINT for other in quads]
+    assert _meets(p, q, R, S).tolist() == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1001])
+@pytest.mark.parametrize(
+    "count,span",
+    [(1, None), (2, None), (20, None), (60, None), (40, 40), (140, 110), (300, 30)],
+)
+def test_random_instance_matches_scan_oracle(count, span, seed):
+    # (60, None) and (140, 110) are the sep_dense and sep_sparse generator sizes
+    assert random_segment_instance(count, seed, span) == scan_random_segment_instance(
+        count, seed, span
+    )
+
+
+@pytest.mark.parametrize("base,step", [(0, 1), (2**30, 3), (-(2**70), 2**40)])
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(grid_point, min_size=2, max_size=5), min_size=1, max_size=6))
+def test_intersection_graph_matches_fraction_oracle_far_out(base, step, point_lists):
+    rep = _rep([[(base + step * x, base - step * y) for x, y in pts] for pts in point_lists])
+    assert _outcome(intersection_graph, rep) == _outcome(fraction_intersection_graph, rep)
+
+
+def test_stacked_segments_match_fraction_oracle():
+    # 2,000 horizontal segments over one x-range: every pair of boxes meets in
+    # x, so the pair sweep expands about 2 M candidates in chunks.  Two bent
+    # curves cross all of them, and one ends on the lowest and the highest.
+    point_lists = [[(0, 2 * i), (4000, 2 * i)] for i in range(2000)]
+    point_lists += [[(1000, 0), (1000, 2001), (1002, 3998)], [(3001, 4000), (3001, -1), (3003, -2)]]
+    rep = _rep(point_lists)
+    g, counts = intersection_graph(rep)
+    assert g.m == 4000 and set(counts.values()) == {1}
+    assert (g, counts) == fraction_intersection_graph(rep)
+
+
+@ORACLE_EXAMPLES
+def test_pair_sweep_chunks_of_one_box(monkeypatch, point_lists):
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 1)
+    rep = _rep(point_lists)
+    assert _outcome(intersection_graph, rep) == _outcome(fraction_intersection_graph, rep)

@@ -6,7 +6,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from stringsep.lp import LpProblem, dual_of, lp_solve
+from stringsep.lp import LpProblem, lp_solve
+
+from .oracles import dual_of
 
 
 def test_box_max():

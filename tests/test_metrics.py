@@ -14,11 +14,10 @@ from stringsep.metrics import (
     ratio_functional,
     shortest_path_metric,
     sparsity_exact,
-    validate_metric,
 )
 
 from .conftest import connected_graphs
-from .oracles import floyd_warshall
+from .oracles import floyd_warshall, validate_metric
 
 
 def test_shortest_path_examples(p3):

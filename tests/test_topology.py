@@ -6,7 +6,6 @@ from stringsep.geometry import (
     PolylineCurve,
     SegmentRelation,
     intersection_graph,
-    segment_shared_point,
     segments_intersect,
 )
 from stringsep.graphs import Graph, graph_from_pairs
@@ -20,6 +19,8 @@ from stringsep.topology import (
     weak_to_strings,
     write_realization_file,
 )
+
+from .oracles import segment_shared_point
 
 
 def crossing_pair(allowed: bool) -> WeakRealization:
