@@ -5,7 +5,9 @@ prefix/suffix split a minimum vertex cut between the sides, and keeps the
 sparsest (A_i, B_i, S_i).  Its sparsity never exceeds
 (sum of vertex weights) / (sum of embedding gaps over pairs).  One
 warm-started unit flow on the node-split network serves all n-1 splits:
-moving a vertex across cancels at most one path and re-augments.  The
+moving a vertex across cancels at most one path and re-augments.  Every
+search starts from a copy of the source's arcs, kept up to date as the
+prefix grows, and only the winning split's sides are built as sets.  The
 winning split is recomputed from scratch by min_vertex_cut (scipy max-flow
 with a Menger certificate of vertex-disjoint paths) as a cross-check.
 
@@ -137,6 +139,8 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
 
     The cuts come from one flow carried from position to position
     (_sweep_cuts), each equal to what min_vertex_cut returns for that split.
+    A position's side sizes are counted from the places of its cut vertices
+    in the order; the sides themselves are built for the winner only.
     Checked at run time: the flow value equals the cut size at every
     position, min_vertex_cut recomputes the winning position's cut, and the
     result's sparsity is within its bound.
@@ -162,26 +166,28 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
         )
 
     order = sorted(g.vertices(), key=lambda v: (vals[v], v))
+    place = {v: i for i, v in enumerate(order)}
     best = None
     best_key = None
     positions = []
     for i, s_i in enumerate(_sweep_cuts(g, order), start=1):
-        a_i = frozenset(order[:i]) - s_i
-        b_i = frozenset(order[i:]) - s_i
-        val = Fraction(len(s_i), (len(a_i) + len(s_i)) * (len(b_i) + len(s_i)))
-        positions.append(SweepPosition(i, len(s_i), val, len(a_i), len(b_i)))
-        key = (val, not (a_i and b_i), i)  # prefer proper cuts at equal sparsity
+        # |A_i| = i - |S_i in the prefix|, |B_i| = n - i - |S_i in the suffix|
+        k = sum(place[u] < i for u in s_i)
+        a_size, b_size = i - k, g.n - i - len(s_i) + k
+        val = Fraction(len(s_i), (a_size + len(s_i)) * (b_size + len(s_i)))
+        positions.append(SweepPosition(i, len(s_i), val, a_size, b_size))
+        key = (val, not (a_size and b_size), i)  # prefer proper cuts at equal sparsity
         if best is None or key < best_key:
-            best, best_key = (a_i, b_i, s_i), key
+            best, best_key = s_i, key
 
-    a_i, b_i, s_i = best
-    win = best_key[2]
+    s_i, win = best, best_key[2]
     if min_vertex_cut(g, order[:win], order[win:]).cut != s_i:
         raise RuntimeError(f"warm-started sweep disagrees with a fresh max-flow at position {win}")
     total_w = float(weights.sum())
-    total_gap = _spread(vals)
+    total_gap = float(_spread(vals))
     res = SweepResult(
-        a_i, b_i, s_i, best_key[0], tuple(positions), total_w, total_gap
+        frozenset(order[:win]) - s_i, frozenset(order[win:]) - s_i, s_i, best_key[0],
+        tuple(positions), total_w, total_gap,
     )
     if float(res.sparsity) > res.bound + 1e-9:
         raise RuntimeError("sweep sparsity exceeded its theoretical bound")
@@ -202,17 +208,23 @@ def _sweep_cuts(g: Graph, order):
     through X vertices to one Y vertex, and a Y vertex that carries flow
     ends its path.  Moving v from Y to X removes the arc out(v) -> sink, so
     the one path that ended at v is cancelled, and adds source -> in(v);
-    breadth-first augmentation then restores a maximum flow.  The last,
-    failing search gives the residual reachability of the source, and the
-    minimal source-side minimum cut read from it is the same for every
-    maximum flow.
+    breadth-first augmentation then restores a maximum flow.  The source's
+    arcs are kept as a parent template (the source at in(x) for every X
+    vertex x) and a list of the in-nodes of X, in order, that each search
+    starts from a copy of.  The last, failing search gives the residual
+    reachability of the source, and the minimal source-side minimum cut
+    read from the in-nodes it reached is the same for every maximum flow,
+    so it does not depend on the order in which the searches go.
     """
     n = g.n
-    adj = [sorted(a) for a in g.adjacency]
+    # the in-nodes of each vertex's neighbours, in vertex order
+    adj = [[2 * w for w in sorted(a)] for a in g.adjacency]
     pred = [_NONE] * n
     in_x = [False] * n
+    seed_par = [-1] * (2 * n)
+    seeds = []
     value = 0
-    for i, v in enumerate(order[:-1], start=1):
+    for v in order[:-1]:
         if pred[v] != _NONE:
             value -= 1
             u = v
@@ -221,51 +233,52 @@ def _sweep_cuts(g: Graph, order):
                 pred[u] = _NONE
                 u = p
         in_x[v] = True
+        seed_par[2 * v] = 2 * n
+        seeds.append(2 * v)
         while True:
-            par, end = _augmenting_search(adj, pred, in_x, order[:i])
+            par, queue, end = _augmenting_search(adj, pred, in_x, seed_par, seeds)
             if end is None:
                 break
             _augment(par, pred, end)
             value += 1
-        cut = frozenset(u for u in range(n) if par[2 * u] != -1 and par[2 * u + 1] == -1)
+        cut = frozenset(a >> 1 for a in queue if par[a + 1] == -1)
         if len(cut) != value:
             raise RuntimeError("sweep flow value disagrees with the extracted cut")
         yield cut
 
 
-def _augmenting_search(adj, pred, in_x, xs):
+def _augmenting_search(adj, pred, in_x, seed_par, seeds):
     """Breadth-first search of the residual network from the source.
 
-    Node 2v is in(v), 2v + 1 is out(v) and 2n the source.  Returns the
-    parent of every reached node (-1 where unreached) and the out-node of
-    the first Y vertex reached, whose arc to the sink closes an augmenting
-    path, or None when there is none.  The residual arc out(x) -> in(x) of
-    a used X vertex is left out: the source reaches in(x) directly.
+    Node 2v is in(v), 2v + 1 is out(v) and 2n the source; adj[v] lists the
+    in-nodes of v's neighbours.  The source's arcs to the in-nodes `seeds`
+    of X are set in the parent template `seed_par`.  The queue holds
+    in-nodes: the one residual arc out of in(v) leads to a single out-node,
+    which is expanded as soon as it is reached.  Returns the parent of every
+    node (-1 where unreached), the in-nodes reached in order, and the
+    out-node of the first Y vertex reached, whose arc to the sink closes an
+    augmenting path, or None when there is none.  The residual arc
+    out(x) -> in(x) of a used X vertex is left out: the source reaches in(x)
+    directly.
     """
-    n = len(adj)
-    par = [-1] * (2 * n)
-    queue = []
-    for x in xs:
-        par[2 * x] = 2 * n
-        queue.append(2 * x)
+    par = seed_par.copy()
+    queue = seeds.copy()
     for a in queue:  # the queue grows while it is read
-        v = a >> 1
-        if a & 1 == 0:
-            # in(v): forward through a free vertex, else back along the unit
-            # that enters it (none to follow when it comes from the source)
-            p = pred[v]
-            b = a + 1 if p == _NONE else 2 * p + 1
-            if p != _SRC and par[b] == -1:
-                par[b] = a
-                queue.append(b)
-        elif not in_x[v]:
-            return par, a
-        else:
-            for w in adj[v]:
-                if par[2 * w] == -1:
-                    par[2 * w] = a
-                    queue.append(2 * w)
-    return par, None
+        # in(v): forward through a free vertex, else back along the unit
+        # that enters it (none to follow when it comes from the source)
+        p = pred[a >> 1]
+        b = a + 1 if p == _NONE else 2 * p + 1
+        if p == _SRC or par[b] != -1:
+            continue
+        par[b] = a
+        v = b >> 1
+        if not in_x[v]:
+            return par, queue, b
+        for c in adj[v]:
+            if par[c] == -1:
+                par[c] = b
+                queue.append(c)
+    return par, queue, None
 
 
 def _augment(par, pred, end):

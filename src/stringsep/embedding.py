@@ -19,6 +19,12 @@ the rounded-down floor 0.02 / (k + 1).
 The empty anchor set would leave d(u, A) undefined; it maps to f = 0, which
 keeps every trial total, 1-Lipschitz, and constant (never selected as best
 while any trial spreads).
+
+best_embedding scores its trials a block at a time: each trial writes its
+f into one row of a block of at most _BLOCK_ELEMS values, and one sort and
+one product with the sorted-prefix coefficients score the whole block.
+Every trial still draws from its own seeded stream, so the draws, and the
+embedding chosen, do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -28,6 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+
+# trial rows that best_embedding holds at once: a fixed budget of float64
+# values (512 KiB), so its memory does not grow with the number of trials
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,35 +53,38 @@ class Embedding:
 
     def spread(self) -> float:
         """Sum of |f(u) - f(v)| over unordered pairs."""
-        return _spread(np.asarray(self.values))
+        return float(_spread(np.asarray(self.values)))
 
 
-def _spread(f: np.ndarray) -> float:
-    """Sum of |f(u) - f(v)| over unordered pairs, in O(n log n): the i-th
-    smallest of n values (i from 0) is added i times and subtracted n-1-i
-    times.  Exact when the values are integers, as on hop metrics."""
-    n = f.shape[0]
-    return float(np.sort(f) @ (2 * np.arange(n) - (n - 1)))
+def _spread(f: np.ndarray):
+    """Sum of |f(u) - f(v)| over unordered pairs, of f or of each row of f,
+    in O(n log n) per row: the i-th smallest of n values (i from 0) is added
+    i times and subtracted n-1-i times.  Exact when the values are integers,
+    as on hop metrics."""
+    n = f.shape[-1]
+    return np.sort(f) @ (2 * np.arange(n) - (n - 1))
 
 
 def scale_count(n: int) -> int:
     """k = ceil(log2 n), the number of dyadic scales minus one."""
-    k = 0
-    while (1 << k) < n:
-        k += 1
-    return k
+    return max(n - 1, 0).bit_length()
 
 
-def _sample(d: np.ndarray, seed: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """One random line embedding of d as arrays: (scale j, anchor mask, f)."""
+def _sample(d: np.ndarray, seed: int, out: np.ndarray):
+    """One random line embedding of d as arrays: (scale j, anchor mask, f),
+    with f written into `out`."""
     n = d.shape[0]
     if n < 2:
         raise ContractViolation("need at least two points")
     rng = np.random.default_rng((seed, 431))
     j = int(rng.integers(0, scale_count(n) + 1))
     members = rng.random(n) < 2.0 ** (-j)
-    f = d[:, members].min(axis=1) if members.any() else np.zeros(n)
-    return j, members, f
+    anchors = members.nonzero()[0]
+    if anchors.size:
+        d[:, anchors].min(axis=1, out=out)
+    else:
+        out[:] = 0.0
+    return j, members, out
 
 
 def _embedding(seed: int, j: int, members: np.ndarray, f: np.ndarray) -> Embedding:
@@ -81,7 +94,7 @@ def _embedding(seed: int, j: int, members: np.ndarray, f: np.ndarray) -> Embeddi
 
 def bourgain_sample(d: np.ndarray, seed: int) -> Embedding:
     """One random line embedding of the metric d; deterministic per seed."""
-    return _embedding(seed, *_sample(d, seed))
+    return _embedding(seed, *_sample(d, seed, np.empty(d.shape[0])))
 
 
 def default_trials(n: int) -> int:
@@ -96,22 +109,28 @@ def best_embedding(d: np.ndarray, trials: int, seed: int) -> Embedding:
     Trial t draws from the derived stream (seed, t); ties in spread keep the
     lowest trial index.  If every trial is constant (possible only for a
     degenerate metric) the first is returned; callers can inspect
-    .is_constant.  Trials are scored as arrays by the sorted-prefix spread,
-    and only the winner becomes an Embedding.  On a hop metric every spread
-    is an exact integer; on other metrics it may differ from the pairwise
-    sum in the last bits.
+    .is_constant.  The trials are scored a block at a time (see the module
+    notes); only the winner is drawn again and becomes an Embedding.  On a
+    hop metric every spread is an exact integer; on other metrics it may
+    differ from the pairwise sum in the last bits.
     """
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
-    best = None
-    best_spread = -1.0
-    for t in range(trials):
-        trial_seed = _mix(seed, t)
-        j, members, f = _sample(d, trial_seed)
-        s = _spread(f)
-        if s > best_spread:
-            best, best_spread = (trial_seed, j, members, f), s
-    return _embedding(*best)
+    n = d.shape[0]
+    if n < 2:
+        raise ContractViolation("need at least two points")
+    rows = max(1, _BLOCK_ELEMS // n)
+    block = np.empty((min(rows, trials), n))
+    best_t, best_spread = 0, -np.inf
+    for start in range(0, trials, rows):
+        f = block[: min(rows, trials - start)]
+        for r in range(f.shape[0]):
+            _sample(d, _mix(seed, start + r), f[r])
+        spreads = _spread(f)
+        r = int(spreads.argmax())
+        if spreads[r] > best_spread:
+            best_t, best_spread = start + r, spreads[r]
+    return bourgain_sample(d, _mix(seed, best_t))
 
 
 def _mix(seed: int, trial: int) -> int:

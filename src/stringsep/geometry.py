@@ -39,6 +39,10 @@ PointKey = tuple[int, int, int]
 _INT64_BOUND = 1 << 30
 # candidate segment pairs expanded at once by _segment_pairs
 _PAIR_CHUNK = 1 << 18
+# PolylineCurve.validate screens a segment against the later ones with _meets
+# when at least this many are left; below that, one segments_intersect call
+# per pair costs less than the screen's set-up
+_SCREEN_MIN = 32
 
 
 class SegmentRelation(Enum):
@@ -221,15 +225,23 @@ class PolylineCurve:
         return tuple(zip(self.points, self.points[1:]))
 
     def validate(self) -> None:
+        """Raise ContractViolation for the first fault met: too few points, a
+        repeated point, an adjacent pair that doubles back, or segments
+        i < j - 1 that share a point.  Segment i is screened against all of
+        i+2.. by one _meets call, or by one segments_intersect call each when
+        fewer than _SCREEN_MIN are left."""
         if len(self.points) < 2:
             raise ContractViolation(f"curve {self.id}: needs at least 2 points")
         for a, b in self.segments:
             if a == b:
                 raise ContractViolation(f"curve {self.id}: repeated consecutive point {a}")
         segs = self.segments
+        last = len(segs) - 1
+        if last - 1 >= _SCREEN_MIN:
+            ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
         for i, (p, q) in enumerate(segs):
             # adjacent segment: only the shared corner, no doubling back
-            if i + 1 < len(segs):
+            if i < last:
                 r, s = segs[i + 1]
                 if orientation(p, q, s) == 0:
                     dot = (p[0] - q[0]) * (s[0] - q[0]) + (p[1] - q[1]) * (s[1] - q[1])
@@ -237,12 +249,18 @@ class PolylineCurve:
                         raise ContractViolation(
                             f"curve {self.id}: segments {i},{i + 1} double back at {q}"
                         )
-            for j in range(i + 2, len(segs)):
-                r, s = segs[j]
-                if segments_intersect(p, q, r, s) is not SegmentRelation.DISJOINT:
-                    raise ContractViolation(
-                        f"curve {self.id}: non-adjacent segments {i},{j} intersect"
-                    )
+            j = None
+            if last - i - 1 >= _SCREEN_MIN:
+                later = ends[i + 2 :]
+                hit = np.flatnonzero(_meets(ends[i, :2], ends[i, 2:], later[:, :2], later[:, 2:]))
+                j = i + 2 + int(hit[0]) if hit.size else None
+            else:
+                for k in range(i + 2, last + 1):
+                    if segments_intersect(p, q, *segs[k]) is not SegmentRelation.DISJOINT:
+                        j = k
+                        break
+            if j is not None:
+                raise ContractViolation(f"curve {self.id}: non-adjacent segments {i},{j} intersect")
 
 
 def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set[RatPoint]:

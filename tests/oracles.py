@@ -11,6 +11,10 @@ segments with Fraction points; `pairwise_best_embedding` builds an
 scanning every residual arc at every step, and `scan_validate_flows` sums
 a commodity's arcs once per vertex.  `scan_random_segment_instance` tests
 each candidate segment against every placed segment in turn.
+`scan_validate_curve` tests every pair of non-adjacent segments of a curve
+with `segments_intersect`.  `set_sweep` builds both sides of every threshold
+split of an embedding as sets, with each split's cut from a fresh
+`min_vertex_cut`.
 
 `segment_shared_point`, `dual_of` and `validate_metric` have no caller in
 the package; they serve the tests only.
@@ -21,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from stringsep.congestion import FLOW_TOL, PathFlow
+from stringsep.cuts import SweepPosition, min_vertex_cut
 from stringsep.embedding import Embedding, _mix, scale_count
 from stringsep.errors import ContractViolation, GenerationError, StandardnessError
 from stringsep.geometry import (
@@ -30,6 +35,7 @@ from stringsep.geometry import (
     _meeting,
     _rational,
     on_segment,
+    orientation,
     segments_intersect,
 )
 from stringsep.graphs import graph_from_pairs
@@ -139,6 +145,32 @@ def fraction_segment_point(p, q, r, s):
     return (p[0] + t * dqp[0], p[1] + t * dqp[1])
 
 
+def scan_validate_curve(c) -> None:
+    """PolylineCurve.validate with one segments_intersect call per pair of
+    non-adjacent segments."""
+    if len(c.points) < 2:
+        raise ContractViolation(f"curve {c.id}: needs at least 2 points")
+    for a, b in c.segments:
+        if a == b:
+            raise ContractViolation(f"curve {c.id}: repeated consecutive point {a}")
+    segs = c.segments
+    for i, (p, q) in enumerate(segs):
+        if i + 1 < len(segs):
+            r, s = segs[i + 1]
+            if orientation(p, q, s) == 0:
+                dot = (p[0] - q[0]) * (s[0] - q[0]) + (p[1] - q[1]) * (s[1] - q[1])
+                if dot > 0:
+                    raise ContractViolation(
+                        f"curve {c.id}: segments {i},{i + 1} double back at {q}"
+                    )
+        for j in range(i + 2, len(segs)):
+            r, s = segs[j]
+            if segments_intersect(p, q, r, s) is not SegmentRelation.DISJOINT:
+                raise ContractViolation(
+                    f"curve {c.id}: non-adjacent segments {i},{j} intersect"
+                )
+
+
 def fraction_curve_pair_points(c1, c2) -> set:
     """Every segment pair of c1 x c2, in order, into one set of Fraction points."""
     pts = set()
@@ -158,7 +190,7 @@ def fraction_validate_standardness(rep) -> None:
     """Simple curves, then every pair of curves in lexicographic order."""
     curves = rep.sorted_curves()
     for c in curves:
-        c.validate()
+        scan_validate_curve(c)
     point_owner = {}
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
@@ -204,6 +236,27 @@ def pairwise_best_embedding(d, trials: int, seed: int) -> Embedding:
         if spread > best_spread:
             best, best_spread = emb, spread
     return best
+
+
+def set_sweep(g, f):
+    """(A, B, S, positions) of fhl_sweep's selection over the threshold
+    splits of f: the sparsest split, then one with both sides nonempty,
+    then the lowest position."""
+    vals = np.asarray(f, dtype=float)
+    order = sorted(g.vertices(), key=lambda v: (vals[v], v))
+    best = None
+    best_key = None
+    positions = []
+    for i in range(1, g.n):
+        s_i = min_vertex_cut(g, order[:i], order[i:]).cut
+        a_i = frozenset(order[:i]) - s_i
+        b_i = frozenset(order[i:]) - s_i
+        val = Fraction(len(s_i), (len(a_i) + len(s_i)) * (len(b_i) + len(s_i)))
+        positions.append(SweepPosition(i, len(s_i), val, len(a_i), len(b_i)))
+        key = (val, not (a_i and b_i), i)
+        if best is None or key < best_key:
+            best, best_key = (a_i, b_i, s_i), key
+    return (*best, tuple(positions))
 
 
 def scan_split_by_target(g, s: int, flow: dict) -> dict:

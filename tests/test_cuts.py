@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import stringsep.cuts
 from stringsep.cuts import (
+    _embed_or_fallback,
     _sweep_cuts,
     balanced_edge_cut,
     fhl_sweep,
@@ -23,7 +24,7 @@ from stringsep.errors import NoVertexCut
 from stringsep.geometry import intersection_graph, random_segment_instance
 
 from .conftest import connected_graphs
-from .oracles import edmonds_karp_vertex_cut
+from .oracles import edmonds_karp_vertex_cut, set_sweep
 
 
 def brute_min_vertex_cut(g: Graph, xs, ys) -> int:
@@ -116,6 +117,29 @@ def test_sweep_cuts_match_edmonds_karp_on_dense_segment_instance():
     sub, _ = g.induced(giant)
     assert sub.n >= 20 and sub.m >= 4 * sub.n
     _assert_sweep_cuts_match_oracle(sub, 4)
+
+
+def _assert_sweep_matches_set_oracle(g, seed):
+    f = _embed_or_fallback(g, seed, None)
+    res = fhl_sweep(g, np.ones(g.n), f)
+    a, b, s, positions = set_sweep(g, f)
+    assert res.positions == positions
+    assert (res.A, res.B, res.S) == (a, b, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(min_n=2, max_n=10), st.integers(0, 1000))
+def test_fhl_sweep_matches_set_sweep_oracle(g, seed):
+    _assert_sweep_matches_set_oracle(g, seed)
+
+
+@pytest.mark.parametrize("count,span,seed", [(140, 110, 1), (60, 54, 2), (40, None, 3)])
+def test_fhl_sweep_matches_set_sweep_oracle_on_segment_cores(count, span, seed):
+    g, _ = intersection_graph(random_segment_instance(count, seed=seed, span=span))
+    giant = max(g.components(), key=lambda c: (len(c), -min(c)))
+    sub, _ = g.induced(giant)
+    assert sub.n >= 20
+    _assert_sweep_matches_set_oracle(sub, seed)
 
 
 def test_fhl_sweep_cross_check_catches_a_wrong_cut(monkeypatch):

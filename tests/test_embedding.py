@@ -1,10 +1,15 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringsep import embedding
 from stringsep.embedding import (
     Embedding,
+    _mix,
     best_embedding,
     bourgain_sample,
     default_trials,
@@ -64,8 +69,6 @@ def test_best_spreads_uniform_metric():
 
 def test_single_trial_matches_derived_stream():
     d = shortest_path_metric(generate("path", (5,)))
-    from stringsep.embedding import _mix
-
     assert best_embedding(d, 1, 7) == bourgain_sample(d, _mix(7, 0))
 
 
@@ -116,13 +119,17 @@ def test_best_embedding_matches_pairwise_oracle(g, seed, trials):
     assert best_embedding(d, trials, seed) == pairwise_best_embedding(d, trials, seed)
 
 
-@pytest.mark.parametrize("count,span,seed", [(100, 80, 1), (80, 60, 2), (40, None, 3)])
-def test_best_embedding_matches_pairwise_oracle_on_segment_cores(count, span, seed):
+def _segment_core_metric(count, span, seed):
     g, _ = intersection_graph(random_segment_instance(count, seed=seed, span=span))
     giant = max(g.components(), key=len)
     core, _ = g.induced(sorted(giant))
-    d = shortest_path_metric(core)
-    trials = default_trials(core.n)
+    return shortest_path_metric(core)
+
+
+@pytest.mark.parametrize("count,span,seed", [(100, 80, 1), (80, 60, 2), (40, None, 3)])
+def test_best_embedding_matches_pairwise_oracle_on_segment_cores(count, span, seed):
+    d = _segment_core_metric(count, span, seed)
+    trials = default_trials(d.shape[0])
     assert best_embedding(d, trials, seed) == pairwise_best_embedding(d, trials, seed)
 
 
@@ -140,3 +147,66 @@ def test_spread_of_fractional_values_within_rounding(values):
     emb = Embedding(tuple(values), 0, 0, frozenset())
     pairwise = float(np.abs(v[:, None] - v[None, :]).sum()) / 2.0
     assert emb.spread() == pytest.approx(pairwise, rel=1e-12, abs=1e-9)
+
+
+def _with_block_rows(rows, n):
+    """best_embedding's block budget cut to `rows` trial rows of n values."""
+    return mock.patch.object(embedding, "_BLOCK_ELEMS", rows * n)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@settings(max_examples=30)
+@given(connected_graphs(max_n=12), st.integers(0, 2**62), st.integers(1, 40))
+def test_small_blocks_match_pairwise_oracle(rows, g, seed, trials):
+    d = shortest_path_metric(g)
+    with _with_block_rows(rows, g.n):
+        got = best_embedding(d, trials, seed)
+    assert got == pairwise_best_embedding(d, trials, seed)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("count,span,seed", [(100, 80, 1), (40, None, 3)])
+def test_small_blocks_match_pairwise_oracle_on_segment_cores(rows, count, span, seed):
+    d = _segment_core_metric(count, span, seed)
+    trials = default_trials(d.shape[0])
+    with _with_block_rows(rows, d.shape[0]):
+        got = best_embedding(d, trials, seed)
+    assert got == pairwise_best_embedding(d, trials, seed)
+
+
+@pytest.mark.parametrize("seed", [3, 4])  # first top trial 0; 7, tied within its block
+def test_tied_top_spread_keeps_the_lowest_trial_across_blocks(seed):
+    # two points: a trial spreads 1 exactly when one point is an anchor, so
+    # about a quarter of the trials tie at the top
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    trials, rows = 24, 3
+    spreads = [bourgain_sample(d, _mix(seed, t)).spread() for t in range(trials)]
+    top = [t for t, s in enumerate(spreads) if s == max(spreads)]
+    assert len({t // rows for t in top}) >= 2  # the tie spans blocks
+    for r in (1, rows, trials):
+        with _with_block_rows(r, 2):
+            assert best_embedding(d, trials, seed) == bourgain_sample(d, _mix(seed, top[0]))
+    # every prefix of the trials, so the last block is often partial: the
+    # first maximum among exactly those trials wins
+    with _with_block_rows(rows, 2):
+        for count in range(1, trials + 1):
+            first = spreads.index(max(spreads[:count]))
+            assert best_embedding(d, count, seed) == bourgain_sample(d, _mix(seed, first))
+
+
+def test_best_embedding_memory_does_not_grow_with_trials():
+    d = shortest_path_metric(generate("path", (20,)))
+    rows = embedding._BLOCK_ELEMS // 20
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            best_embedding(d, trials, 11)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block = peak(rows)
+    assert peak(20_000) <= one_block + 64 * 1024
+    # the block, its sorted copy and their scores
+    assert one_block <= 3 * 8 * embedding._BLOCK_ELEMS

@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +29,7 @@ from .oracles import (
     fraction_curve_pair_points,
     fraction_intersection_graph,
     scan_random_segment_instance,
+    scan_validate_curve,
     segment_shared_point,
 )
 
@@ -311,3 +313,66 @@ def test_pair_sweep_chunks_of_one_box(monkeypatch, point_lists):
     monkeypatch.setattr(geometry, "_PAIR_CHUNK", 1)
     rep = _rep(point_lists)
     assert _outcome(intersection_graph, rep) == _outcome(fraction_intersection_graph, rep)
+
+
+def _validate_outcome(validate, curve):
+    try:
+        validate(curve)
+    except ContractViolation as exc:
+        return str(exc)
+    return None
+
+
+def _serpentine(columns):
+    """Up and down over a width of 4, one step right between columns."""
+    pts = []
+    for x in range(columns):
+        ys = (0, 4) if x % 2 == 0 else (4, 0)
+        pts += [(x, ys[0]), (x, ys[1])]
+    return pts
+
+
+SELF_CROSSING_EXAMPLES = pytest.mark.parametrize(
+    "pts",
+    [
+        [(0, 0), (4, 0), (4, 4), (2, 0)],  # ends on segment 0
+        [(0, 0), (5, 0), (2, 0)],  # doubles back
+        [(2, 0), (6, 0), (6, 1), (0, 1), (0, 0), (4, 0)],  # collinear overlap
+        [(0, 0), (4, 0), (4, 4), (2, 0), (0, 4), (0, 0)],  # crossing, and closed
+        _serpentine(40),  # 79 segments, simple
+        _serpentine(40) + [(39, -1), (-1, 2)],  # the last segment crosses them all
+        _serpentine(40) + [(39, -1), (40, -1), (40, 0), (0, 0)],  # runs along the bottom
+    ],
+    ids=["touch", "double-back", "overlap", "closed", "serpentine", "serpentine-cross",
+         "serpentine-overlap"],
+)
+
+
+@pytest.mark.parametrize("screen_min", [0, 2, 32])
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=12))
+def test_curve_validate_matches_scan_oracle(screen_min, pts):
+    # on a 4x4 grid, touching, doubling back and collinear overlaps are common
+    curve = PolylineCurve("c", tuple(pts))
+    with mock.patch.object(geometry, "_SCREEN_MIN", screen_min):
+        got = _validate_outcome(PolylineCurve.validate, curve)
+    assert got == _validate_outcome(scan_validate_curve, curve)
+
+
+@pytest.mark.parametrize("screen_min", [0, 32, 10**6])
+@SELF_CROSSING_EXAMPLES
+def test_curve_validate_matches_scan_oracle_examples(screen_min, pts):
+    curve = PolylineCurve("c", tuple(pts))
+    with mock.patch.object(geometry, "_SCREEN_MIN", screen_min):
+        got = _validate_outcome(PolylineCurve.validate, curve)
+    assert got == _validate_outcome(scan_validate_curve, curve)
+
+
+def test_curve_validate_far_out_serpentine():
+    # beyond 2^30 the screen computes on Python ints
+    base = 2**62
+    pts = [(base + 3 * x, base - 5 * y) for x, y in _serpentine(40) + [(39, -1), (-1, 2)]]
+    curve = PolylineCurve("far", tuple(pts))
+    assert _validate_outcome(PolylineCurve.validate, curve) == _validate_outcome(
+        scan_validate_curve, curve
+    ) == "curve far: non-adjacent segments 0,80 intersect"
