@@ -184,7 +184,7 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     if min_vertex_cut(g, order[:win], order[win:]).cut != s_i:
         raise RuntimeError(f"warm-started sweep disagrees with a fresh max-flow at position {win}")
     total_w = float(weights.sum())
-    total_gap = float(_spread(vals))
+    total_gap = _spread(vals)
     res = SweepResult(
         frozenset(order[:win]) - s_i, frozenset(order[win:]) - s_i, s_i, best_key[0],
         tuple(positions), total_w, total_gap,

@@ -21,10 +21,14 @@ keeps every trial total, 1-Lipschitz, and constant (never selected as best
 while any trial spreads).
 
 best_embedding scores its trials a block at a time: each trial writes its
-f into one row of a block of at most _BLOCK_ELEMS values, and one sort and
-one product with the sorted-prefix coefficients score the whole block.
-Every trial still draws from its own seeded stream, so the draws, and the
-embedding chosen, do not depend on the block size.
+f into one row of a block of at most _BLOCK_ELEMS values, one sort orders
+every row, and each sorted row gets the same 1-D product with the
+sorted-prefix coefficients that Embedding.spread() computes.  Every trial
+still draws from its own seeded stream, so the draws, every spread, and the
+embedding chosen do not depend on the block size, on any metric.  (One
+matrix product for the whole block would be faster, but BLAS may round a
+row's sum differently from the 1-D product, and differently by its place
+in the block.)
 """
 
 from __future__ import annotations
@@ -53,16 +57,18 @@ class Embedding:
 
     def spread(self) -> float:
         """Sum of |f(u) - f(v)| over unordered pairs."""
-        return float(_spread(np.asarray(self.values)))
+        return _spread(np.asarray(self.values))
 
 
-def _spread(f: np.ndarray):
-    """Sum of |f(u) - f(v)| over unordered pairs, of f or of each row of f,
-    in O(n log n) per row: the i-th smallest of n values (i from 0) is added
-    i times and subtracted n-1-i times.  Exact when the values are integers,
-    as on hop metrics."""
-    n = f.shape[-1]
-    return np.sort(f) @ (2 * np.arange(n) - (n - 1))
+def _spread(f: np.ndarray) -> float:
+    """Sum of |f(u) - f(v)| over unordered pairs, in O(n log n): the i-th
+    smallest of n values (i from 0) is added i times and subtracted n-1-i
+    times.  Exact when the values are integers, as on hop metrics."""
+    return float(np.sort(f) @ _coefficients(f.shape[0]))
+
+
+def _coefficients(n: int) -> np.ndarray:
+    return 2.0 * np.arange(n) - (n - 1)
 
 
 def scale_count(n: int) -> int:
@@ -110,9 +116,10 @@ def best_embedding(d: np.ndarray, trials: int, seed: int) -> Embedding:
     lowest trial index.  If every trial is constant (possible only for a
     degenerate metric) the first is returned; callers can inspect
     .is_constant.  The trials are scored a block at a time (see the module
-    notes); only the winner is drawn again and becomes an Embedding.  On a
-    hop metric every spread is an exact integer; on other metrics it may
-    differ from the pairwise sum in the last bits.
+    notes), each by the value its Embedding.spread() would have; only the
+    winner is drawn again and becomes an Embedding.  On a hop metric every
+    spread is an exact integer; on other metrics it may differ from the
+    pairwise sum in the last bits.
     """
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
@@ -121,12 +128,13 @@ def best_embedding(d: np.ndarray, trials: int, seed: int) -> Embedding:
         raise ContractViolation("need at least two points")
     rows = max(1, _BLOCK_ELEMS // n)
     block = np.empty((min(rows, trials), n))
+    coef = _coefficients(n)
     best_t, best_spread = 0, -np.inf
     for start in range(0, trials, rows):
         f = block[: min(rows, trials - start)]
         for r in range(f.shape[0]):
             _sample(d, _mix(seed, start + r), f[r])
-        spreads = _spread(f)
+        spreads = np.fromiter(map(coef.__rmatmul__, np.sort(f)), float, f.shape[0])
         r = int(spreads.argmax())
         if spreads[r] > best_spread:
             best_t, best_spread = start + r, spreads[r]

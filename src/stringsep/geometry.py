@@ -39,10 +39,6 @@ PointKey = tuple[int, int, int]
 _INT64_BOUND = 1 << 30
 # candidate segment pairs expanded at once by _segment_pairs
 _PAIR_CHUNK = 1 << 18
-# PolylineCurve.validate screens a segment against the later ones with _meets
-# when at least this many are left; below that, one segments_intersect call
-# per pair costs less than the screen's set-up
-_SCREEN_MIN = 32
 
 
 class SegmentRelation(Enum):
@@ -228,8 +224,7 @@ class PolylineCurve:
         """Raise ContractViolation for the first fault met: too few points, a
         repeated point, an adjacent pair that doubles back, or segments
         i < j - 1 that share a point.  Segment i is screened against all of
-        i+2.. by one _meets call, or by one segments_intersect call each when
-        fewer than _SCREEN_MIN are left."""
+        i+2.. by one _meets call, so memory stays O(L)."""
         if len(self.points) < 2:
             raise ContractViolation(f"curve {self.id}: needs at least 2 points")
         for a, b in self.segments:
@@ -237,8 +232,7 @@ class PolylineCurve:
                 raise ContractViolation(f"curve {self.id}: repeated consecutive point {a}")
         segs = self.segments
         last = len(segs) - 1
-        if last - 1 >= _SCREEN_MIN:
-            ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
+        pts = _coords(self.points)
         for i, (p, q) in enumerate(segs):
             # adjacent segment: only the shared corner, no doubling back
             if i < last:
@@ -249,18 +243,13 @@ class PolylineCurve:
                         raise ContractViolation(
                             f"curve {self.id}: segments {i},{i + 1} double back at {q}"
                         )
-            j = None
-            if last - i - 1 >= _SCREEN_MIN:
-                later = ends[i + 2 :]
-                hit = np.flatnonzero(_meets(ends[i, :2], ends[i, 2:], later[:, :2], later[:, 2:]))
-                j = i + 2 + int(hit[0]) if hit.size else None
-            else:
-                for k in range(i + 2, last + 1):
-                    if segments_intersect(p, q, *segs[k]) is not SegmentRelation.DISJOINT:
-                        j = k
-                        break
-            if j is not None:
-                raise ContractViolation(f"curve {self.id}: non-adjacent segments {i},{j} intersect")
+            if i + 2 <= last:
+                hit = np.flatnonzero(_meets(pts[i], pts[i + 1], pts[i + 2 : -1], pts[i + 3 :]))
+                if hit.size:
+                    j = i + 2 + int(hit[0])
+                    raise ContractViolation(
+                        f"curve {self.id}: non-adjacent segments {i},{j} intersect"
+                    )
 
 
 def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set[RatPoint]:

@@ -174,6 +174,27 @@ def test_small_blocks_match_pairwise_oracle_on_segment_cores(rows, count, span, 
     assert got == pairwise_best_embedding(d, trials, seed)
 
 
+def _first_top_trial(d, trials, seed):
+    spreads = [bourgain_sample(d, _mix(seed, t)).spread() for t in range(trials)]
+    return spreads.index(max(spreads))
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize(
+    "kind,shape,scale,seed", [("grid", (6, 7), 1 / 3, 1), ("path", (30,), 0.1, 4)]
+)
+def test_blocks_score_non_integer_metrics_like_spread(rows, kind, shape, scale, seed):
+    # scaled hop distances: many trials tie in exact arithmetic but not in
+    # float64, so a score that rounds differently from Embedding.spread() (one
+    # BLAS product for a 3-row block does, here) picks another trial
+    d = shortest_path_metric(generate(kind, shape)) * scale
+    trials = default_trials(d.shape[0])
+    want = bourgain_sample(d, _mix(seed, _first_top_trial(d, trials, seed)))
+    budget = rows * d.shape[0] if rows else embedding._BLOCK_ELEMS
+    with mock.patch.object(embedding, "_BLOCK_ELEMS", budget):
+        assert best_embedding(d, trials, seed) == want
+
+
 @pytest.mark.parametrize("seed", [3, 4])  # first top trial 0; 7, tied within its block
 def test_tied_top_spread_keeps_the_lowest_trial_across_blocks(seed):
     # two points: a trial spreads 1 exactly when one point is an anchor, so

@@ -1,7 +1,6 @@
 import re
 from fractions import Fraction
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -348,23 +347,19 @@ SELF_CROSSING_EXAMPLES = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("screen_min", [0, 2, 32])
-@settings(max_examples=200)
+@settings(max_examples=600)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=12))
-def test_curve_validate_matches_scan_oracle(screen_min, pts):
+def test_curve_validate_matches_scan_oracle(pts):
     # on a 4x4 grid, touching, doubling back and collinear overlaps are common
     curve = PolylineCurve("c", tuple(pts))
-    with mock.patch.object(geometry, "_SCREEN_MIN", screen_min):
-        got = _validate_outcome(PolylineCurve.validate, curve)
+    got = _validate_outcome(PolylineCurve.validate, curve)
     assert got == _validate_outcome(scan_validate_curve, curve)
 
 
-@pytest.mark.parametrize("screen_min", [0, 32, 10**6])
 @SELF_CROSSING_EXAMPLES
-def test_curve_validate_matches_scan_oracle_examples(screen_min, pts):
+def test_curve_validate_matches_scan_oracle_examples(pts):
     curve = PolylineCurve("c", tuple(pts))
-    with mock.patch.object(geometry, "_SCREEN_MIN", screen_min):
-        got = _validate_outcome(PolylineCurve.validate, curve)
+    got = _validate_outcome(PolylineCurve.validate, curve)
     assert got == _validate_outcome(scan_validate_curve, curve)
 
 
