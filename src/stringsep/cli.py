@@ -8,6 +8,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import numpy as np
@@ -235,6 +236,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="stringsep",

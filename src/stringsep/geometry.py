@@ -258,14 +258,23 @@ def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set[RatPoint]:
     Raises StandardnessError when the curves share a sub-segment of positive
     length (infinitely many intersections).
     """
-    return {_rational(key) for key in _pair_keys(c1, c2)}
+    return {
+        _rational(key)
+        for _, _, seg_pairs in _meeting_groups((c1, c2))
+        for key in _point_keys(c1, c2, seg_pairs)
+    }
 
 
-def _pair_keys(c1: PolylineCurve, c2: PolylineCurve) -> dict[PointKey, None]:
-    """The intersection points of c1 and c2 as keys, in the order first met."""
-    segs = c1.segments + c2.segments
-    a, b = _segment_pairs(segs, np.repeat([0, 1], [len(c1.segments), len(c2.segments)]))
-    return _point_keys(c1, c2, ((segs[x], segs[y]) for x, y in zip(a.tolist(), b.tolist())))
+def _meeting_groups(curves):
+    """Yield (i, j, the segment pairs ((p, q), (r, s)) of curves[i] x curves[j]
+    that meet) for each pair i < j of meeting curves, in lexicographic order,
+    all from one _segment_pairs call."""
+    segs = [seg for c in curves for seg in c.segments]
+    curve_of = np.repeat(np.arange(len(curves)), [len(c.segments) for c in curves])
+    a, b = _segment_pairs(segs, curve_of)
+    rows = zip(curve_of[a].tolist(), curve_of[b].tolist(), a.tolist(), b.tolist())
+    for (i, j), group in groupby(rows, key=itemgetter(0, 1)):
+        yield i, j, ((segs[x], segs[y]) for _, _, x, y in group)
 
 
 def _point_keys(c1: PolylineCurve, c2: PolylineCurve, seg_pairs) -> dict[PointKey, None]:
@@ -347,21 +356,16 @@ def validate_standardness(rep: StringRepresentation) -> dict[tuple[int, int], in
     or more curves.  Returns the number of distinct intersection points of
     every pair (i, j), i < j, of curves that meet, indexed in id-sorted order
     and listed in lexicographic order.  Only the segment pairs that
-    _segment_pairs finds meeting are tested; they are visited by curve pair
-    in lexicographic order, so the first violation raised does not depend
-    on how they were found.
+    _meeting_groups yields are tested, by curve pair in lexicographic order,
+    so the first violation raised does not depend on how they were found.
     """
     curves = rep.sorted_curves()
     for c in curves:
         c.validate()
-    segs = [seg for c in curves for seg in c.segments]
-    curve_of = np.repeat(np.arange(len(curves)), [len(c.segments) for c in curves])
-    a, b = _segment_pairs(segs, curve_of)
     owner: dict[PointKey, tuple[int, int]] = {}
     counts: dict[tuple[int, int], int] = {}
-    rows = zip(curve_of[a].tolist(), curve_of[b].tolist(), a.tolist(), b.tolist())
-    for (i, j), group in groupby(rows, key=itemgetter(0, 1)):
-        keys = _point_keys(curves[i], curves[j], ((segs[x], segs[y]) for _, _, x, y in group))
+    for i, j, seg_pairs in _meeting_groups(curves):
+        keys = _point_keys(curves[i], curves[j], seg_pairs)
         if not owner.keys().isdisjoint(keys):
             _raise_triple_point(curves, owner, i, j, keys)
         owner.update(dict.fromkeys(keys, (i, j)))
@@ -370,10 +374,10 @@ def validate_standardness(rep: StringRepresentation) -> dict[tuple[int, int], in
 
 
 def _raise_triple_point(curves, owner, i, j, keys):
-    """Report the first point of the pair (i, j), in curve_pair_points'
-    order, that an earlier pair already owns."""
+    """Report the first point of the pair (i, j) that an earlier pair already
+    owns, in the order of the set curve_pair_points returns for the pair."""
     key_of = {_rational(key): key for key in keys}
-    for pt in curve_pair_points(curves[i], curves[j]):
+    for pt in {_rational(key) for key in keys}:
         prev = owner.get(key_of[pt])
         if prev is not None:
             involved = sorted({curves[k].id for k in (i, j, *prev)})

@@ -8,9 +8,11 @@ reports such crossings as warnings, not violations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, groupby
 
 from .errors import ContractViolation, ParseError, StandardnessError
 from .geometry import (
@@ -18,7 +20,9 @@ from .geometry import (
     PolylineCurve,
     RatPoint,
     StringRepresentation,
-    curve_pair_points,
+    _meeting_groups,
+    _point_keys,
+    _rational,
     on_segment,
     sq_dist_point_segment,
     sq_dist_points,
@@ -80,6 +84,25 @@ class WeakRealization:
     def curve(self, e: Edge) -> PolylineCurve:
         return self.edge_curves[self.edge_index[e]]
 
+    @cached_property
+    def crossings(self) -> dict[tuple[int, int], frozenset[RatPoint] | None]:
+        """The points where edge curves i < j meet off their shared vertices,
+        for each pair that does, in lexicographic order; None marks a pair
+        that overlaps on a sub-segment.  One pass over all edge curves."""
+        edges = self.atg.graph.edges
+        out: dict[tuple[int, int], frozenset[RatPoint] | None] = {}
+        for i, j, seg_pairs in _meeting_groups(self.edge_curves):
+            try:
+                keys = _point_keys(self.edge_curves[i], self.edge_curves[j], seg_pairs)
+            except StandardnessError:
+                out[(i, j)] = None
+                continue
+            for v in set(edges[i]) & set(edges[j]):
+                keys.pop((*self.vertex_points[v], 1), None)
+            if keys:
+                out[(i, j)] = frozenset(map(_rational, keys))
+        return out
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -88,26 +111,6 @@ class Violation:
     edges: tuple[Edge, ...] = ()
     point: RatPoint | None = None
     severity: str = "error"
-
-
-def _adjacent(e1: Edge, e2: Edge) -> bool:
-    return bool(set(e1) & set(e2))
-
-
-def _pair_intersections(w: WeakRealization, i: int, j: int) -> tuple[set[RatPoint], bool]:
-    """Intersection points of edge curves i and j, with overlap flag.
-
-    Shared vertex points of adjacent edges are removed (they do not count).
-    """
-    e1, e2 = w.atg.graph.edges[i], w.atg.graph.edges[j]
-    try:
-        pts = curve_pair_points(w.edge_curves[i], w.edge_curves[j])
-    except StandardnessError:
-        return set(), True
-    for v in set(e1) & set(e2):
-        vp = w.vertex_points[v]
-        pts.discard((Fraction(vp[0]), Fraction(vp[1])))
-    return pts, False
 
 
 def validate_weak_realization(
@@ -127,13 +130,9 @@ def validate_weak_realization(
     if len(set(w.vertex_points)) != g.n:
         out.append(Violation("overlap", "two vertices share a point"))
 
-    for i, c in enumerate(w.edge_curves):
-        e = g.edges[i]
-        for v in g.vertices():
-            if v in e:
-                continue
-            vp = w.vertex_points[v]
-            if any(on_segment(p, q, vp) for p, q in c.segments):
+    for e, c in zip(g.edges, w.edge_curves):
+        for v, vp in enumerate(w.vertex_points):
+            if v not in e and any(on_segment(p, q, vp) for p, q in c.segments):
                 out.append(
                     Violation(
                         "edge_through_vertex",
@@ -144,40 +143,36 @@ def validate_weak_realization(
                 )
 
     point_users: dict[RatPoint, set[Edge]] = {}
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            e1, e2 = g.edges[i], g.edges[j]
-            pts, overlap = _pair_intersections(w, i, j)
-            if overlap:
-                out.append(
-                    Violation("overlap", f"edges {e1} and {e2} share a sub-segment", edges=(e1, e2))
-                )
-                continue
-            if not pts:
-                continue
-            for pt in pts:
-                point_users.setdefault(pt, set()).update((e1, e2))
-            if _adjacent(e1, e2):
-                if include_warnings:
-                    out.append(
-                        Violation(
-                            "adjacent_crossing",
-                            f"adjacent edges {e1} and {e2} intersect off their shared vertex",
-                            edges=(e1, e2),
-                            point=min(pts),
-                            severity="warning",
-                        )
-                    )
-            elif not w.atg.permits(e1, e2):
+    for (i, j), pts in w.crossings.items():
+        e1, e2 = g.edges[i], g.edges[j]
+        if pts is None:
+            out.append(
+                Violation("overlap", f"edges {e1} and {e2} share a sub-segment", edges=(e1, e2))
+            )
+            continue
+        for pt in pts:
+            point_users.setdefault(pt, set()).update((e1, e2))
+        if set(e1) & set(e2):
+            if include_warnings:
                 out.append(
                     Violation(
-                        "forbidden_crossing",
-                        f"independent edges {e1} and {e2} cross at "
-                        f"({min(pts)[0]}, {min(pts)[1]}) but are not allowed to",
+                        "adjacent_crossing",
+                        f"adjacent edges {e1} and {e2} intersect off their shared vertex",
                         edges=(e1, e2),
                         point=min(pts),
+                        severity="warning",
                     )
                 )
+        elif not w.atg.permits(e1, e2):
+            out.append(
+                Violation(
+                    "forbidden_crossing",
+                    f"independent edges {e1} and {e2} cross at "
+                    f"({min(pts)[0]}, {min(pts)[1]}) but are not allowed to",
+                    edges=(e1, e2),
+                    point=min(pts),
+                )
+            )
 
     vertex_pts = {(Fraction(x), Fraction(y)) for x, y in w.vertex_points}
     for pt, users in sorted(point_users.items()):
@@ -195,9 +190,10 @@ def validate_weak_realization(
 
 def crossing_count(w: WeakRealization, e1: Edge, e2: Edge) -> int:
     """Number of distinct intersection points of two drawn edges (shared vertex excluded)."""
-    i, j = w.edge_index[e1], w.edge_index[e2]
-    pts, overlap = _pair_intersections(w, min(i, j), max(i, j))
-    if overlap:
+    i, j = sorted((w.edge_index[e1], w.edge_index[e2]))
+    # a curve overlaps itself
+    pts = None if i == j else w.crossings.get((i, j), frozenset())
+    if pts is None:
         raise ContractViolation(f"edges {e1} and {e2} overlap; count undefined")
     return len(pts)
 
@@ -346,117 +342,111 @@ def weak_to_strings(w: WeakRealization) -> tuple[StringRepresentation, Graph]:
         [(x * scale, y * scale) for x, y in c.points] for c in w.edge_curves
     ]
 
-    # niceness: crossings must stay clear of every loop neighborhood
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            pts, _ = _pair_intersections(w, i, j)
-            for pt in pts:
-                for p in vp:
-                    if max(abs(pt[0] * scale - p[0]), abs(pt[1] * scale - p[1])) < 32:
-                        raise ContractViolation(
-                            "an edge crossing lies too close to a vertex for the "
-                            "loop construction"
-                        )
+    # niceness: crossings must stay clear of every loop neighborhood, in
+    # integers: |X / D * scale - p| < 32 iff |X * scale - p * D| < 32 * D
+    for pts in w.crossings.values():
+        for x, y in pts:
+            xn, xd, yn, yd = x.numerator * scale, x.denominator, y.numerator * scale, y.denominator
+            for px, py in vp:
+                if abs(xn - px * xd) < 32 * xd and abs(yn - py * yd) < 32 * yd:
+                    raise ContractViolation(
+                        "an edge crossing lies too close to a vertex for the "
+                        "loop construction"
+                    )
 
     RHO = 16
     ports: dict[int, list[tuple[int, int]]] = {x: [] for x in g.vertices()}
-    trimmed: dict[int, list[Point]] = {}
-    for ei, ((eu, ev), path) in enumerate(zip(g.edges, curves)):
+    trimmed: list[tuple[Point, ...]] = []
+    for (eu, ev), path in zip(g.edges, curves):
         if path[0] != vp[eu]:
             eu, ev = ev, eu
         pu, iu = _exit_port(vp[eu], path)
         pv, iv = _exit_port(vp[ev], list(reversed(path)))
         iv = len(path) - 1 - iv
-        middle = path[iu : iv + 1]
-        pts_new = [pu] + middle + [pv]
-        dedup = [pts_new[0]]
-        for p in pts_new[1:]:
-            if p != dedup[-1]:
-                dedup.append(p)
-        trimmed[ei] = dedup
+        trimmed.append(tuple(p for p, _ in groupby([pu, *path[iu : iv + 1], pv])))
         ports[eu].append(pu)
         ports[ev].append(pv)
 
     for x in g.vertices():
-        plist = ports[x]
-        for i in range(len(plist)):
-            for j in range(i + 1, len(plist)):
-                d = max(abs(plist[i][0] - plist[j][0]), abs(plist[i][1] - plist[j][1]))
-                if d < 3:
-                    # ports within 1/2 of their exact ring exits and strings
-                    # within 1/2 of their rays: separation 3 keeps the tubes
-                    # strictly apart
-                    raise ContractViolation(
-                        f"two edges leave vertex {x} in nearly identical directions; "
-                        "their loop ports would collide"
-                    )
+        for a, b in combinations(ports[x], 2):
+            if max(abs(a[0] - b[0]), abs(a[1] - b[1])) < 3:
+                # ports within 1/2 of their exact ring exits and strings
+                # within 1/2 of their rays: separation 3 keeps the tubes
+                # strictly apart
+                raise ContractViolation(
+                    f"two edges leave vertex {x} in nearly identical directions; "
+                    "their loop ports would collide"
+                )
 
     n, m = g.n, g.m
     width = len(str(n + m - 1))
-    out_curves: list[PolylineCurve] = []
-    for x in g.vertices():
-        loop = _open_loop(vp[x], RHO, ports[x])
-        out_curves.append(PolylineCurve(f"s{x:0{width}d}", loop))
-    for ei in range(m):
-        out_curves.append(PolylineCurve(f"s{n + ei:0{width}d}", tuple(trimmed[ei])))
+    strings = [_open_loop(vp[x], RHO, ports[x]) for x in g.vertices()] + trimmed
+    out_curves = [PolylineCurve(f"s{i:0{width}d}", pts) for i, pts in enumerate(strings)]
 
-    h_pairs: list[tuple[int, int]] = []
-    for ei, (eu, ev) in enumerate(g.edges):
-        h_pairs.append((eu, n + ei))
-        h_pairs.append((ev, n + ei))
-    for i in range(m):
-        for j in range(i + 1, m):
-            pts, _ = _pair_intersections(w, i, j)
-            if pts:
-                h_pairs.append((n + i, n + j))
+    h_pairs = [(x, n + ei) for ei, e in enumerate(g.edges) for x in e]
+    h_pairs += [(n + i, n + j) for i, j in w.crossings]
     predicted = graph_from_pairs(n + m, h_pairs)
     return StringRepresentation(tuple(out_curves)), predicted
 
 
 def _pick_scale(w: WeakRealization) -> int:
-    """Smallest power of two making every exact clearance at least 64 units."""
+    """Smallest power of two making every exact clearance at least 64 units.
+
+    A pair whose boxes are already as far apart as the least squared
+    clearance d2 so far cannot lower it and is skipped, so d2 stays exact.
+    """
     g = w.atg.graph
-    d2 = None
+    d2 = math.inf
 
     def keep(val: Fraction):
         nonlocal d2
-        if val > 0 and (d2 is None or val < d2):
+        if 0 < val < d2:
             d2 = val
 
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            keep(sq_dist_points(w.vertex_points[x], w.vertex_points[y]))
-    for x in g.vertices():
-        p = w.vertex_points[x]
-        for e, c in zip(g.edges, w.edge_curves):
-            if x in e:
-                continue
-            for s0, s1 in c.segments:
-                keep(sq_dist_point_segment(p, s0, s1))
+    for p, q in combinations(w.vertex_points, 2):
+        keep(sq_dist_points(p, q))
     for c in w.edge_curves:
         # the first and last segments must span the loop ring so each port
         # direction is read from the segment the curve actually exits on
         keep(sq_dist_points(c.points[0], c.points[1]))
         keep(sq_dist_points(c.points[-1], c.points[-2]))
-    all_segs = []
-    for ci, c in enumerate(w.edge_curves):
-        for si, seg in enumerate(c.segments):
-            all_segs.append((ci, si, seg))
-    for i in range(len(all_segs)):
-        ci, si, (p, q) = all_segs[i]
-        for j in range(i + 1, len(all_segs)):
-            cj, sj, (r, s) = all_segs[j]
+    segs = [
+        (ci, si, (p, q), (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])))
+        for ci, c in enumerate(w.edge_curves)
+        for si, (p, q) in enumerate(c.segments)
+    ]
+    for x in g.vertices():
+        p = w.vertex_points[x]
+        for ci, _, (s0, s1), box in segs:
+            if x not in g.edges[ci] and _box_gap2(box, (p[0], p[0], p[1], p[1])) < d2:
+                keep(sq_dist_point_segment(p, s0, s1))
+    # by left box edge, so the x-gap to the later boxes only grows
+    segs.sort(key=lambda t: t[3][0])
+    for pos, (ci, si, (p, q), box) in enumerate(segs):
+        for cj, sj, (r, s), other in segs[pos + 1 :]:
+            gx = other[0] - box[1]
+            if gx > 0 and gx * gx >= d2:
+                break
+            if _box_gap2(box, other) >= d2:
+                continue
             if ci == cj and abs(si - sj) <= 1:
                 continue
             if {p, q} & {r, s}:
                 continue  # shared endpoint: separation near it is direction-governed
             keep(sq_dist_segments(p, q, r, s))
-    if d2 is None:
+    if d2 == math.inf:
         d2 = Fraction(1)
     scale = 1
     while scale * scale * d2 < 64 * 64:
         scale *= 2
     return scale
+
+
+def _box_gap2(a, b) -> int:
+    """Squared distance between the boxes (x0, x1, y0, y1) a and b."""
+    gx = max(0, b[0] - a[1], a[0] - b[1])
+    gy = max(0, b[2] - a[3], a[2] - b[3])
+    return gx * gx + gy * gy
 
 
 def _exit_port(center: Point, path: list[Point]) -> tuple[Point, int]:

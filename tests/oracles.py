@@ -12,7 +12,10 @@ scanning every residual arc at every step, and `scan_validate_flows` sums
 a commodity's arcs once per vertex.  `scan_random_segment_instance` tests
 each candidate segment against every placed segment in turn.
 `scan_validate_curve` tests every pair of non-adjacent segments of a curve
-with `segments_intersect`.  `set_sweep` builds both sides of every threshold
+with `segments_intersect`.  `pairwise_validate_weak_realization` finds the
+crossings of a drawing with one `curve_pair_points` call per pair of edge
+curves, and `unpruned_pick_scale` takes the exact distance of every pair of
+segments.  `set_sweep` builds both sides of every threshold
 split of an embedding as sets, with each split's cut from a fresh
 `min_vertex_cut`.
 
@@ -34,12 +37,17 @@ from stringsep.geometry import (
     StringRepresentation,
     _meeting,
     _rational,
+    curve_pair_points,
     on_segment,
     orientation,
     segments_intersect,
+    sq_dist_point_segment,
+    sq_dist_points,
+    sq_dist_segments,
 )
 from stringsep.graphs import graph_from_pairs
 from stringsep.lp import LpProblem, _row_matrix
+from stringsep.topology import Violation
 
 
 def edmonds_karp_vertex_cut(g, xs, ys) -> frozenset[int]:
@@ -523,3 +531,132 @@ def scan_random_segment_instance(count: int, seed: int, span: int | None = None)
     return StringRepresentation(
         tuple(PolylineCurve(f"s{i:0{width}d}", (p, q)) for i, (p, q) in enumerate(placed))
     )
+
+
+def pair_intersections(w, i: int, j: int) -> tuple[set, bool]:
+    """Intersection points of edge curves i and j, with overlap flag; shared
+    vertex points of adjacent edges are removed."""
+    e1, e2 = w.atg.graph.edges[i], w.atg.graph.edges[j]
+    try:
+        pts = curve_pair_points(w.edge_curves[i], w.edge_curves[j])
+    except StandardnessError:
+        return set(), True
+    for v in set(e1) & set(e2):
+        vp = w.vertex_points[v]
+        pts.discard((Fraction(vp[0]), Fraction(vp[1])))
+    return pts, False
+
+
+def pairwise_validate_weak_realization(w, include_warnings: bool = False) -> list:
+    """validate_weak_realization with pair_intersections on every pair of edges."""
+    g = w.atg.graph
+    out = []
+    for c in w.edge_curves:
+        c.validate()
+    if len(set(w.vertex_points)) != g.n:
+        out.append(Violation("overlap", "two vertices share a point"))
+    for i, c in enumerate(w.edge_curves):
+        e = g.edges[i]
+        for v in g.vertices():
+            if v in e:
+                continue
+            vp = w.vertex_points[v]
+            if any(on_segment(p, q, vp) for p, q in c.segments):
+                out.append(
+                    Violation(
+                        "edge_through_vertex",
+                        f"edge {e} passes through vertex {v} at {vp}",
+                        edges=(e,),
+                        point=(Fraction(vp[0]), Fraction(vp[1])),
+                    )
+                )
+    point_users = {}
+    for i in range(g.m):
+        for j in range(i + 1, g.m):
+            e1, e2 = g.edges[i], g.edges[j]
+            pts, overlap = pair_intersections(w, i, j)
+            if overlap:
+                out.append(
+                    Violation("overlap", f"edges {e1} and {e2} share a sub-segment", edges=(e1, e2))
+                )
+                continue
+            if not pts:
+                continue
+            for pt in pts:
+                point_users.setdefault(pt, set()).update((e1, e2))
+            if set(e1) & set(e2):
+                if include_warnings:
+                    out.append(
+                        Violation(
+                            "adjacent_crossing",
+                            f"adjacent edges {e1} and {e2} intersect off their shared vertex",
+                            edges=(e1, e2),
+                            point=min(pts),
+                            severity="warning",
+                        )
+                    )
+            elif not w.atg.permits(e1, e2):
+                out.append(
+                    Violation(
+                        "forbidden_crossing",
+                        f"independent edges {e1} and {e2} cross at "
+                        f"({min(pts)[0]}, {min(pts)[1]}) but are not allowed to",
+                        edges=(e1, e2),
+                        point=min(pts),
+                    )
+                )
+    vertex_pts = {(Fraction(x), Fraction(y)) for x, y in w.vertex_points}
+    for pt, users in sorted(point_users.items()):
+        if len(users) >= 3 and pt not in vertex_pts:
+            out.append(
+                Violation(
+                    "triple_point",
+                    f"{len(users)} edges pass through ({pt[0]}, {pt[1]})",
+                    edges=tuple(sorted(users)),
+                    point=pt,
+                )
+            )
+    return out
+
+
+def unpruned_pick_scale(w) -> int:
+    """topology._pick_scale with the exact distance of every pair of segments."""
+    g = w.atg.graph
+    d2 = None
+
+    def keep(val):
+        nonlocal d2
+        if val > 0 and (d2 is None or val < d2):
+            d2 = val
+
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            keep(sq_dist_points(w.vertex_points[x], w.vertex_points[y]))
+    for x in g.vertices():
+        p = w.vertex_points[x]
+        for e, c in zip(g.edges, w.edge_curves):
+            if x in e:
+                continue
+            for s0, s1 in c.segments:
+                keep(sq_dist_point_segment(p, s0, s1))
+    for c in w.edge_curves:
+        keep(sq_dist_points(c.points[0], c.points[1]))
+        keep(sq_dist_points(c.points[-1], c.points[-2]))
+    all_segs = [
+        (ci, si, seg) for ci, c in enumerate(w.edge_curves) for si, seg in enumerate(c.segments)
+    ]
+    for i in range(len(all_segs)):
+        ci, si, (p, q) = all_segs[i]
+        for j in range(i + 1, len(all_segs)):
+            cj, sj, (r, s) = all_segs[j]
+            if ci == cj and abs(si - sj) <= 1:
+                continue
+            if {p, q} & {r, s}:
+                continue
+            keep(sq_dist_segments(p, q, r, s))
+    if d2 is None:
+        d2 = Fraction(1)
+    scale = 1
+    while scale * scale * d2 < 64 * 64:
+        scale *= 2
+    return scale

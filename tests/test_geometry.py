@@ -13,8 +13,9 @@ from stringsep.geometry import (
     SegmentRelation,
     StringRepresentation,
     _coords,
+    _meeting_groups,
     _meets,
-    _pair_keys,
+    _point_keys,
     curve_pair_points,
     intersection_graph,
     parse_strings_file,
@@ -235,13 +236,19 @@ def test_intersection_graph_matches_fraction_oracle_examples(point_lists):
 )
 def test_point_keys_are_the_exact_fraction_points(a, b):
     c1, c2 = PolylineCurve("a", tuple(a)), PolylineCurve("b", tuple(b))
+
+    def pair_keys():
+        return [k for _, _, pairs in _meeting_groups((c1, c2)) for k in _point_keys(c1, c2, pairs)]
+
     try:
         want = fraction_curve_pair_points(c1, c2)
     except StandardnessError as exc:
         with pytest.raises(StandardnessError, match=re.escape(str(exc))):
-            _pair_keys(c1, c2)
+            pair_keys()
+        with pytest.raises(StandardnessError, match=re.escape(str(exc))):
+            curve_pair_points(c1, c2)
         return
-    keys = _pair_keys(c1, c2)
+    keys = pair_keys()
     for x, y, den in keys:
         assert den > 0 and gcd(x, y, den) == 1
     assert {(Fraction(x, den), Fraction(y, den)) for x, y, den in keys} == want

@@ -1,6 +1,6 @@
 import pytest
 
-from stringsep import topology
+from stringsep import geometry, topology
 from stringsep.errors import ContractViolation, StandardnessError
 from stringsep.geometry import (
     PolylineCurve,
@@ -20,7 +20,12 @@ from stringsep.topology import (
     write_realization_file,
 )
 
-from .oracles import segment_shared_point
+from .oracles import (
+    pair_intersections,
+    pairwise_validate_weak_realization,
+    segment_shared_point,
+    unpruned_pick_scale,
+)
 
 
 def crossing_pair(allowed: bool) -> WeakRealization:
@@ -34,19 +39,56 @@ def crossing_pair(allowed: bool) -> WeakRealization:
     )
 
 
-def test_overlapping_edges_reported_as_overlap():
+def overlapping_pair() -> WeakRealization:
     w = crossing_pair(allowed=True)
     # e1 runs along e0 from x = 5 to x = 8
     bent = PolylineCurve("e1", ((5, -5), (5, 0), (8, 0), (8, 5)))
-    w = WeakRealization(w.atg, ((0, 0), (10, 0), (5, -5), (8, 5)), (w.edge_curves[0], bent))
-    assert [v.kind for v in validate_weak_realization(w)] == ["overlap"]
+    return WeakRealization(w.atg, ((0, 0), (10, 0), (5, -5), (8, 5)), (w.edge_curves[0], bent))
+
+
+def edge_through_vertex() -> WeakRealization:
+    g = graph_from_pairs(3, [(0, 1)])
+    atg = AbstractTopologicalGraph(g, frozenset())
+    return WeakRealization(
+        atg,
+        ((0, 0), (10, 0), (5, 0)),
+        (PolylineCurve("e0", ((0, 0), (10, 0))),),
+    )
+
+
+def adjacent_crossing() -> WeakRealization:
+    g = graph_from_pairs(3, [(0, 1), (0, 2)])
+    atg = AbstractTopologicalGraph(g, frozenset())
+    return WeakRealization(
+        atg,
+        ((0, 0), (10, 0), (10, 4)),
+        (
+            PolylineCurve("e0", ((0, 0), (10, 0))),
+            PolylineCurve("e1", ((0, 0), (4, -2), (8, 2), (10, 4))),
+        ),
+    )
+
+
+def triple_point() -> WeakRealization:
+    # three straight edges through (5, 0), every pair allowed
+    g = graph_from_pairs(6, [(0, 1), (2, 3), (4, 5)])
+    atg = AbstractTopologicalGraph(
+        g, frozenset(frozenset(p) for p in [((0, 1), (2, 3)), ((0, 1), (4, 5)), ((2, 3), (4, 5))])
+    )
+    pts = ((0, 0), (10, 0), (5, -5), (5, 5), (0, -5), (10, 5))
+    curves = tuple(PolylineCurve(f"e{i}", (pts[u], pts[v])) for i, (u, v) in enumerate(g.edges))
+    return WeakRealization(atg, pts, curves)
+
+
+def test_overlapping_edges_reported_as_overlap():
+    assert [v.kind for v in validate_weak_realization(overlapping_pair())] == ["overlap"]
 
 
 def test_unrelated_intersection_error_propagates(monkeypatch):
-    def broken(c1, c2):
+    def broken(p, q, r, s):
         raise ZeroDivisionError("not an overlap")
 
-    monkeypatch.setattr(topology, "curve_pair_points", broken)
+    monkeypatch.setattr(geometry, "_meeting", broken)
     with pytest.raises(ZeroDivisionError):
         validate_weak_realization(crossing_pair(allowed=True))
 
@@ -63,28 +105,17 @@ def test_forbidden_crossing_reported():
 
 
 def test_edge_through_vertex():
-    g = graph_from_pairs(3, [(0, 1)])
-    atg = AbstractTopologicalGraph(g, frozenset())
-    w = WeakRealization(
-        atg,
-        ((0, 0), (10, 0), (5, 0)),
-        (PolylineCurve("e0", ((0, 0), (10, 0))),),
-    )
-    issues = validate_weak_realization(w)
+    issues = validate_weak_realization(edge_through_vertex())
     assert [v.kind for v in issues] == ["edge_through_vertex"]
 
 
+def test_triple_point():
+    issues = validate_weak_realization(triple_point())
+    assert [v.kind for v in issues] == ["triple_point"] and issues[0].point == (5, 0)
+
+
 def test_adjacent_crossing_is_warning():
-    g = graph_from_pairs(3, [(0, 1), (0, 2)])
-    atg = AbstractTopologicalGraph(g, frozenset())
-    w = WeakRealization(
-        atg,
-        ((0, 0), (10, 0), (10, 4)),
-        (
-            PolylineCurve("e0", ((0, 0), (10, 0))),
-            PolylineCurve("e1", ((0, 0), (4, -2), (8, 2), (10, 4))),
-        ),
-    )
+    w = adjacent_crossing()
     assert validate_weak_realization(w) == []
     warned = validate_weak_realization(w, include_warnings=True)
     assert [v.kind for v in warned] == ["adjacent_crossing"]
@@ -247,3 +278,70 @@ def test_realization_file_round_trip():
     assert [c.points for c in back.edge_curves] == [
         c.points for c in fam.realization.edge_curves
     ]
+
+
+DRAWINGS = {
+    "overlap": overlapping_pair,
+    "adjacent-crossing": adjacent_crossing,
+    "forbidden-crossing": lambda: crossing_pair(allowed=False),
+    "allowed-crossing": lambda: crossing_pair(allowed=True),
+    "edge-through-vertex": edge_through_vertex,
+    "triple-point": triple_point,
+    **{f"expo-{k}": (lambda k=k: expo_family(k).realization) for k in range(1, 9)},
+}
+
+
+@pytest.mark.parametrize("include_warnings", [False, True])
+@pytest.mark.parametrize("name", DRAWINGS)
+def test_validate_matches_pairwise_oracle(name, include_warnings):
+    w = DRAWINGS[name]()
+    want = pairwise_validate_weak_realization(w, include_warnings)
+    assert validate_weak_realization(w, include_warnings) == want
+
+
+@pytest.mark.parametrize("name", DRAWINGS)
+def test_crossings_match_pair_intersections(name):
+    w = DRAWINGS[name]()
+    edges = w.atg.graph.edges
+    want = {}
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            pts, overlap = pair_intersections(w, i, j)
+            if overlap or pts:
+                want[(i, j)] = None if overlap else pts
+            if not overlap:
+                assert crossing_count(w, edges[j], edges[i]) == len(pts)
+    assert w.crossings == want
+    assert list(w.crossings) == sorted(want)
+
+
+def test_crossing_count_of_an_edge_with_itself_is_undefined():
+    w = crossing_pair(allowed=True)
+    with pytest.raises(ContractViolation):
+        crossing_count(w, (0, 1), (0, 1))
+
+
+def test_weak_to_strings_makes_one_segment_pair_pass(monkeypatch):
+    calls = []
+    real = geometry._segment_pairs
+
+    def spy(segs, curve_of):
+        calls.append(len(segs))
+        return real(segs, curve_of)
+
+    monkeypatch.setattr(geometry, "_segment_pairs", spy)
+    w = expo_family(4).realization
+    weak_to_strings(w)
+    assert calls == [sum(len(c.segments) for c in w.edge_curves)]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_pick_scale_matches_unpruned_oracle(k):
+    w = expo_family(k).realization
+    assert topology._pick_scale(w) == unpruned_pick_scale(w)
+
+
+@pytest.mark.parametrize("name", ["adjacent-crossing", "allowed-crossing", "triple-point"])
+def test_pick_scale_matches_unpruned_oracle_on_fixtures(name):
+    w = DRAWINGS[name]()
+    assert topology._pick_scale(w) == unpruned_pick_scale(w)
