@@ -50,7 +50,6 @@ class FlowSolution:
     commodities: dict[Pair, dict[Arc, float]]
     # duals of the load rows: the dual-optimal weights for the metric side
     load_duals: dict = field(default_factory=dict)
-    iterations: int = 0
 
     def is_finite(self) -> bool:
         return math.isfinite(self.congestion)
@@ -226,7 +225,7 @@ def _solve(g: Graph, mode: str, allow_large: bool) -> FlowSolution:
         duals = {e: max(0.0, -float(d)) for e, d in zip(g.edges, load_dual_vals)}
     else:
         duals = {x: max(0.0, -float(d)) for x, d in zip(g.vertices(), load_dual_vals)}
-    return FlowSolution(mode, float(sol.value), commodities, duals, sol.iterations)
+    return FlowSolution(mode, float(sol.value), commodities, duals)
 
 
 def edge_congestion(g: Graph, allow_large: bool = False) -> FlowSolution:

@@ -142,7 +142,9 @@ def _meets(P, Q, R, S) -> np.ndarray:
 
     The arguments are integer arrays of shape (k, 2), or (2,) for one
     segment against many.  Exact for non-degenerate segments: the boxes
-    meet, o(p,q,r) o(p,q,s) <= 0 and o(r,s,p) o(r,s,q) <= 0.  Computed in
+    meet, o(p,q,r) o(p,q,s) <= 0 and o(r,s,p) o(r,s,q) <= 0.  Also exact
+    for a one-point segment r = s: both o(r,s,.) are 0, which leaves the box
+    test and o(p,q,r)^2 <= 0, that is on_segment(p, q, r).  Computed in
     int64 when every |coordinate| is below 2^30, else on Python ints.
     """
     args = [a if isinstance(a, np.ndarray) else _coords(a) for a in (P, Q, R, S)]
@@ -194,8 +196,9 @@ def sq_dist_point_segment(x, p, q) -> Fraction:
 
 
 def sq_dist_segments(p, q, r, s) -> Fraction:
-    """Exact squared distance between closed segments (0 when they meet)."""
-    if segments_intersect(p, q, r, s) is not SegmentRelation.DISJOINT:
+    """Exact squared distance between closed segments (0 when they meet);
+    either may be a single point p = q or r = s."""
+    if p != q and r != s and segments_intersect(p, q, r, s) is not SegmentRelation.DISJOINT:
         return Fraction(0)
     return min(
         sq_dist_point_segment(r, p, q),
@@ -222,34 +225,30 @@ class PolylineCurve:
 
     def validate(self) -> None:
         """Raise ContractViolation for the first fault met: too few points, a
-        repeated point, an adjacent pair that doubles back, or segments
-        i < j - 1 that share a point.  Segment i is screened against all of
-        i+2.. by one _meets call, so memory stays O(L)."""
+        repeated point, then in order of i, segments i, i+1 that double back
+        or segments i < j - 1 that share a point.  The segments that meet come
+        from one _segment_pairs call, each segment its own group."""
         if len(self.points) < 2:
             raise ContractViolation(f"curve {self.id}: needs at least 2 points")
         for a, b in self.segments:
             if a == b:
                 raise ContractViolation(f"curve {self.id}: repeated consecutive point {a}")
-        segs = self.segments
-        last = len(segs) - 1
-        pts = _coords(self.points)
-        for i, (p, q) in enumerate(segs):
-            # adjacent segment: only the shared corner, no doubling back
-            if i < last:
-                r, s = segs[i + 1]
-                if orientation(p, q, s) == 0:
-                    dot = (p[0] - q[0]) * (s[0] - q[0]) + (p[1] - q[1]) * (s[1] - q[1])
-                    if dot > 0:
-                        raise ContractViolation(
-                            f"curve {self.id}: segments {i},{i + 1} double back at {q}"
-                        )
-            if i + 2 <= last:
-                hit = np.flatnonzero(_meets(pts[i], pts[i + 1], pts[i + 2 : -1], pts[i + 3 :]))
-                if hit.size:
-                    j = i + 2 + int(hit[0])
+        segs, n = self.segments, len(self.segments)
+        # the least i * n + j over the segments i < j - 1 that meet, else n * n
+        least = n * n
+        for a, b in _segment_pairs(segs, np.arange(n)) if n > 2 else ():
+            least = min(least, int((a * n + b)[b - a > 1].min(initial=least)))
+        i0, j0 = divmod(least, n)
+        for i, ((p, q), (_, s)) in enumerate(zip(segs[: i0 + 1], segs[1:])):
+            # adjacent segments: only the shared corner, no doubling back
+            if orientation(p, q, s) == 0:
+                dot = (p[0] - q[0]) * (s[0] - q[0]) + (p[1] - q[1]) * (s[1] - q[1])
+                if dot > 0:
                     raise ContractViolation(
-                        f"curve {self.id}: non-adjacent segments {i},{j} intersect"
+                        f"curve {self.id}: segments {i},{i + 1} double back at {q}"
                     )
+        if i0 < n:
+            raise ContractViolation(f"curve {self.id}: non-adjacent segments {i0},{j0} intersect")
 
 
 def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set[RatPoint]:
@@ -260,18 +259,22 @@ def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set[RatPoint]:
     """
     return {
         _rational(key)
-        for _, _, seg_pairs in _meeting_groups((c1, c2))
+        for _, _, seg_pairs in _meeting_groups((c1.segments, c2.segments))
         for key in _point_keys(c1, c2, seg_pairs)
     }
 
 
-def _meeting_groups(curves):
-    """Yield (i, j, the segment pairs ((p, q), (r, s)) of curves[i] x curves[j]
-    that meet) for each pair i < j of meeting curves, in lexicographic order,
-    all from one _segment_pairs call."""
-    segs = [seg for c in curves for seg in c.segments]
-    curve_of = np.repeat(np.arange(len(curves)), [len(c.segments) for c in curves])
-    a, b = _segment_pairs(segs, curve_of)
+def _meeting_groups(groups):
+    """Yield (i, j, the segment pairs ((p, q), (r, s)) of groups[i] x groups[j]
+    that meet) for each pair i < j of meeting groups of segments, in
+    lexicographic order, all from one _segment_pairs call; a group may hold
+    a one-point segment (p, p)."""
+    segs = [seg for group in groups for seg in group]
+    curve_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    found = [(np.zeros(0, dtype=np.int64),) * 2, *_segment_pairs(segs, curve_of)]
+    a, b = (np.concatenate(column) for column in zip(*found))
+    by = np.lexsort((b, a, curve_of[b], curve_of[a]))
+    a, b = a[by], b[by]
     rows = zip(curve_of[a].tolist(), curve_of[b].tolist(), a.tolist(), b.tolist())
     for (i, j), group in groupby(rows, key=itemgetter(0, 1)):
         yield i, j, ((segs[x], segs[y]) for _, _, x, y in group)
@@ -292,16 +295,17 @@ def _point_keys(c1: PolylineCurve, c2: PolylineCurve, seg_pairs) -> dict[PointKe
     return keys
 
 
-def _segment_pairs(segs, curve_of) -> tuple[np.ndarray, np.ndarray]:
-    """The segment pairs (a, b) of distinct curves that share a point, as two
-    index arrays, a of the lower curve and sorted by (curve_of[a],
-    curve_of[b], a, b).  Segments must be listed curve by curve.
+def _segment_pairs(segs, curve_of):
+    """Yield, a chunk at a time, the segment pairs (a, b), a < b, of distinct
+    curves that share a point, as two index arrays.  Segments must be listed
+    curve by curve, so a is of the lower curve.
 
     Candidates come from a sweep over the closed segment boxes sorted by
     left edge: each box meets in x the boxes that start before it ends.
     They are expanded at most _PAIR_CHUNK at a time (or one box's worth),
     pairs of one curve and pairs whose y-ranges miss are dropped, and the
-    rest go through the exact screen _meets.
+    rest go through the exact screen _meets, so the memory a chunk takes
+    does not grow with the pairs found before it.
     """
     ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
     x0, x1 = np.minimum(ends[:, 0], ends[:, 2]), np.maximum(ends[:, 0], ends[:, 2])
@@ -311,7 +315,6 @@ def _segment_pairs(segs, curve_of) -> tuple[np.ndarray, np.ndarray]:
     # position k meets positions k+1 .. stop[k]-1 in x
     width = np.searchsorted(x0[order], x1[order], side="right") - np.arange(1, n + 1)
     total = np.cumsum(width)
-    found_a, found_b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     lo = 0
     while lo < n:
         done = int(total[lo - 1]) if lo else 0
@@ -323,13 +326,8 @@ def _segment_pairs(segs, curve_of) -> tuple[np.ndarray, np.ndarray]:
         keep = (curve_of[a] != curve_of[b]) & (y0[a] <= y1[b]) & (y0[b] <= y1[a])
         a, b = a[keep], b[keep]
         hit = _meets(ends[a, :2], ends[a, 2:], ends[b, :2], ends[b, 2:])
-        found_a.append(a[hit])
-        found_b.append(b[hit])
+        yield np.minimum(a[hit], b[hit]), np.maximum(a[hit], b[hit])
         lo = hi
-    a, b = np.concatenate(found_a), np.concatenate(found_b)
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    by = np.lexsort((b, a, curve_of[b], curve_of[a]))
-    return a[by], b[by]
 
 
 @dataclass(frozen=True)
@@ -364,7 +362,7 @@ def validate_standardness(rep: StringRepresentation) -> dict[tuple[int, int], in
         c.validate()
     owner: dict[PointKey, tuple[int, int]] = {}
     counts: dict[tuple[int, int], int] = {}
-    for i, j, seg_pairs in _meeting_groups(curves):
+    for i, j, seg_pairs in _meeting_groups([c.segments for c in curves]):
         keys = _point_keys(curves[i], curves[j], seg_pairs)
         if not owner.keys().isdisjoint(keys):
             _raise_triple_point(curves, owner, i, j, keys)

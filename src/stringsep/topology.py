@@ -23,8 +23,6 @@ from .geometry import (
     _meeting_groups,
     _point_keys,
     _rational,
-    on_segment,
-    sq_dist_point_segment,
     sq_dist_points,
     sq_dist_segments,
 )
@@ -85,13 +83,23 @@ class WeakRealization:
         return self.edge_curves[self.edge_index[e]]
 
     @cached_property
+    def _meeting_pairs(self) -> list[tuple[int, int, list]]:
+        """(i, j, the segment pairs that meet) for each meeting pair of groups
+        i < j, in lexicographic order, from one pass: group i < m is edge
+        curve i and group m + v the point of vertex v as a one-point segment."""
+        groups = [c.segments for c in self.edge_curves] + [((p, p),) for p in self.vertex_points]
+        return [(i, j, list(seg_pairs)) for i, j, seg_pairs in _meeting_groups(groups)]
+
+    @cached_property
     def crossings(self) -> dict[tuple[int, int], frozenset[RatPoint] | None]:
         """The points where edge curves i < j meet off their shared vertices,
         for each pair that does, in lexicographic order; None marks a pair
-        that overlaps on a sub-segment.  One pass over all edge curves."""
+        that overlaps on a sub-segment."""
         edges = self.atg.graph.edges
         out: dict[tuple[int, int], frozenset[RatPoint] | None] = {}
-        for i, j, seg_pairs in _meeting_groups(self.edge_curves):
+        for i, j, seg_pairs in self._meeting_pairs:
+            if j >= len(edges):
+                continue  # a vertex point
             try:
                 keys = _point_keys(self.edge_curves[i], self.edge_curves[j], seg_pairs)
             except StandardnessError:
@@ -130,17 +138,19 @@ def validate_weak_realization(
     if len(set(w.vertex_points)) != g.n:
         out.append(Violation("overlap", "two vertices share a point"))
 
-    for e, c in zip(g.edges, w.edge_curves):
-        for v, vp in enumerate(w.vertex_points):
-            if v not in e and any(on_segment(p, q, vp) for p, q in c.segments):
-                out.append(
-                    Violation(
-                        "edge_through_vertex",
-                        f"edge {e} passes through vertex {v} at {vp}",
-                        edges=(e,),
-                        point=(Fraction(vp[0]), Fraction(vp[1])),
-                    )
-                )
+    for i, j, _ in w._meeting_pairs:
+        if not i < g.m <= j or j - g.m in g.edges[i]:
+            continue  # two edge curves, two vertex points, or an edge at its end
+        e, v = g.edges[i], j - g.m
+        vp = w.vertex_points[v]
+        out.append(
+            Violation(
+                "edge_through_vertex",
+                f"edge {e} passes through vertex {v} at {vp}",
+                edges=(e,),
+                point=(Fraction(vp[0]), Fraction(vp[1])),
+            )
+        )
 
     point_users: dict[RatPoint, set[Edge]] = {}
     for (i, j), pts in w.crossings.items():
@@ -392,47 +402,42 @@ def weak_to_strings(w: WeakRealization) -> tuple[StringRepresentation, Graph]:
 def _pick_scale(w: WeakRealization) -> int:
     """Smallest power of two making every exact clearance at least 64 units.
 
-    A pair whose boxes are already as far apart as the least squared
-    clearance d2 so far cannot lower it and is skipped, so d2 stays exact.
+    Edge segments and vertex points (one-point boxes) are swept by left box
+    edge; a vertex is not measured against its own edges.  A pair whose
+    integer box gap is at least ceil(d2), for the least squared clearance d2
+    so far, cannot lower it and is skipped, so d2 stays exact.
     """
-    g = w.atg.graph
-    d2 = math.inf
+    d2 = bound = math.inf  # bound = ceil(d2)
 
     def keep(val: Fraction):
-        nonlocal d2
+        nonlocal d2, bound
         if 0 < val < d2:
-            d2 = val
+            d2, bound = val, math.ceil(val)
 
-    for p, q in combinations(w.vertex_points, 2):
-        keep(sq_dist_points(p, q))
     for c in w.edge_curves:
         # the first and last segments must span the loop ring so each port
         # direction is read from the segment the curve actually exits on
         keep(sq_dist_points(c.points[0], c.points[1]))
         keep(sq_dist_points(c.points[-1], c.points[-2]))
-    segs = [
-        (ci, si, (p, q), (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])))
-        for ci, c in enumerate(w.edge_curves)
-        for si, (p, q) in enumerate(c.segments)
+    # (box, p, q, vertex or None, the ends of its edge or ()) per item
+    items = [
+        ((min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])), p, q, None, e)
+        for e, c in zip(w.atg.graph.edges, w.edge_curves)
+        for p, q in c.segments
     ]
-    for x in g.vertices():
-        p = w.vertex_points[x]
-        for ci, _, (s0, s1), box in segs:
-            if x not in g.edges[ci] and _box_gap2(box, (p[0], p[0], p[1], p[1])) < d2:
-                keep(sq_dist_point_segment(p, s0, s1))
-    # by left box edge, so the x-gap to the later boxes only grows
-    segs.sort(key=lambda t: t[3][0])
-    for pos, (ci, si, (p, q), box) in enumerate(segs):
-        for cj, sj, (r, s), other in segs[pos + 1 :]:
+    items += [((p[0], p[0], p[1], p[1]), p, p, x, ()) for x, p in enumerate(w.vertex_points)]
+    # by left box edge, so the x-gap to a later box is max(gx, 0) and only grows
+    items.sort(key=lambda t: t[0][0])
+    for pos, (box, p, q, x, e) in enumerate(items):
+        for k in range(pos + 1, len(items)):
+            other, r, s, y, f = items[k]
             gx = other[0] - box[1]
-            if gx > 0 and gx * gx >= d2:
+            if gx > 0 and gx * gx >= bound:
                 break
-            if _box_gap2(box, other) >= d2:
+            gy = max(0, other[2] - box[3], box[2] - other[3])
+            # near a shared endpoint the separation is direction-governed
+            if max(gx, 0) ** 2 + gy * gy >= bound or x in f or y in e or {p, q} & {r, s}:
                 continue
-            if ci == cj and abs(si - sj) <= 1:
-                continue
-            if {p, q} & {r, s}:
-                continue  # shared endpoint: separation near it is direction-governed
             keep(sq_dist_segments(p, q, r, s))
     if d2 == math.inf:
         d2 = Fraction(1)
@@ -440,13 +445,6 @@ def _pick_scale(w: WeakRealization) -> int:
     while scale * scale * d2 < 64 * 64:
         scale *= 2
     return scale
-
-
-def _box_gap2(a, b) -> int:
-    """Squared distance between the boxes (x0, x1, y0, y1) a and b."""
-    gx = max(0, b[0] - a[1], a[0] - b[1])
-    gy = max(0, b[2] - a[3], a[2] - b[3])
-    return gx * gx + gy * gy
 
 
 def _exit_port(center: Point, path: list[Point]) -> tuple[Point, int]:
@@ -546,12 +544,13 @@ def parse_realization_file(text: str) -> WeakRealization:
             raise ParseError(f"vertex id out of range [0, {n})", lineno)
         edges.append((min(u, v), max(u, v)))
     graph = Graph(n, tuple(sorted(edges)))
+    # edge line i is edge rank[i] of the graph
     order = {e: i for i, e in enumerate(graph.edges)}
-    raw_order = edges
+    rank = [order[e] for e in edges]
 
     allowed_pairs: set[EdgePair] = set()
-    points: dict[int, Point] = {}
-    curves: dict[int, PolylineCurve] = {}
+    points: list[Point | None] = [None] * n
+    curves: list[PolylineCurve | None] = [None] * m
     for off, raw in enumerate(lines[1 + m :], start=2 + m):
         if not raw.strip():
             continue
@@ -559,11 +558,13 @@ def parse_realization_file(text: str) -> WeakRealization:
             i, j = _ints(raw.split()[1:], 2, "'allow i j'", off)
             if not (0 <= i < m and 0 <= j < m):
                 raise ParseError("allow index out of range", off)
-            allowed_pairs.add(frozenset((raw_order[i], raw_order[j])))
+            allowed_pairs.add(frozenset((edges[i], edges[j])))
         elif raw.startswith("vertex "):
             v, x, y = _ints(raw.split()[1:], 3, "'vertex v x y'", off)
             if not 0 <= v < n:
                 raise ParseError(f"vertex index out of range [0, {n})", off)
+            if points[v] is not None:
+                raise ParseError(f"second line for vertex {v}", off)
             points[v] = (x, y)
         elif raw.startswith("edge "):
             head, colon, coords = raw.partition(":")
@@ -573,19 +574,17 @@ def parse_realization_file(text: str) -> WeakRealization:
                 raise ParseError("expected 'edge i: x0 y0 x1 y1 ...'", off)
             if not 0 <= i < m:
                 raise ParseError("edge index out of range", off)
-            pts = tuple(zip(vals[::2], vals[1::2]))
-            curves[i] = PolylineCurve(f"e{order[raw_order[i]]}", pts)
+            if curves[rank[i]] is not None:
+                raise ParseError(f"second line for edge {i}", off)
+            curves[rank[i]] = PolylineCurve(f"e{rank[i]}", tuple(zip(vals[::2], vals[1::2])))
         else:
             raise ParseError(f"unrecognized line {raw!r}", off)
-    if set(points) != set(range(n)):
+    if None in points:
         raise ParseError("missing vertex coordinate lines", len(lines))
-    if set(curves) != set(range(m)):
+    if None in curves:
         raise ParseError("missing edge curve lines", len(lines))
     atg = AbstractTopologicalGraph(graph, frozenset(allowed_pairs))
-    ordered_curves = [None] * m
-    for i in range(m):
-        ordered_curves[order[raw_order[i]]] = curves[i]
-    return WeakRealization(atg, tuple(points[v] for v in range(n)), tuple(ordered_curves))
+    return WeakRealization(atg, tuple(points), tuple(curves))
 
 
 def _ints(tokens: list[str], count: int | None, expected: str, lineno: int) -> list[int]:

@@ -111,6 +111,8 @@ def test_contract_error_exit_1(capsys, tmp_path):
         ("weak2str", "1 0\nvertex 0 a 1\n"),
         ("weak2str", "2 1\n0 1\nvertex 0 0 0\nvertex 1 1 0\nedge 3: 0 0 1 0\n"),
         ("weak2str", "99999999999999999999 0\n"),
+        ("weak2str", "2 1\n0 1\nvertex 0 0 0\nvertex 1 1 0\nvertex 0 0 0\nedge 0: 0 0 1 0\n"),
+        ("weak2str", "2 1\n0 1\nvertex 0 0 0\nvertex 1 1 0\nedge 0: 0 0 1 0\nedge 0: 0 0 1 0\n"),
         ("separator", "99999999999999999999 0\n"),
         ("separator", "9999999999 0\n"),
         ("build-ig", "a 0 0 1 1\n"),
@@ -124,7 +126,8 @@ def test_contract_error_exit_1(capsys, tmp_path):
         ("conflicts", "3 1\n0 x\n"),
         ("report", "3 1\n0 1 2\n"),
     ],
-    ids=["bad-int", "edge-index", "realization-huge-n", "graph-n-overflow", "graph-n-memory",
+    ids=["bad-int", "edge-index", "realization-huge-n", "second-vertex-line", "second-edge-line",
+         "graph-n-overflow", "graph-n-memory",
          "strings-no-colon", "strings-odd-count", "strings-not-int",
          "econg-self-loop", "vcong-out-of-range", "sparsity-duplicate-edge",
          "embed-missing-edge", "sweep-extra-edge", "conflicts-not-int", "report-three-fields"],

@@ -1,9 +1,10 @@
 """The `expo --k k` realization and `weak2str` strings, files and stdout,
-pinned by their SHA-256 digests for k = 1..8.
+pinned by their SHA-256 digests for k = 1..10.
 
-The digests were taken before `topology` moved to one pass over the edge
-curve pairs and `_pick_scale` to a pruned clearance search; both changes
-must leave every byte as it was.
+The digests for k = 1..8 were taken before `topology` moved to one pass
+over the edge curve pairs and `_pick_scale` to a pruned clearance search,
+those for k = 9 and 10 before the vertex points joined that pass and that
+search; every such change must leave every byte as it was.
 """
 
 import hashlib
@@ -61,6 +62,18 @@ DIGESTS = {
         "3190dfd3cd45d57ca1025bc81b4707c683aed333cdeb6b08d7c4ea4cef0806bd",
         "3e90bad6075ab4b5eb5b5cba6999dc6fe4fbb89a922d163871e81a5a8d95ac49",
         "9cfddbbf9d36d0e3b9c73e418a38d32df4ee6467c71750a2196eb6ac546d3669",
+    ),
+    9: (
+        "f4e45fe6829e13427e52195772077ed61c91f4b1e66e39cc836f845d799513e3",
+        "43fe953e6c58cb95bec7606966b63db4db318f5b03ccb45a13ae463c38a7ac14",
+        "33f04c1dac0d245ea9e308b82702a525d67ebb58adb09b96e2aaf0fcc5de0b07",
+        "a6ca13798d4a378c71bea19ea1c41d5325f2dbb23eca9ff7ca860743c5ee2a11",
+    ),
+    10: (
+        "38aeb301b6e18c9758e174915ac4dfa5573bc3b6eeb7b38967fd2c72f5065961",
+        "b193284e3709caa0d9babb4c516cee212575b62f5a80f4ece165b28b0c2020b5",
+        "ca9dc0fa4576270cba6cd7d4b051b72ccaf195b86abdf925973ef7a26006d23a",
+        "5a7f5784a3385c03d764c936fe2d4221c9cf49d388efdca6df7577ef03069fc6",
     ),
 }
 

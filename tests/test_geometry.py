@@ -1,4 +1,6 @@
+import math
 import re
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -18,6 +20,7 @@ from stringsep.geometry import (
     _point_keys,
     curve_pair_points,
     intersection_graph,
+    on_segment,
     parse_strings_file,
     random_segment_instance,
     segments_intersect,
@@ -81,6 +84,11 @@ def test_sq_dist_segments():
     assert sq_dist_segments((0, 0), (1, 0), (3, 0), (4, 0)) == 4
     assert sq_dist_segments((0, 0), (1, 0), (0, 1), (1, 1)) == 1
     assert sq_dist_segments((0, 0), (2, 2), (0, 2), (2, 0)) == 0
+    # a single point on either side, or on both
+    assert sq_dist_segments((1, 0), (1, 0), (0, 0), (2, 0)) == 0
+    assert sq_dist_segments((0, 0), (2, 0), (1, 3), (1, 3)) == 9
+    assert sq_dist_segments((50, 1), (50, 1), (0, 0), (100, 1)) == Fraction(2500, 10001)
+    assert sq_dist_segments((0, 0), (0, 0), (3, 4), (3, 4)) == 25
 
 
 def test_curve_simplicity():
@@ -238,7 +246,8 @@ def test_point_keys_are_the_exact_fraction_points(a, b):
     c1, c2 = PolylineCurve("a", tuple(a)), PolylineCurve("b", tuple(b))
 
     def pair_keys():
-        return [k for _, _, pairs in _meeting_groups((c1, c2)) for k in _point_keys(c1, c2, pairs)]
+        groups = _meeting_groups((c1.segments, c2.segments))
+        return [k for _, _, pairs in groups for k in _point_keys(c1, c2, pairs)]
 
     try:
         want = fraction_curve_pair_points(c1, c2)
@@ -280,6 +289,20 @@ def test_meets_matches_segments_intersect(base, step, quads):
     p, q = quads[0][:2]
     want = [segments_intersect(p, q, *other[2:]) is not SegmentRelation.DISJOINT for other in quads]
     assert _meets(p, q, R, S).tolist() == want
+
+
+@pytest.mark.parametrize("base,step", SCREEN_FRAMES)
+@settings(max_examples=150)
+@given(st.lists(st.tuples(grid6, grid6, grid6), min_size=1, max_size=20))
+def test_meets_one_point_segment_is_on_segment(base, step, triples):
+    # a vertex point v as the segment (v, v), on either side of the screen
+    triples = [t for t in triples if t[0] != t[1]]
+    assume(triples)
+    triples = [[(base + step * x, base + step * y) for x, y in t] for t in triples]
+    want = [on_segment(p, q, v) for p, q, v in triples]
+    P, Q, V = (_coords([t[i] for t in triples]) for i in range(3))
+    assert _meets(P, Q, V, V).tolist() == want
+    assert _meets(V, V, P, Q).tolist() == want
 
 
 @pytest.mark.parametrize("seed", [0, 1, 1001])
@@ -368,6 +391,40 @@ def test_curve_validate_matches_scan_oracle_examples(pts):
     curve = PolylineCurve("c", tuple(pts))
     got = _validate_outcome(PolylineCurve.validate, curve)
     assert got == _validate_outcome(scan_validate_curve, curve)
+
+
+@SELF_CROSSING_EXAMPLES
+def test_curve_validate_chunks_of_one_box(monkeypatch, pts):
+    # the least crossing pair is kept across the sweep's chunks
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 1)
+    curve = PolylineCurve("c", tuple(pts))
+    got = _validate_outcome(PolylineCurve.validate, curve)
+    assert got == _validate_outcome(scan_validate_curve, curve)
+
+
+def _star(n):
+    # n points of a circle, each chord skipping n // 2 of them, so nearly
+    # every two non-adjacent segments cross
+    angles = [2 * math.pi * i / n for i in range(n)]
+    ring = [(round(1000 * math.cos(t)), round(1000 * math.sin(t))) for t in angles]
+    return PolylineCurve("star", tuple(ring[(j * (n // 2)) % n] for j in range(n)))
+
+
+def test_curve_validate_memory_does_not_grow_with_crossings(monkeypatch):
+    # about 45,000 and 500,000 crossing pairs: validate keeps one chunk's
+    # worth at a time, not every pair found
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 1 << 12)
+    peaks = []
+    for n in (301, 1001):
+        curve = _star(n)
+        tracemalloc.start()
+        try:
+            got = _validate_outcome(PolylineCurve.validate, curve)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert got == _validate_outcome(scan_validate_curve, curve)
+    assert peaks[1] - peaks[0] < 256 * 1024
 
 
 def test_curve_validate_far_out_serpentine():

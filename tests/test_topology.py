@@ -56,6 +56,78 @@ def edge_through_vertex() -> WeakRealization:
     )
 
 
+def two_vertices_on_an_edge() -> WeakRealization:
+    g = graph_from_pairs(4, [(0, 1)])
+    atg = AbstractTopologicalGraph(g, frozenset())
+    return WeakRealization(
+        atg,
+        ((0, 0), (10, 0), (7, 0), (3, 0)),
+        (PolylineCurve("e0", ((0, 0), (10, 0))),),
+    )
+
+
+def vertex_at_a_corner() -> WeakRealization:
+    # vertex 2 sits where segments 0 and 1 of the one edge meet
+    g = graph_from_pairs(3, [(0, 1)])
+    atg = AbstractTopologicalGraph(g, frozenset())
+    return WeakRealization(
+        atg,
+        ((0, 0), (5, 5), (5, 0)),
+        (PolylineCurve("e0", ((0, 0), (5, 0), (5, 5))),),
+    )
+
+
+def vertex_on_two_edges() -> WeakRealization:
+    # vertex 6 lies where edges 0 and 2 cross; edge 1 passes by
+    g = graph_from_pairs(7, [(0, 1), (2, 3), (4, 5)])
+    atg = AbstractTopologicalGraph(g, frozenset({frozenset({(0, 1), (4, 5)})}))
+    pts = ((0, 0), (10, 0), (20, -5), (20, 5), (5, -5), (5, 5), (5, 0))
+    curves = tuple(PolylineCurve(f"e{i}", (pts[u], pts[v])) for i, (u, v) in enumerate(g.edges))
+    return WeakRealization(atg, pts, curves)
+
+
+def isolated_vertex_near_an_edge() -> WeakRealization:
+    # the least clearance is vertex 2 to the edge: 2 units
+    g = graph_from_pairs(3, [(0, 1)])
+    atg = AbstractTopologicalGraph(g, frozenset())
+    return WeakRealization(
+        atg, ((0, 0), (1000, 0), (500, 2)), (PolylineCurve("e0", ((0, 0), (1000, 0))),)
+    )
+
+
+def close_isolated_vertices() -> WeakRealization:
+    # the least clearance is vertex 2 to vertex 3: 1 unit
+    g = graph_from_pairs(4, [(0, 1)])
+    atg = AbstractTopologicalGraph(g, frozenset())
+    return WeakRealization(
+        atg,
+        ((0, 0), (1000, 0), (500, 500), (501, 500)),
+        (PolylineCurve("e0", ((0, 0), (1000, 0))),),
+    )
+
+
+def vertices_near_a_slanted_edge() -> WeakRealization:
+    # the sweep meets vertex 3 (squared clearance 6400/10001) before vertex 2
+    # (2500/10001), whose box touches the edge's box
+    g = graph_from_pairs(4, [(0, 1)])
+    atg = AbstractTopologicalGraph(g, frozenset())
+    return WeakRealization(
+        atg, ((0, 0), (100, 1), (50, 1), (20, 1)), (PolylineCurve("e0", ((0, 0), (100, 1))),)
+    )
+
+
+def edge_returning_to_its_vertex() -> WeakRealization:
+    # segment 1 of the edge passes within one unit of its own vertex 0, which
+    # the clearance search does not count; the least clearance is 26
+    g = graph_from_pairs(2, [(0, 1)])
+    atg = AbstractTopologicalGraph(g, frozenset())
+    return WeakRealization(
+        atg,
+        ((0, 0), (50, -5)),
+        (PolylineCurve("e0", ((0, 0), (0, 100), (1, -5), (50, -5))),),
+    )
+
+
 def adjacent_crossing() -> WeakRealization:
     g = graph_from_pairs(3, [(0, 1), (0, 2)])
     atg = AbstractTopologicalGraph(g, frozenset())
@@ -107,6 +179,22 @@ def test_forbidden_crossing_reported():
 def test_edge_through_vertex():
     issues = validate_weak_realization(edge_through_vertex())
     assert [v.kind for v in issues] == ["edge_through_vertex"]
+
+
+def test_edge_through_vertex_one_violation_per_edge_and_vertex():
+    got = [(v.kind, v.edges, v.point) for v in validate_weak_realization(two_vertices_on_an_edge())]
+    assert got == [
+        ("edge_through_vertex", ((0, 1),), (7, 0)),
+        ("edge_through_vertex", ((0, 1),), (3, 0)),
+    ]
+    # the corner lies on two segments of the edge, but is one violation
+    got = [(v.kind, v.edges, v.point) for v in validate_weak_realization(vertex_at_a_corner())]
+    assert got == [("edge_through_vertex", ((0, 1),), (5, 0))]
+    got = [(v.kind, v.edges, v.point) for v in validate_weak_realization(vertex_on_two_edges())]
+    assert got == [
+        ("edge_through_vertex", ((0, 1),), (5, 0)),
+        ("edge_through_vertex", ((4, 5),), (5, 0)),
+    ]
 
 
 def test_triple_point():
@@ -266,6 +354,13 @@ def test_realization_file_errors_name_lines():
     with pytest.raises(ParseError):
         # missing the edge curve line
         parse_realization_file("2 1\n0 1\nvertex 0 0 0\nvertex 1 5 0\n")
+    # every vertex and every edge has one line; a second one is refused
+    with pytest.raises(ParseError, match="^line 5: second line for vertex 1$"):
+        parse_realization_file("2 1\n0 1\nvertex 0 0 0\nvertex 1 5 0\nvertex 1 6 0\n")
+    with pytest.raises(ParseError, match="^line 6: second line for edge 0$"):
+        parse_realization_file(
+            "2 1\n0 1\nvertex 0 0 0\nvertex 1 5 0\nedge 0: 0 0 5 0\nedge 0: 0 0 2 1 5 0\n"
+        )
 
 
 def test_realization_file_round_trip():
@@ -286,6 +381,9 @@ DRAWINGS = {
     "forbidden-crossing": lambda: crossing_pair(allowed=False),
     "allowed-crossing": lambda: crossing_pair(allowed=True),
     "edge-through-vertex": edge_through_vertex,
+    "two-vertices-on-an-edge": two_vertices_on_an_edge,
+    "vertex-at-a-corner": vertex_at_a_corner,
+    "vertex-on-two-edges": vertex_on_two_edges,
     "triple-point": triple_point,
     **{f"expo-{k}": (lambda k=k: expo_family(k).realization) for k in range(1, 9)},
 }
@@ -326,13 +424,23 @@ def test_weak_to_strings_makes_one_segment_pair_pass(monkeypatch):
     real = geometry._segment_pairs
 
     def spy(segs, curve_of):
-        calls.append(len(segs))
+        calls.append((list(segs), curve_of.tolist()))
         return real(segs, curve_of)
 
     monkeypatch.setattr(geometry, "_segment_pairs", spy)
     w = expo_family(4).realization
     weak_to_strings(w)
-    assert calls == [sum(len(c.segments) for c in w.edge_curves)]
+    # validate, per edge curve of three or more segments, each its own group
+    want = [(list(c.segments), list(range(len(c.segments)))) for c in w.edge_curves]
+    want = [call for call in want if len(call[0]) >= 3]
+    # then one pass over all edge segments and the vertex points
+    m = len(w.edge_curves)
+    segs = [seg for c in w.edge_curves for seg in c.segments]
+    groups = [i for i, c in enumerate(w.edge_curves) for _ in c.segments]
+    segs += [(p, p) for p in w.vertex_points]
+    groups += list(range(m, m + len(w.vertex_points)))
+    want.append((segs, groups))
+    assert calls == want
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -345,3 +453,15 @@ def test_pick_scale_matches_unpruned_oracle(k):
 def test_pick_scale_matches_unpruned_oracle_on_fixtures(name):
     w = DRAWINGS[name]()
     assert topology._pick_scale(w) == unpruned_pick_scale(w)
+
+
+@pytest.mark.parametrize(
+    "make,scale",
+    [(isolated_vertex_near_an_edge, 32), (close_isolated_vertices, 64),
+     (edge_returning_to_its_vertex, 16), (vertices_near_a_slanted_edge, 256)],
+    ids=["vertex-to-segment", "vertex-to-vertex", "own-edge-skipped", "below-one-unit"],
+)
+def test_pick_scale_vertex_clearances(make, scale):
+    # the smallest scale with scale^2 * d2 >= 64^2, for d2 = 4, 1, 26 and 2500/10001
+    w = make()
+    assert topology._pick_scale(w) == unpruned_pick_scale(w) == scale
