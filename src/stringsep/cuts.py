@@ -69,11 +69,10 @@ def min_vertex_cut(g: Graph, xs, ys) -> MengerCertificate:
     src, snk = 2 * n, 2 * n + 1
     # in(v) = 2v, out(v) = 2v + 1
     verts = np.arange(n)
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     x_arr, y_arr = np.array(sorted(xs)), np.array(sorted(ys))
-    arc_from = np.concatenate([2 * verts, 2 * ends[:, 0] + 1, 2 * ends[:, 1] + 1,
+    arc_from = np.concatenate([2 * verts, 2 * g.ends[:, 0] + 1, 2 * g.ends[:, 1] + 1,
                                np.full(len(x_arr), src), 2 * y_arr + 1])
-    arc_to = np.concatenate([2 * verts + 1, 2 * ends[:, 1], 2 * ends[:, 0],
+    arc_to = np.concatenate([2 * verts + 1, 2 * g.ends[:, 1], 2 * g.ends[:, 0],
                              2 * x_arr, np.full(len(y_arr), snk)])
     caps = np.full(len(arc_from), big, dtype=np.int32)
     caps[:n] = 1
@@ -155,8 +154,7 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
         raise ContractViolation("metric requires a connected graph")
     # every distance of d_s is a sum of edge weights along a path
     w = derived_edge_weights(g, weights)
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    excess = np.abs(vals[ends[:, 0]] - vals[ends[:, 1]]) - w
+    excess = np.abs(vals[g.ends[:, 0]] - vals[g.ends[:, 1]]) - w
     if excess.size and excess.max() > 1e-9:
         k = int(excess.argmax())
         u, v = g.edges[k]

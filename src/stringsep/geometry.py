@@ -54,15 +54,6 @@ def orientation(p, q, r) -> int:
     return (d > 0) - (d < 0)
 
 
-def _within(a, b, x) -> bool:
-    return min(a, b) <= x <= max(a, b)
-
-
-def on_segment(p, q, r) -> bool:
-    """True iff r lies on the closed segment pq (r collinear and inside the bbox)."""
-    return orientation(p, q, r) == 0 and _within(p[0], q[0], r[0]) and _within(p[1], q[1], r[1])
-
-
 def segments_intersect(p, q, r, s) -> SegmentRelation:
     """Exact classification of how closed segments pq and rs meet.
 
@@ -70,62 +61,49 @@ def segments_intersect(p, q, r, s) -> SegmentRelation:
     shared point, an endpoint of at least one segment.  OVERLAPPING: collinear
     with a common sub-segment of positive length.
     """
+    return _meeting(p, q, r, s)[0]
+
+
+def _meeting(p, q, r, s) -> tuple[SegmentRelation, PointKey | None]:
+    """How pq and rs meet (as segments_intersect), and their shared point
+    when there is exactly one, all from the four orientations o(p,q,r),
+    o(p,q,s), o(r,s,p) and o(r,s,q)."""
     if p == q or r == s:
         raise ContractViolation("degenerate segment")
     o1 = orientation(p, q, r)
     o2 = orientation(p, q, s)
     o3 = orientation(r, s, p)
     o4 = orientation(r, s, q)
-
-    if o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-        return SegmentRelation.PROPER_CROSSING
-
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        # p + t (q - p) with t = num / den = cross(r - p, s - r) / cross(q - p, s - r)
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        ex, ey = s[0] - r[0], s[1] - r[1]
+        den = dx * ey - dy * ex
+        num = (r[0] - p[0]) * ey - (r[1] - p[1]) * ex
+        x, y = p[0] * den + num * dx, p[1] * den + num * dy
+        if den < 0:
+            x, y, den = -x, -y, -den
+        g = gcd(x, y, den)
+        return SegmentRelation.PROPER_CROSSING, (x // g, y // g, den // g)
     if o1 == 0 and o2 == 0:
-        # collinear: compare 1-d extents along the dominant axis
+        # collinear: compare 1-d extents along an axis the line is not constant on
         axis = 0 if p[0] != q[0] else 1
         pa, qa = sorted((p[axis], q[axis]))
         ra, sa = sorted((r[axis], s[axis]))
         lo, hi = max(pa, ra), min(qa, sa)
         if lo > hi:
-            return SegmentRelation.DISJOINT
+            return SegmentRelation.DISJOINT, None
         if lo < hi:
-            return SegmentRelation.OVERLAPPING
-        return SegmentRelation.TOUCHING
-
-    if (
-        (o1 == 0 and on_segment(p, q, r))
-        or (o2 == 0 and on_segment(p, q, s))
-        or (o3 == 0 and on_segment(r, s, p))
-        or (o4 == 0 and on_segment(r, s, q))
-    ):
-        return SegmentRelation.TOUCHING
-    return SegmentRelation.DISJOINT
-
-
-def _meeting(p, q, r, s) -> tuple[SegmentRelation, PointKey | None]:
-    """How pq and rs meet, and their shared point when there is exactly one."""
-    rel = segments_intersect(p, q, r, s)
-    if rel is SegmentRelation.TOUCHING:
-        # the one shared point is an endpoint lying on the other segment
-        for pt in (r, s):
-            if on_segment(p, q, pt):
-                return rel, (pt[0], pt[1], 1)
-        for pt in (p, q):
-            if on_segment(r, s, pt):
-                return rel, (pt[0], pt[1], 1)
-        raise AssertionError("touching segments must share an endpoint of one of them")
-    if rel is not SegmentRelation.PROPER_CROSSING:
-        return rel, None
-    # p + t (q - p) with t = num / den = cross(r - p, s - r) / cross(q - p, s - r)
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    ex, ey = s[0] - r[0], s[1] - r[1]
-    den = dx * ey - dy * ex
-    num = (r[0] - p[0]) * ey - (r[1] - p[1]) * ex
-    x, y = p[0] * den + num * dx, p[1] * den + num * dy
-    if den < 0:
-        x, y, den = -x, -y, -den
-    g = gcd(x, y, den)
-    return rel, (x // g, y // g, den // g)
+            return SegmentRelation.OVERLAPPING, None
+        # on this line one value of the axis is one point
+        pt = next(t for t in (p, q, r, s) if t[axis] == lo)
+        return SegmentRelation.TOUCHING, (pt[0], pt[1], 1)
+    if o1 * o2 > 0 or o3 * o4 > 0:
+        return SegmentRelation.DISJOINT, None
+    # the lines differ and each segment reaches the other's line, so the
+    # endpoint whose orientation is 0 lies where the lines meet, on both segments
+    pt = r if o1 == 0 else s if o2 == 0 else p if o3 == 0 else q
+    return SegmentRelation.TOUCHING, (pt[0], pt[1], 1)
 
 
 def _coords(values) -> np.ndarray:
@@ -144,8 +122,9 @@ def _meets(P, Q, R, S) -> np.ndarray:
     segment against many.  Exact for non-degenerate segments: the boxes
     meet, o(p,q,r) o(p,q,s) <= 0 and o(r,s,p) o(r,s,q) <= 0.  Also exact
     for a one-point segment r = s: both o(r,s,.) are 0, which leaves the box
-    test and o(p,q,r)^2 <= 0, that is on_segment(p, q, r).  Computed in
-    int64 when every |coordinate| is below 2^30, else on Python ints.
+    test and o(p,q,r)^2 <= 0, that is, r lies on the closed segment pq.
+    Computed in int64 when every |coordinate| is below 2^30, else on Python
+    ints.
     """
     args = [a if isinstance(a, np.ndarray) else _coords(a) for a in (P, Q, R, S)]
     flat = np.concatenate([a.ravel() for a in args])
@@ -249,19 +228,6 @@ class PolylineCurve:
                     )
         if i0 < n:
             raise ContractViolation(f"curve {self.id}: non-adjacent segments {i0},{j0} intersect")
-
-
-def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set[RatPoint]:
-    """All intersection points of two distinct simple curves, as exact rationals.
-
-    Raises StandardnessError when the curves share a sub-segment of positive
-    length (infinitely many intersections).
-    """
-    return {
-        _rational(key)
-        for _, _, seg_pairs in _meeting_groups((c1.segments, c2.segments))
-        for key in _point_keys(c1, c2, seg_pairs)
-    }
 
 
 def _meeting_groups(groups):
@@ -373,7 +339,8 @@ def validate_standardness(rep: StringRepresentation) -> dict[tuple[int, int], in
 
 def _raise_triple_point(curves, owner, i, j, keys):
     """Report the first point of the pair (i, j) that an earlier pair already
-    owns, in the order of the set curve_pair_points returns for the pair."""
+    owns, in the iteration order of the pair's points as a set of Fractions
+    built in key order."""
     key_of = {_rational(key): key for key in keys}
     for pt in {_rational(key) for key in keys}:
         prev = owner.get(key_of[pt])
@@ -468,8 +435,8 @@ def random_segment_instance(
                     break
                 if key is not None:
                     new_pts.append(key)
-                if on_segment(r, s, p) or on_segment(r, s, q):
-                    ok = False
+                if key in ((x0, y0, 1), (x1, y1, 1)):
+                    ok = False  # an end of the candidate lies on rs
                     break
             if not ok:
                 continue

@@ -57,6 +57,13 @@ class Graph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) int64 array."""
+        arr = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        arr.flags.writeable = False
+        return arr
+
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edge_set
 

@@ -33,9 +33,8 @@ def shortest_path_metric(g: Graph, weights=None) -> np.ndarray:
     w = _edge_weights(g, weights)
     if (w < 0).any():
         raise ContractViolation("edge weights must be nonnegative")
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
     # explicit zeros in a sparse graph are zero-weight edges to csgraph
-    adj = csr_array((w, (ends[0], ends[1])), shape=(g.n, g.n))
+    adj = csr_array((w, (g.ends[:, 0], g.ends[:, 1])), shape=(g.n, g.n))
     return shortest_path(adj, method="D", directed=False, unweighted=weights is None)
 
 
@@ -65,7 +64,7 @@ def _vertex_weights(g: Graph, s) -> np.ndarray:
 def derived_edge_weights(g: Graph, s) -> np.ndarray:
     """Edge weights w({u,v}) = (s(u) + s(v)) / 2 induced by vertex weights."""
     arr = _vertex_weights(g, s)
-    return np.array([(arr[u] + arr[v]) / 2.0 for u, v in g.edges])
+    return (arr[g.ends[:, 0]] + arr[g.ends[:, 1]]) / 2.0
 
 
 def pair_sum(d: np.ndarray) -> float:

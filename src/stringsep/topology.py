@@ -185,8 +185,10 @@ def validate_weak_realization(
             )
 
     vertex_pts = {(Fraction(x), Fraction(y)) for x, y in w.vertex_points}
-    for pt, users in sorted(point_users.items()):
-        if len(users) >= 3 and pt not in vertex_pts:
+    # sort only the points on three or more edges, not every crossing point
+    triples = {pt: users for pt, users in point_users.items() if len(users) >= 3}
+    for pt, users in sorted(triples.items()):
+        if pt not in vertex_pts:
             out.append(
                 Violation(
                     "triple_point",
@@ -352,12 +354,17 @@ def weak_to_strings(w: WeakRealization) -> tuple[StringRepresentation, Graph]:
         [(x * scale, y * scale) for x, y in c.points] for c in w.edge_curves
     ]
 
-    # niceness: crossings must stay clear of every loop neighborhood, in
-    # integers: |X / D * scale - p| < 32 iff |X * scale - p * D| < 32 * D
-    for pts in w.crossings.values():
-        for x, y in pts:
-            xn, xd, yn, yd = x.numerator * scale, x.denominator, y.numerator * scale, y.denominator
-            for px, py in vp:
+    # niceness: crossings must stay clear of every loop neighborhood.  A
+    # crossing lies on both its edges, and _pick_scale puts every vertex at
+    # least 64 units (so at least 45 in L-infinity) from each edge not
+    # incident to it, so only a vertex the two edges share can come within
+    # 32.  In integers: |X / D * scale - p| < 32 iff |X * scale - p * D| < 32 * D
+    for (i, j), pts in w.crossings.items():
+        for v in set(g.edges[i]) & set(g.edges[j]):
+            px, py = vp[v]
+            for x, y in pts:
+                xn, xd = x.numerator * scale, x.denominator
+                yn, yd = y.numerator * scale, y.denominator
                 if abs(xn - px * xd) < 32 * xd and abs(yn - py * yd) < 32 * yd:
                     raise ContractViolation(
                         "an edge crossing lies too close to a vertex for the "

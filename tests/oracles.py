@@ -11,19 +11,25 @@ segments with Fraction points; `pairwise_best_embedding` builds an
 scanning every residual arc at every step, and `scan_validate_flows` sums
 a commodity's arcs once per vertex.  `scan_random_segment_instance` tests
 each candidate segment against every placed segment in turn.
-`scan_validate_curve` tests every pair of non-adjacent segments of a curve
-with `segments_intersect`.  `pairwise_validate_weak_realization` finds the
-crossings of a drawing with one `curve_pair_points` call per pair of edge
-curves, and `unpruned_pick_scale` takes the exact distance of every pair of
-segments.  `set_sweep` builds both sides of every threshold
-split of an embedding as sets, with each split's cut from a fresh
-`min_vertex_cut`.
+`scan_segments_intersect` classifies a segment pair from four orientations
+and up to four `on_segment` tests, and `scan_meeting` then scans the
+endpoints with `on_segment` for the touching point; the Fraction oracles,
+`segment_shared_point`, `scan_random_segment_instance` and
+`scan_validate_curve` (every pair of non-adjacent segments of a curve) use
+them, not the package's `_meeting`.
+`pairwise_validate_weak_realization` finds the crossings of a drawing with
+one `curve_pair_points` call per pair of edge curves, `unpruned_pick_scale`
+takes the exact distance of every pair of segments, and `scan_niceness`
+tests every crossing point against every vertex.  `set_sweep` builds both
+sides of every threshold split of an embedding as sets, with each split's
+cut from a fresh `min_vertex_cut`.
 
-`segment_shared_point`, `dual_of` and `validate_metric` have no caller in
-the package; they serve the tests only.
+`on_segment`, `curve_pair_points`, `segment_shared_point`, `dual_of` and
+`validate_metric` have no caller in the package; they serve the tests only.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -35,12 +41,10 @@ from stringsep.geometry import (
     PolylineCurve,
     SegmentRelation,
     StringRepresentation,
-    _meeting,
+    _meeting_groups,
+    _point_keys,
     _rational,
-    curve_pair_points,
-    on_segment,
     orientation,
-    segments_intersect,
     sq_dist_point_segment,
     sq_dist_points,
     sq_dist_segments,
@@ -122,13 +126,84 @@ def floyd_warshall(g, weights) -> np.ndarray:
     return d
 
 
+def _within(a, b, x) -> bool:
+    return min(a, b) <= x <= max(a, b)
+
+
+def on_segment(p, q, r) -> bool:
+    """True iff r lies on the closed segment pq (r collinear and inside the bbox)."""
+    return orientation(p, q, r) == 0 and _within(p[0], q[0], r[0]) and _within(p[1], q[1], r[1])
+
+
+def scan_segments_intersect(p, q, r, s) -> SegmentRelation:
+    """segments_intersect from the four orientations and up to four
+    on_segment tests."""
+    if p == q or r == s:
+        raise ContractViolation("degenerate segment")
+    o1 = orientation(p, q, r)
+    o2 = orientation(p, q, s)
+    o3 = orientation(r, s, p)
+    o4 = orientation(r, s, q)
+
+    if o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
+        return SegmentRelation.PROPER_CROSSING
+
+    if o1 == 0 and o2 == 0:
+        # collinear: compare 1-d extents along the dominant axis
+        axis = 0 if p[0] != q[0] else 1
+        pa, qa = sorted((p[axis], q[axis]))
+        ra, sa = sorted((r[axis], s[axis]))
+        lo, hi = max(pa, ra), min(qa, sa)
+        if lo > hi:
+            return SegmentRelation.DISJOINT
+        if lo < hi:
+            return SegmentRelation.OVERLAPPING
+        return SegmentRelation.TOUCHING
+
+    if (
+        (o1 == 0 and on_segment(p, q, r))
+        or (o2 == 0 and on_segment(p, q, s))
+        or (o3 == 0 and on_segment(r, s, p))
+        or (o4 == 0 and on_segment(r, s, q))
+    ):
+        return SegmentRelation.TOUCHING
+    return SegmentRelation.DISJOINT
+
+
+def scan_meeting(p, q, r, s):
+    """geometry._meeting from scan_segments_intersect, then a scan of the
+    endpoints with on_segment for the touching point."""
+    rel = scan_segments_intersect(p, q, r, s)
+    if rel is SegmentRelation.TOUCHING:
+        # the one shared point is an endpoint lying on the other segment
+        for pt in (r, s):
+            if on_segment(p, q, pt):
+                return rel, (pt[0], pt[1], 1)
+        for pt in (p, q):
+            if on_segment(r, s, pt):
+                return rel, (pt[0], pt[1], 1)
+        raise AssertionError("touching segments must share an endpoint of one of them")
+    if rel is not SegmentRelation.PROPER_CROSSING:
+        return rel, None
+    # p + t (q - p) with t = num / den = cross(r - p, s - r) / cross(q - p, s - r)
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    ex, ey = s[0] - r[0], s[1] - r[1]
+    den = dx * ey - dy * ex
+    num = (r[0] - p[0]) * ey - (r[1] - p[1]) * ex
+    x, y = p[0] * den + num * dx, p[1] * den + num * dy
+    if den < 0:
+        x, y, den = -x, -y, -den
+    g = gcd(x, y, den)
+    return rel, (x // g, y // g, den // g)
+
+
 def segment_shared_point(p, q, r, s):
-    """The unique shared point of pq and rs as Fractions, from the package's
+    """The unique shared point of pq and rs as Fractions, from scan_meeting's
     normalised key, or None when disjoint.
 
     Raises StandardnessError for overlapping segments (no unique point).
     """
-    rel, key = _meeting(p, q, r, s)
+    rel, key = scan_meeting(p, q, r, s)
     if rel is SegmentRelation.OVERLAPPING:
         raise StandardnessError("overlapping segments have no unique shared point")
     return None if key is None else _rational(key)
@@ -136,7 +211,7 @@ def segment_shared_point(p, q, r, s):
 
 def fraction_segment_point(p, q, r, s):
     """The unique shared point of segments pq and rs as Fractions, or None."""
-    rel = segments_intersect(p, q, r, s)
+    rel = scan_segments_intersect(p, q, r, s)
     if rel is SegmentRelation.DISJOINT:
         return None
     if rel is SegmentRelation.OVERLAPPING:
@@ -154,8 +229,8 @@ def fraction_segment_point(p, q, r, s):
 
 
 def scan_validate_curve(c) -> None:
-    """PolylineCurve.validate with one segments_intersect call per pair of
-    non-adjacent segments."""
+    """PolylineCurve.validate with one scan_segments_intersect call per pair
+    of non-adjacent segments."""
     if len(c.points) < 2:
         raise ContractViolation(f"curve {c.id}: needs at least 2 points")
     for a, b in c.segments:
@@ -173,7 +248,7 @@ def scan_validate_curve(c) -> None:
                     )
         for j in range(i + 2, len(segs)):
             r, s = segs[j]
-            if segments_intersect(p, q, r, s) is not SegmentRelation.DISJOINT:
+            if scan_segments_intersect(p, q, r, s) is not SegmentRelation.DISJOINT:
                 raise ContractViolation(
                     f"curve {c.id}: non-adjacent segments {i},{j} intersect"
                 )
@@ -184,7 +259,7 @@ def fraction_curve_pair_points(c1, c2) -> set:
     pts = set()
     for p, q in c1.segments:
         for r, s in c2.segments:
-            rel = segments_intersect(p, q, r, s)
+            rel = scan_segments_intersect(p, q, r, s)
             if rel is SegmentRelation.OVERLAPPING:
                 raise StandardnessError(
                     f"curves {c1.id} and {c2.id} overlap on a common sub-segment"
@@ -507,7 +582,7 @@ def scan_random_segment_instance(count: int, seed: int, span: int | None = None)
             new_pts = []
             ok = True
             for r, s in placed:
-                rel, key = _meeting(p, q, r, s)
+                rel, key = scan_meeting(p, q, r, s)
                 if rel is SegmentRelation.OVERLAPPING:
                     ok = False
                     break
@@ -531,6 +606,20 @@ def scan_random_segment_instance(count: int, seed: int, span: int | None = None)
     return StringRepresentation(
         tuple(PolylineCurve(f"s{i:0{width}d}", (p, q)) for i, (p, q) in enumerate(placed))
     )
+
+
+def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set:
+    """All intersection points of two distinct simple curves, as exact
+    rationals, from one _meeting_groups pass over the two curves alone.
+
+    Raises StandardnessError when the curves share a sub-segment of positive
+    length (infinitely many intersections).
+    """
+    return {
+        _rational(key)
+        for _, _, seg_pairs in _meeting_groups((c1.segments, c2.segments))
+        for key in _point_keys(c1, c2, seg_pairs)
+    }
 
 
 def pair_intersections(w, i: int, j: int) -> tuple[set, bool]:
@@ -617,6 +706,18 @@ def pairwise_validate_weak_realization(w, include_warnings: bool = False) -> lis
                 )
             )
     return out
+
+
+def scan_niceness(w, scale: int) -> bool:
+    """Whether some crossing point of w lies within L-infinity distance 32 of
+    some vertex, both scaled by `scale`: weak_to_strings' niceness check over
+    every crossing point and every vertex."""
+    return any(
+        abs(x - px) * scale < 32 and abs(y - py) * scale < 32
+        for pts in w.crossings.values()
+        for x, y in pts
+        for px, py in w.vertex_points
+    )
 
 
 def unpruned_pick_scale(w) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -15,23 +16,27 @@ from stringsep.geometry import (
     SegmentRelation,
     StringRepresentation,
     _coords,
+    _meeting,
     _meeting_groups,
     _meets,
     _point_keys,
-    curve_pair_points,
     intersection_graph,
-    on_segment,
     parse_strings_file,
     random_segment_instance,
     segments_intersect,
     sq_dist_segments,
     validate_standardness,
+    write_strings_file,
 )
 
 from .oracles import (
+    curve_pair_points,
     fraction_curve_pair_points,
     fraction_intersection_graph,
+    on_segment,
+    scan_meeting,
     scan_random_segment_instance,
+    scan_segments_intersect,
     scan_validate_curve,
     segment_shared_point,
 )
@@ -282,13 +287,56 @@ def test_meets_matches_segments_intersect(base, step, quads):
     quads = [q for q in quads if q[0] != q[1] and q[2] != q[3]]
     assume(quads)
     quads = [[(base + step * x, base + step * y) for x, y in q] for q in quads]
-    want = [segments_intersect(*q) is not SegmentRelation.DISJOINT for q in quads]
+    want = [scan_segments_intersect(*q) is not SegmentRelation.DISJOINT for q in quads]
     P, Q, R, S = (_coords([q[i] for q in quads]) for i in range(4))
     assert _meets(P, Q, R, S).tolist() == want
     # one segment against many, as the generator screens a candidate
     p, q = quads[0][:2]
-    want = [segments_intersect(p, q, *other[2:]) is not SegmentRelation.DISJOINT for other in quads]
+    want = [
+        scan_segments_intersect(p, q, *other[2:]) is not SegmentRelation.DISJOINT
+        for other in quads
+    ]
     assert _meets(p, q, R, S).tolist() == want
+
+
+def _assert_meeting_matches_scan(p, q, r, s):
+    # every order of the ends of each segment, and of the two segments
+    for a, b, c, d in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r)):
+        for quad in ((a, b, c, d), (c, d, a, b)):
+            assert _meeting(*quad) == scan_meeting(*quad)
+
+
+@pytest.mark.parametrize("base,step", SCREEN_FRAMES)
+@settings(max_examples=150)
+@given(st.lists(st.tuples(grid6, grid6, grid6, grid6), min_size=1, max_size=20))
+def test_meeting_matches_scan_meeting(base, step, quads):
+    quads = [q for q in quads if q[0] != q[1] and q[2] != q[3]]
+    assume(quads)
+    for quad in quads:
+        _assert_meeting_matches_scan(*((base + step * x, base + step * y) for x, y in quad))
+
+
+@pytest.mark.parametrize("base,step", SCREEN_FRAMES)
+@pytest.mark.parametrize(
+    "quad,rel",
+    [
+        (((0, 0), (2, 0), (2, 0), (5, 0)), SegmentRelation.TOUCHING),  # collinear, end to end
+        (((0, 0), (0, 2), (0, 2), (0, 5)), SegmentRelation.TOUCHING),  # the same, vertical
+        (((0, 0), (3, 3), (3, 3), (5, 5)), SegmentRelation.TOUCHING),  # the same, diagonal
+        (((0, 0), (2, 0), (3, 0), (5, 0)), SegmentRelation.DISJOINT),
+        (((0, 0), (3, 0), (2, 0), (5, 0)), SegmentRelation.OVERLAPPING),
+        (((0, 0), (5, 0), (1, 0), (3, 0)), SegmentRelation.OVERLAPPING),  # one inside the other
+        (((0, 0), (2, 0), (0, 0), (0, 3)), SegmentRelation.TOUCHING),  # a shared endpoint
+        (((0, 0), (4, 0), (2, 0), (2, 5)), SegmentRelation.TOUCHING),  # an end inside
+        (((0, 0), (4, 0), (2, 1), (2, 5)), SegmentRelation.DISJOINT),
+        (((0, 0), (4, 4), (0, 4), (4, 0)), SegmentRelation.PROPER_CROSSING),
+        (((0, 0), (5, 1), (1, 2), (3, -3)), SegmentRelation.PROPER_CROSSING),
+    ],
+)
+def test_meeting_matches_scan_meeting_examples(base, step, quad, rel):
+    quad = [(base + step * x, base + step * y) for x, y in quad]
+    assert segments_intersect(*quad) is rel
+    _assert_meeting_matches_scan(*quad)
 
 
 @pytest.mark.parametrize("base,step", SCREEN_FRAMES)
@@ -315,6 +363,30 @@ def test_random_instance_matches_scan_oracle(count, span, seed):
     assert random_segment_instance(count, seed, span) == scan_random_segment_instance(
         count, seed, span
     )
+
+
+# SHA-256 of write_strings_file(random_segment_instance(count, seed, span)),
+# taken while the generator still called segments_intersect and on_segment
+# for each screened hit: no cheaper test of a hit may change a byte.  (60,
+# 1000..1001, None), (140, 1000..1009, 110) and (880, 1000, 207) are
+# instances of the benchmark's sep_dense, sep_sparse and embed_giant corpora.
+GENERATOR_DIGESTS = {
+    (1, 0, None): "867d70141e5a20654cc563a08dcd7b142faefa8f783224d162872d1214567668",
+    (20, 7, None): "cfdc7a91f09f8208a114f298d140f45b57093aff73b126d71298bc63029374a1",
+    (60, 1000, None): "c122a008d2b3e1c3b67d2c98b9b2680d30e970b70a4c763b489edbd7e554afb5",
+    (60, 1001, None): "061d707d3041bc0baa2c0f6de030d2d8f5faf83051f70c77a6fb5071222732f1",
+    (140, 1000, 110): "442a773a221f23818930301a176c2df9c538bfab655dca9ef5280b9d183f9849",
+    (140, 1009, 110): "9460eea864ec5a105afb13e7a1e1c0fb99213434531f9a278c7a6708f223d059",
+    (48, 5, 110): "bf4092733e19370ba56c09b5cfe83acdebe919f1348cba3cbf968d91791dfc9b",
+    (300, 1, 30): "8cea32e764e79d1f1aae8a652b391ed479c83fd373150f795ca824347c6f9c9b",
+    (880, 1000, 207): "f19a2f29af74ee464a5bb79fbe2f1e9ac321cdc33bc65b6ff9187b628c83ca83",
+}
+
+
+@pytest.mark.parametrize("count,seed,span", sorted(GENERATOR_DIGESTS, key=str))
+def test_random_instance_bytes_unchanged(count, seed, span):
+    text = write_strings_file(random_segment_instance(count, seed, span))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[(count, seed, span)]
 
 
 @pytest.mark.parametrize("base,step", [(0, 1), (2**30, 3), (-(2**70), 2**40)])
