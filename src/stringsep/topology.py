@@ -114,7 +114,9 @@ class WeakRealization:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # forbidden_crossing | overlap | triple_point | edge_through_vertex | adjacent_crossing
+    # not_simple | forbidden_crossing | overlap | triple_point | edge_through_vertex
+    # | adjacent_crossing
+    kind: str
     detail: str
     edges: tuple[Edge, ...] = ()
     point: RatPoint | None = None
@@ -130,11 +132,20 @@ def validate_weak_realization(
     no triple points, no edge passes through a non-incident vertex, vertex
     points are distinct, and every crossing pair of independent edges is
     allowed.  Adjacent-edge crossings surface only with include_warnings.
+    A curve that is not simple gives one violation, the first fault that
+    PolylineCurve.validate finds; the other checks need simple curves (a
+    repeated point is a segment with no direction), so when any curve is
+    not simple the result holds only these violations.
     """
     g = w.atg.graph
     out: list[Violation] = []
-    for c in w.edge_curves:
-        c.validate()
+    for e, c in zip(g.edges, w.edge_curves):
+        try:
+            c.validate()
+        except ContractViolation as exc:
+            out.append(Violation("not_simple", str(exc), edges=(e,)))
+    if out:
+        return out
     if len(set(w.vertex_points)) != g.n:
         out.append(Violation("overlap", "two vertices share a point"))
 
@@ -344,8 +355,9 @@ def weak_to_strings(w: WeakRealization) -> tuple[StringRepresentation, Graph]:
     exit point.
     """
     issues = validate_weak_realization(w)
-    if issues:
-        raise ContractViolation(f"realization invalid: {issues[0].detail}")
+    if issues:  # a curve's own fault reads as PolylineCurve.validate states it
+        prefix = "" if issues[0].kind == "not_simple" else "realization invalid: "
+        raise ContractViolation(prefix + issues[0].detail)
     g = w.atg.graph
 
     scale = _pick_scale(w)

@@ -640,8 +640,13 @@ def pairwise_validate_weak_realization(w, include_warnings: bool = False) -> lis
     """validate_weak_realization with pair_intersections on every pair of edges."""
     g = w.atg.graph
     out = []
-    for c in w.edge_curves:
-        c.validate()
+    for e, c in zip(g.edges, w.edge_curves):
+        try:
+            scan_validate_curve(c)
+        except ContractViolation as exc:
+            out.append(Violation("not_simple", str(exc), edges=(e,)))
+    if out:
+        return out
     if len(set(w.vertex_points)) != g.n:
         out.append(Violation("overlap", "two vertices share a point"))
     for i, c in enumerate(w.edge_curves):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -139,6 +140,32 @@ def test_malformed_input_exit_1(capsys, tmp_path, command, text):
     code, out, err = run(capsys, command, flag, str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error: line ")
+
+
+def test_weak2str_curve_not_simple_exit_1(capsys, tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("2 1\n0 1\nvertex 0 0 0\nvertex 1 4 0\nedge 0: 0 0 2 0 2 1 1 -1 4 0\n")
+    code, out, err = run(capsys, "weak2str", "--realization", str(real))
+    assert (code, out, err) == (1, "", "error: curve e0: non-adjacent segments 0,2 intersect\n")
+
+
+# stdout digests taken before best_embedding seeded its trials in one pass
+# per block: a seed of 2^64 + 1 and a negative seed reach _mix unreduced
+SEED_BYTES = [
+    (("embed", "--seed", "18446744073709551617", "--trials", "3"),
+     "494327835fc1aeac9af8dedc60c474d3a5ba0905950d7791d2b78929867d7076"),
+    (("separator", "--seed", "-7"),
+     "dcd525472fc54c92a777b9065219b38ba4ba8ae64b00af69755fe7e119b813b1"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SEED_BYTES, ids=["embed-seed-2^64+1", "separator-seed-7"])
+def test_seed_handling_bytes_unchanged(capsys, tmp_path, argv, digest):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(graphs.serialize_graph(graphs.generate("grid", (4, 4))))
+    code, out, err = run(capsys, argv[0], "--graph", str(grid), *argv[1:])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command", ["embed", "sweep", "conflicts", "separator"])

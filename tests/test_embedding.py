@@ -10,6 +10,8 @@ from stringsep import embedding
 from stringsep.embedding import (
     Embedding,
     _mix,
+    _mix_block,
+    _seed_words,
     best_embedding,
     bourgain_sample,
     default_trials,
@@ -93,6 +95,19 @@ def test_bad_inputs():
         bourgain_sample(np.zeros((1, 1)), 0)
     with pytest.raises(ContractViolation):
         best_embedding(np.zeros((3, 3)), 0, 0)
+
+
+def test_bad_seeds():
+    d = np.ones((3, 3)) - np.eye(3)
+    for seed in (-1, -(2**70), 1.5, np.float64(2.0), "1", None):
+        with pytest.raises(ContractViolation, match="^seed must be"):
+            bourgain_sample(d, seed)
+    for seed in (1.5, np.float64(2.0), "1", None):
+        with pytest.raises(ContractViolation, match="^seed must be an integer"):
+            best_embedding(d, 3, seed)
+    # best_embedding takes any integer: _mix reduces it mod 2^64
+    assert best_embedding(d, 3, np.int64(-5)) == best_embedding(d, 3, -5)
+    assert bourgain_sample(d, np.uint64(2**64 - 1)) == bourgain_sample(d, 2**64 - 1)
 
 
 def test_success_probability_floor_small():
@@ -231,3 +246,61 @@ def test_best_embedding_memory_does_not_grow_with_trials():
     assert peak(20_000) <= one_block + 64 * 1024
     # the block, its sorted copy and their scores
     assert one_block <= 3 * 8 * embedding._BLOCK_ELEMS
+
+
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _reference_words(x):
+    return np.random.SeedSequence((int(x), 431)).generate_state(4, np.uint64)
+
+
+def test_seed_words_match_seed_sequence_at_the_word_edges():
+    got = _seed_words(np.array(SEED_EDGES, dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.shape == (len(SEED_EDGES), 4)
+    for x, row in zip(SEED_EDGES, got):
+        assert row.tolist() == _reference_words(x).tolist()
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+def test_seed_words_match_seed_sequence(xs):
+    got = _seed_words(np.array(xs, dtype=np.uint64))
+    assert [row.tolist() for row in got] == [_reference_words(x).tolist() for x in xs]
+
+
+@given(
+    st.one_of(st.integers(-(2**80), -1), st.integers(2**64, 2**80), st.integers(-(2**64), 2**64)),
+    st.integers(0, 2**20),
+    st.integers(1, 40),
+)
+def test_mix_block_matches_scalar_mix(seed, start, count):
+    got = _mix_block(seed, start, count)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [_mix(seed, t) for t in range(start, start + count)]
+
+
+def _block_draws(d, trials, seed, rows):
+    """(j, anchors, f) of every trial best_embedding scores, with a budget of
+    `rows` trial rows."""
+    draws = []
+    sample = embedding._sample
+
+    def record(d, rng, out):
+        j, members, f = sample(d, rng, out)
+        draws.append((j, frozenset(np.flatnonzero(members).tolist()), tuple(f.tolist())))
+        return j, members, f
+
+    with _with_block_rows(rows, d.shape[0]), mock.patch.object(embedding, "_sample", record):
+        best_embedding(d, trials, seed)
+    return draws[:-1]  # the last draw is the winner's, drawn again
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("seed", [0, -7, 2**64 + 1, 2**32 - 1])
+def test_block_trials_draw_their_own_streams(rows, seed):
+    # every prefix of 10 trials, so with 3 rows the last block is often partial
+    d = shortest_path_metric(generate("grid", (3, 4)))
+    want = [bourgain_sample(d, _mix(seed, t)) for t in range(10)]
+    want = [(e.scale_index, e.anchors, e.values) for e in want]
+    for trials in range(1, 11):
+        assert _block_draws(d, trials, seed, rows) == want[:trials]

@@ -217,6 +217,32 @@ def test_triple_point():
     assert [v.kind for v in issues] == ["triple_point"] and issues[0].point == (5, 0)
 
 
+def self_crossing_curves() -> WeakRealization:
+    """Edge (0, 1) crosses itself, edge (4, 5) doubles back, and both cross
+    edge (2, 3); no crossing is allowed."""
+    g = graph_from_pairs(6, [(0, 1), (2, 3), (4, 5)])
+    return WeakRealization(
+        AbstractTopologicalGraph(g, frozenset()),
+        ((0, 0), (4, 0), (3, -3), (3, 3), (0, 2), (4, 2)),
+        (
+            PolylineCurve("e0", ((0, 0), (2, 0), (2, 1), (1, -1), (4, 0))),
+            PolylineCurve("e1", ((3, -3), (3, 3))),
+            PolylineCurve("e2", ((0, 2), (3, 2), (1, 2), (4, 2))),
+        ),
+    )
+
+
+def test_curve_that_is_not_simple_reported_per_edge():
+    # one violation per curve that is not simple, and then no pair checks
+    got = [(v.kind, v.detail, v.edges) for v in validate_weak_realization(self_crossing_curves())]
+    assert got == [
+        ("not_simple", "curve e0: non-adjacent segments 0,2 intersect", ((0, 1),)),
+        ("not_simple", "curve e2: segments 0,1 double back at (3, 2)", ((4, 5),)),
+    ]
+    with pytest.raises(ContractViolation, match="^curve e0: non-adjacent segments 0,2 intersect$"):
+        weak_to_strings(self_crossing_curves())
+
+
 def test_adjacent_crossing_is_warning():
     w = adjacent_crossing()
     assert validate_weak_realization(w) == []
@@ -337,12 +363,12 @@ def test_weak_to_strings_random_straight_drawings():
             for e2 in g.edges[i + 1 :]
         )
         atg = AbstractTopologicalGraph(g, allowed)
+        w = WeakRealization(atg, tuple(pts), curves)
+        if validate_weak_realization(w):
+            continue
         try:
-            w = WeakRealization(atg, tuple(pts), curves)
-            if validate_weak_realization(w):
-                continue
             rep, predicted = weak_to_strings(w)
-        except ContractViolation:
+        except ContractViolation:  # ports too close for the loop construction
             continue
         got, _ = intersection_graph(rep)
         assert got == predicted
@@ -401,6 +427,7 @@ DRAWINGS = {
     "vertex-on-two-edges": vertex_on_two_edges,
     "triple-point": triple_point,
     "crossing-near-a-vertex": crossing_near_a_vertex,
+    "self-crossing-curves": self_crossing_curves,
     **{f"expo-{k}": (lambda k=k: expo_family(k).realization) for k in range(1, 9)},
 }
 
@@ -529,10 +556,7 @@ def small_realizations(draw):
     )
     allowed = frozenset(frozenset((e, f)) for i, e in enumerate(g.edges) for f in g.edges[i + 1 :])
     w = WeakRealization(AbstractTopologicalGraph(g, allowed), pts, curves)
-    try:
-        assume(validate_weak_realization(w) == [])
-    except ContractViolation:  # a curve that is not simple
-        assume(False)
+    assume(validate_weak_realization(w) == [])  # also drops curves that are not simple
     return w
 
 
