@@ -323,10 +323,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except USAGE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (*USAGE_ERRORS, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -38,6 +38,7 @@ from .graphs import Graph
 from .lp import LpProblem, lp_solve
 
 FLOW_TOL = 1e-9
+VALIDATE_TOL = 1e-6  # validate_flows' slack on conservation and load
 
 Pair = tuple[int, int]
 Arc = tuple[int, int]
@@ -243,7 +244,7 @@ def vertex_congestion(g: Graph, allow_large: bool = False) -> FlowSolution:
     return _solve(g, "vertex", allow_large)
 
 
-def validate_flows(g: Graph, flows: FlowSolution, tol: float = 1e-6) -> None:
+def validate_flows(g: Graph, flows: FlowSolution) -> None:
     """Check per-pair conservation and the load cap; raises ContractViolation."""
     if not flows.is_finite():
         raise ContractViolation("infinite congestion carries no flows")
@@ -261,7 +262,7 @@ def validate_flows(g: Graph, flows: FlowSolution, tol: float = 1e-6) -> None:
         for x in g.vertices():
             net = outs[x] - ins[x]
             want = 1.0 if x == s else -1.0 if x == t else 0.0
-            if abs(net - want) > tol:
+            if abs(net - want) > VALIDATE_TOL:
                 raise ContractViolation(
                     f"commodity {(s, t)}: net flow {net:.2e} at vertex {x}, expected {want}"
                 )
@@ -270,13 +271,13 @@ def validate_flows(g: Graph, flows: FlowSolution, tol: float = 1e-6) -> None:
                 load[(u, v)] += fl.get((u, v), 0.0) + fl.get((v, u), 0.0)
     if edge:
         for u, v in g.edges:
-            if load[(u, v)] > flows.congestion + tol:
+            if load[(u, v)] > flows.congestion + VALIDATE_TOL:
                 raise ContractViolation(
                     f"edge ({u},{v}) load {load[(u, v)]} exceeds congestion"
                 )
     else:
         for x in g.vertices():
-            if 0.5 * load[x] > flows.congestion + tol:
+            if 0.5 * load[x] > flows.congestion + VALIDATE_TOL:
                 raise ContractViolation(f"vertex {x} load {0.5 * load[x]} exceeds congestion")
 
 

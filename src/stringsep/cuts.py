@@ -354,8 +354,8 @@ def _embed_or_fallback(sub: Graph, seed: int, trials: int | None):
     emb = best_embedding(d, t, seed)
     if not emb.is_constant:
         return np.asarray(emb.values)
-    # all-constant trials are astronomically rare; distances from the first
-    # vertex are 1-Lipschitz and non-constant on any connected n >= 2 graph
+    # every trial was constant, as at scale 0 (all vertices anchors); distances
+    # from the first vertex are 1-Lipschitz and non-constant when connected
     return d[0]
 
 

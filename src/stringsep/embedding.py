@@ -136,14 +136,14 @@ def best_embedding(d: np.ndarray, trials: int, seed: int) -> Embedding:
 
     Trial t draws what bourgain_sample(d, _mix(seed, t)) draws, for any
     integer seed; ties in spread keep the lowest trial index.  If every
-    trial is constant (possible only for a degenerate metric) the first is
-    returned; callers can inspect .is_constant.  The trials are scored a
-    block at a time (see the module notes), each by the value its
-    Embedding.spread() would have; only the winner is drawn again and
-    becomes an Embedding.  On a hop metric every spread is an exact integer;
-    on other metrics it may differ from the pairwise sum in the last bits.
-    A block's trial streams are seeded from one _seed_words pass, not one
-    SeedSequence per trial.
+    trial is constant, as a trial of scale 0 is on any metric (every point
+    is an anchor), the first is returned; callers can inspect .is_constant.
+    The trials are scored a block at a time (see the module notes), each by
+    the value its Embedding.spread() would have; only the winner is drawn
+    again and becomes an Embedding.  On a hop metric every spread is an
+    exact integer; on other metrics it may differ from the pairwise sum in
+    the last bits.  A block's trial streams are seeded from one _seed_words
+    pass, not one SeedSequence per trial.
     """
     if trials < 1:
         raise ContractViolation("trials must be >= 1")

@@ -26,7 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ContractViolation, GenerationError, ParseError, StandardnessError
-from .graphs import Graph, graph_from_pairs
+from .graphs import Graph, graph_from_pairs, int_tokens, numbered_lines
 
 Point = tuple[int, int]
 RatPoint = tuple[Fraction, Fraction]
@@ -363,25 +363,30 @@ def intersection_graph(rep: StringRepresentation) -> tuple[Graph, dict[tuple[int
     return graph_from_pairs(len(rep.curves), list(counts)), counts
 
 
+def parse_points(coords: str, lineno: int) -> tuple[Point, ...]:
+    """The points of the coordinate list "x0 y0 x1 y1 ..." on line lineno:
+    an even count >= 4 of integers."""
+    nums = coords.split()
+    if len(nums) < 4 or len(nums) % 2:
+        raise ParseError("need an even count >= 4 of coordinates", lineno)
+    vals = int_tokens(nums, None, "coordinates must be integers", lineno)
+    return tuple(zip(vals[::2], vals[1::2]))
+
+
 def parse_strings_file(text: str) -> StringRepresentation:
-    """Parse the strings format: one line per curve, "id: x0 y0 x1 y1 ..."."""
-    curves = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        if ":" not in raw:
+    """Parse the strings format: one line per curve, "id: x0 y0 x1 y1 ...",
+    each id on one line only."""
+    curves: dict[str, PolylineCurve] = {}
+    for lineno, raw in numbered_lines(text.splitlines()):
+        label, colon, coords = raw.partition(":")
+        if not colon:
             raise ParseError("expected 'id: x0 y0 ...'", lineno)
-        label, coords = raw.split(":", 1)
-        nums = coords.split()
-        if len(nums) < 4 or len(nums) % 2:
-            raise ParseError("need an even count >= 4 of coordinates", lineno)
-        try:
-            vals = [int(t) for t in nums]
-        except ValueError:
-            raise ParseError("coordinates must be integers", lineno) from None
-        pts = tuple(zip(vals[::2], vals[1::2]))
-        curves.append(PolylineCurve(label.strip(), pts))
-    return StringRepresentation(tuple(curves))
+        label = label.strip()
+        pts = parse_points(coords, lineno)
+        if label in curves:
+            raise ParseError(f"repeated curve id {label!r}", lineno)
+        curves[label] = PolylineCurve(label, pts)
+    return StringRepresentation(tuple(curves.values()))
 
 
 def write_strings_file(rep: StringRepresentation) -> str:

@@ -6,8 +6,10 @@ matrices and metric matrices index directly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -136,52 +138,53 @@ class EdgeCut:
 MAX_GRAPH_VERTICES = 100_000
 
 
-def parse_header(lines: list[str], max_n: int) -> tuple[int, int]:
-    """The "n m" first line of a graph or realization file.
+def numbered_lines(lines: list[str], first: int = 1) -> Iterator[tuple[int, str]]:
+    """(number, line) for the non-blank lines from line `first` on, numbered
+    from 1: every input format skips blank lines and names lines so."""
+    return ((k, raw) for k, raw in enumerate(lines[first - 1 :], start=first) if raw.strip())
 
-    Both must be nonnegative integers, n at most max_n, and m at most the
-    number of lines, as every edge needs a line of its own.
+
+def int_tokens(tokens: list[str], count: int | None, message: str, lineno: int) -> list[int]:
+    """The tokens as integers, `count` of them unless None, else ParseError."""
+    try:
+        vals = list(map(int, tokens))
+    except ValueError:
+        raise ParseError(message, lineno) from None
+    if count is not None and len(vals) != count:
+        raise ParseError(message, lineno)
+    return vals
+
+
+def _int_pair(raw: str, shape: str, lineno: int) -> list[int]:
+    """The two integers of a line of the given shape, "n m" or "u v"."""
+    parts = raw.split()
+    if len(parts) != 2:
+        raise ParseError(f"expected {shape}, got {raw!r}", lineno)
+    return int_tokens(parts, None, f"expected integers {shape}, got {raw!r}", lineno)
+
+
+def parse_graph_block(lines: list[str], max_n: int):
+    """The graph block of a graph or realization file: the first line "n m",
+    then m non-blank lines "u v", each a new edge between distinct vertices.
+
+    n and m are nonnegative, n at most max_n, and m at most the number of
+    lines, as every edge needs a line of its own.  Returns n, the edges in
+    file order as sorted pairs, and the numbered lines after the block.
     """
     if not lines:
         raise ParseError("empty input", 1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"expected 'n m', got {lines[0]!r}", 1)
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError(f"expected integers 'n m', got {lines[0]!r}", 1) from None
+    n, m = _int_pair(lines[0], "'n m'", 1)
     if n < 0 or m < 0:
         raise ParseError("n and m must be nonnegative", 1)
     if n > max_n:
         raise ParseError(f"n must be at most {max_n}", 1)
     if m > len(lines):
         raise ParseError(f"m must be at most the {len(lines)} lines of the input", 1)
-    return n, m
-
-
-def parse_graph(text: str) -> Graph:
-    """Parse the plain graph format: first line "n m", then m lines "u v".
-
-    n is capped at MAX_GRAPH_VERTICES.
-    """
-    lines = text.splitlines()
-    n, m = parse_header(lines, MAX_GRAPH_VERTICES)
+    rest = numbered_lines(lines, 2)
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    row = 1
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        if row > m:
-            raise ParseError(f"more than {m} edge lines", lineno)
-        parts = raw.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'u v', got {raw!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"expected integers 'u v', got {raw!r}", lineno) from None
+    for lineno, raw in islice(rest, m):
+        u, v = _int_pair(raw, "'u v'", lineno)
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", lineno)
         if not (0 <= u < n and 0 <= v < n):
@@ -191,9 +194,19 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"duplicate edge ({u}, {v})", lineno)
         seen.add(e)
         edges.append(e)
-        row += 1
     if len(edges) != m:
         raise ParseError(f"expected {m} edges, found {len(edges)}", len(lines))
+    return n, edges, rest
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the plain graph format: first line "n m", then m lines "u v".
+
+    n is capped at MAX_GRAPH_VERTICES.
+    """
+    n, edges, rest = parse_graph_block(text.splitlines(), MAX_GRAPH_VERTICES)
+    for lineno, _ in rest:
+        raise ParseError(f"more than {len(edges)} edge lines", lineno)
     return Graph(n, tuple(sorted(edges)))
 
 

@@ -23,10 +23,11 @@ from .geometry import (
     _meeting_groups,
     _point_keys,
     _rational,
+    parse_points,
     sq_dist_points,
     sq_dist_segments,
 )
-from .graphs import Edge, Graph, graph_from_pairs, parse_header
+from .graphs import Edge, Graph, graph_from_pairs, int_tokens, parse_graph_block
 
 EdgePair = frozenset  # frozenset of two Edge tuples
 
@@ -236,7 +237,6 @@ class ExpoFamily:
     realization: WeakRealization
     spine: Edge
     added: tuple[Edge, ...]
-    labels: dict[str, int]
 
 
 def expo_family(k: int) -> ExpoFamily:
@@ -328,12 +328,7 @@ def expo_family(k: int) -> ExpoFamily:
             curves.append(PolylineCurve(label, (pts[p], pts[q])))
 
     realization = WeakRealization(atg, tuple(pts), tuple(curves))
-    labels = {"a": a, "b": b}
-    labels.update({f"u{i}": u[i] for i in range(1, k + 1)})
-    labels.update({f"u'{i}": up[i] for i in range(1, k + 1)})
-    labels.update({f"v{i}": v[i] for i in range(1, k + 1)})
-    labels.update({f"v'{i}": vp[i] for i in range(1, k + 1)})
-    return ExpoFamily(atg, realization, spine, added, labels)
+    return ExpoFamily(atg, realization, spine, added)
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +546,12 @@ def write_realization_file(w: WeakRealization) -> str:
 
 
 def parse_realization_file(text: str) -> WeakRealization:
+    """Parse the realization format: the graph block of a graph file, then
+    "allow i j", "vertex v x y" and "edge i: x0 y0 x1 y1 ..." lines."""
     lines = text.splitlines()
     # every vertex and every edge has a line of its own
-    n, m = parse_header(lines, len(lines))
-    if len(lines) < 1 + m:
-        raise ParseError(f"expected {m} edge lines", len(lines))
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(lines[1 : 1 + m], start=2):
-        u, v = _ints(raw.split(), 2, "'u v'", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex id out of range [0, {n})", lineno)
-        edges.append((min(u, v), max(u, v)))
+    n, edges, rest = parse_graph_block(lines, len(lines))
+    m = len(edges)
     graph = Graph(n, tuple(sorted(edges)))
     # edge line i is edge rank[i] of the graph
     order = {e: i for i, e in enumerate(graph.edges)}
@@ -570,16 +560,16 @@ def parse_realization_file(text: str) -> WeakRealization:
     allowed_pairs: set[EdgePair] = set()
     points: list[Point | None] = [None] * n
     curves: list[PolylineCurve | None] = [None] * m
-    for off, raw in enumerate(lines[1 + m :], start=2 + m):
-        if not raw.strip():
-            continue
+    for off, raw in rest:
         if raw.startswith("allow "):
-            i, j = _ints(raw.split()[1:], 2, "'allow i j'", off)
+            i, j = int_tokens(raw.split()[1:], 2, "expected 'allow i j'", off)
             if not (0 <= i < m and 0 <= j < m):
                 raise ParseError("allow index out of range", off)
+            if i == j:
+                raise ParseError(f"edge {i} cannot be allowed to cross itself", off)
             allowed_pairs.add(frozenset((edges[i], edges[j])))
         elif raw.startswith("vertex "):
-            v, x, y = _ints(raw.split()[1:], 3, "'vertex v x y'", off)
+            v, x, y = int_tokens(raw.split()[1:], 3, "expected 'vertex v x y'", off)
             if not 0 <= v < n:
                 raise ParseError(f"vertex index out of range [0, {n})", off)
             if points[v] is not None:
@@ -587,15 +577,16 @@ def parse_realization_file(text: str) -> WeakRealization:
             points[v] = (x, y)
         elif raw.startswith("edge "):
             head, colon, coords = raw.partition(":")
-            (i,) = _ints(head.split()[1:], 1, "'edge i: x0 y0 x1 y1 ...'", off)
-            vals = _ints(coords.split(), None, "integer coordinates", off)
-            if not colon or len(vals) < 4 or len(vals) % 2:
-                raise ParseError("expected 'edge i: x0 y0 x1 y1 ...'", off)
+            usage = "expected 'edge i: x0 y0 x1 y1 ...'"
+            (i,) = int_tokens(head.split()[1:], 1, usage, off)
+            if not colon:
+                raise ParseError(usage, off)
+            pts = parse_points(coords, off)
             if not 0 <= i < m:
                 raise ParseError("edge index out of range", off)
             if curves[rank[i]] is not None:
                 raise ParseError(f"second line for edge {i}", off)
-            curves[rank[i]] = PolylineCurve(f"e{rank[i]}", tuple(zip(vals[::2], vals[1::2])))
+            curves[rank[i]] = PolylineCurve(f"e{rank[i]}", pts)
         else:
             raise ParseError(f"unrecognized line {raw!r}", off)
     if None in points:
@@ -604,14 +595,3 @@ def parse_realization_file(text: str) -> WeakRealization:
         raise ParseError("missing edge curve lines", len(lines))
     atg = AbstractTopologicalGraph(graph, frozenset(allowed_pairs))
     return WeakRealization(atg, tuple(points), tuple(curves))
-
-
-def _ints(tokens: list[str], count: int | None, expected: str, lineno: int) -> list[int]:
-    """The tokens as integers, `count` of them unless None."""
-    try:
-        vals = [int(t) for t in tokens]
-    except ValueError:
-        raise ParseError(f"expected {expected}", lineno) from None
-    if count is not None and len(vals) != count:
-        raise ParseError(f"expected {expected}", lineno)
-    return vals

@@ -23,6 +23,10 @@ takes the exact distance of every pair of segments, and `scan_niceness`
 tests every crossing point against every vertex.  `set_sweep` builds both
 sides of every threshold split of an embedding as sets, with each split's
 cut from a fresh `min_vertex_cut`.
+`reference_parse_graph` and `reference_parse_strings_file` are the graph
+and strings parsers as they stood before the three input formats shared one
+line grammar, each with its own loop over the lines and its own integer
+reads.
 
 `on_segment`, `curve_pair_points`, `segment_shared_point`, `dual_of` and
 `validate_metric` have no caller in the package; they serve the tests only.
@@ -36,7 +40,7 @@ import numpy as np
 from stringsep.congestion import FLOW_TOL, PathFlow
 from stringsep.cuts import SweepPosition, min_vertex_cut
 from stringsep.embedding import Embedding, _mix, scale_count
-from stringsep.errors import ContractViolation, GenerationError, StandardnessError
+from stringsep.errors import ContractViolation, GenerationError, ParseError, StandardnessError
 from stringsep.geometry import (
     PolylineCurve,
     SegmentRelation,
@@ -49,7 +53,7 @@ from stringsep.geometry import (
     sq_dist_points,
     sq_dist_segments,
 )
-from stringsep.graphs import graph_from_pairs
+from stringsep.graphs import MAX_GRAPH_VERTICES, Graph, graph_from_pairs
 from stringsep.lp import LpProblem, _row_matrix
 from stringsep.topology import Violation
 
@@ -766,3 +770,71 @@ def unpruned_pick_scale(w) -> int:
     while scale * scale * d2 < 64 * 64:
         scale *= 2
     return scale
+
+
+def reference_parse_graph(text: str) -> Graph:
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input", 1)
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ParseError(f"expected 'n m', got {lines[0]!r}", 1)
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise ParseError(f"expected integers 'n m', got {lines[0]!r}", 1) from None
+    if n < 0 or m < 0:
+        raise ParseError("n and m must be nonnegative", 1)
+    if n > MAX_GRAPH_VERTICES:
+        raise ParseError(f"n must be at most {MAX_GRAPH_VERTICES}", 1)
+    if m > len(lines):
+        raise ParseError(f"m must be at most the {len(lines)} lines of the input", 1)
+    edges = []
+    seen = set()
+    row = 1
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        if row > m:
+            raise ParseError(f"more than {m} edge lines", lineno)
+        parts = raw.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected 'u v', got {raw!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"expected integers 'u v', got {raw!r}", lineno) from None
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"vertex id out of range [0, {n})", lineno)
+        e = (min(u, v), max(u, v))
+        if e in seen:
+            raise ParseError(f"duplicate edge ({u}, {v})", lineno)
+        seen.add(e)
+        edges.append(e)
+        row += 1
+    if len(edges) != m:
+        raise ParseError(f"expected {m} edges, found {len(edges)}", len(lines))
+    return Graph(n, tuple(sorted(edges)))
+
+
+def reference_parse_strings_file(text: str) -> StringRepresentation:
+    """Raises ContractViolation, with no line, for a repeated curve id."""
+    curves = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        if ":" not in raw:
+            raise ParseError("expected 'id: x0 y0 ...'", lineno)
+        label, coords = raw.split(":", 1)
+        nums = coords.split()
+        if len(nums) < 4 or len(nums) % 2:
+            raise ParseError("need an even count >= 4 of coordinates", lineno)
+        try:
+            vals = [int(t) for t in nums]
+        except ValueError:
+            raise ParseError("coordinates must be integers", lineno) from None
+        pts = tuple(zip(vals[::2], vals[1::2]))
+        curves.append(PolylineCurve(label.strip(), pts))
+    return StringRepresentation(tuple(curves))

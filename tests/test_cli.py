@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 import stringsep
 from stringsep import geometry, graphs, topology
-from stringsep.cli import USAGE_ERRORS, main
+from stringsep.cli import main
+from stringsep.errors import ContractViolation, ParseError
+
+from .oracles import reference_parse_graph, reference_parse_strings_file
 
 
 def run(capsys, *argv):
@@ -119,6 +122,10 @@ def test_contract_error_exit_1(capsys, tmp_path):
         ("build-ig", "a 0 0 1 1\n"),
         ("build-ig", "a: 0 0 1 1\nb: 0 1 1\n"),
         ("build-ig", "\na: 0 0 x 1\n"),
+        ("build-ig", "a: 0 0 1 1\nb: 0 1 1 0\na: 2 2 3 3\n"),
+        ("weak2str", "2 1\n0 1\nallow 0 0\nvertex 0 0 0\nvertex 1 1 0\nedge 0: 0 0 1 0\n"),
+        ("weak2str", "2 1\n1 1\nvertex 0 0 0\nvertex 1 1 0\nedge 0: 0 0 1 0\n"),
+        ("weak2str", "3 2\n0 1\n1 0\nvertex 0 0 0\nvertex 1 1 0\nvertex 2 2 2\n"),
         ("econg", "3 2\n0 1\n1 1\n"),
         ("vcong", "3 2\n0 1\n0 5\n"),
         ("sparsity", "3 2\n0 1\n1 0\n"),
@@ -129,7 +136,8 @@ def test_contract_error_exit_1(capsys, tmp_path):
     ],
     ids=["bad-int", "edge-index", "realization-huge-n", "second-vertex-line", "second-edge-line",
          "graph-n-overflow", "graph-n-memory",
-         "strings-no-colon", "strings-odd-count", "strings-not-int",
+         "strings-no-colon", "strings-odd-count", "strings-not-int", "strings-repeated-id",
+         "allow-itself", "realization-self-loop", "realization-duplicate-edge",
          "econg-self-loop", "vcong-out-of-range", "sparsity-duplicate-edge",
          "embed-missing-edge", "sweep-extra-edge", "conflicts-not-int", "report-three-fields"],
 )
@@ -195,23 +203,61 @@ _token = st.sampled_from(
     ["0", "1", "2", "3", "-1", "7", "99999999999999999999", "1.5", "x", ":", "a:", "3:",
      "vertex", "edge", "allow", ""]
 )
+# whole lines that reach the checks past the shape of a line: self-loops,
+# duplicate edges, repeated curve ids, an edge allowed to cross itself
+_line = st.sampled_from(
+    ["2 1", "3 2", "0 1", "1 0", "1 1", "0 2", "", "allow 0 0", "allow 0 1", "vertex 0 0 0",
+     "vertex 1 1 0", "edge 0: 0 0 1 0", "edge 1: 0 0 2 2", "a: 0 0 1 1", "b: 0 1 1 0",
+     "a: 2 2 3 3"]
+)
 _fuzz_text = st.one_of(
     st.text(max_size=120),
     st.lists(st.tuples(_token, st.sampled_from([" ", " ", "\n", "\t", ":"])), max_size=40).map(
         lambda parts: "".join(tok + sep for tok, sep in parts)
     ),
+    st.lists(_line, max_size=12).map("\n".join),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(_fuzz_text)
 def test_parsers_raise_only_usage_errors(text):
-    # any text parses or fails with an error main reports as "error: ..." and exit 1
+    # any text parses or fails with an error main reports as "error: ..." and
+    # exit 1, and a parse error names a line of the text (an empty text
+    # counts as one empty line); the only other error is the realization
+    # check that an edge curve ends at its edge's vertices
+    lines = max(1, len(text.splitlines()))
     for parse in (geometry.parse_strings_file, graphs.parse_graph, topology.parse_realization_file):
         try:
             parse(text)
-        except USAGE_ERRORS:
-            pass
+        except ParseError as exc:
+            assert 1 <= exc.line <= lines
+        except ContractViolation as exc:
+            assert parse is topology.parse_realization_file
+            assert "endpoints" in str(exc)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ContractViolation) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_text)
+def test_graph_and_strings_parsers_match_references(text):
+    assert _outcome(graphs.parse_graph, text) == _outcome(reference_parse_graph, text)
+    got = _outcome(geometry.parse_strings_file, text)
+    want = _outcome(reference_parse_strings_file, text)
+    if got != want:
+        # a repeated id: the reference refuses it once every line has parsed,
+        # with no line, or meets a later line's parse error first
+        kind, message, line = got
+        assert kind is ParseError and "repeated curve id" in message
+        assert want == (ContractViolation, "curve ids must be distinct", None) or (
+            want[0] is ParseError and want[2] > line
+        )
 
 
 @pytest.mark.parametrize(

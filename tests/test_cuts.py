@@ -160,6 +160,19 @@ def test_fhl_sweep_p3(p3):
     assert res.bound == pytest.approx(3 / 4)
 
 
+def test_embed_or_fallback_constant_trial_uses_first_row():
+    # the one trial of seed 0 draws scale 0, where every vertex is an anchor,
+    # so f falls back to the distances from vertex 0
+    g = generate("grid", (4, 4))
+    d = shortest_path_metric(g)
+    assert best_embedding(d, 1, 0).is_constant
+    f = _embed_or_fallback(g, 0, 1)
+    assert np.array_equal(f, d[0])
+    res = fhl_sweep(g, np.ones(g.n), f)
+    assert res.S == frozenset({2, 5, 8})
+    assert res.sparsity == Fraction(1, 26)
+
+
 def test_fhl_sweep_contracts(p3):
     with pytest.raises(ContractViolation):
         fhl_sweep(p3, np.ones(3), [1.0, 1.0, 1.0])  # constant

@@ -164,6 +164,10 @@ def test_parse_strings_file_errors_carry_the_line():
     with pytest.raises(ParseError) as err:
         parse_strings_file("a: 0 0 1 1\n\nb: 0 x 1 1\n")
     assert err.value.line == 3 and str(err.value) == "line 3: coordinates must be integers"
+    # a repeated id is refused on its second line
+    with pytest.raises(ParseError) as err:
+        parse_strings_file("a: 0 0 1 1\nb: 0 1 1 0\n a : 2 2 3 3\n")
+    assert err.value.line == 3 and str(err.value) == "line 3: repeated curve id 'a'"
 
 
 def test_random_instance_standard():

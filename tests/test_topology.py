@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stringsep import geometry, topology
-from stringsep.errors import ContractViolation, StandardnessError
+from stringsep.errors import ContractViolation, ParseError, StandardnessError
 from stringsep.geometry import PolylineCurve, SegmentRelation, intersection_graph
 from stringsep.graphs import Graph, graph_from_pairs
 from stringsep.topology import (
@@ -382,8 +382,6 @@ def test_weak_to_strings_rejects_invalid():
 
 
 def test_realization_file_errors_name_lines():
-    from stringsep.errors import ParseError
-
     with pytest.raises(ParseError):
         parse_realization_file("")
     with pytest.raises(ParseError) as err:
@@ -402,6 +400,33 @@ def test_realization_file_errors_name_lines():
         parse_realization_file(
             "2 1\n0 1\nvertex 0 0 0\nvertex 1 5 0\nedge 0: 0 0 5 0\nedge 0: 0 0 2 1 5 0\n"
         )
+
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("2 1\n1 1\nvertex 0 0 0\nvertex 1 5 0\nedge 0: 0 0 5 0\n", 2, "self-loop at vertex 1"),
+        ("3 2\n0 1\n\n1 0\nvertex 0 0 0\n", 4, "duplicate edge (1, 0)"),
+        ("2 1\n0 1\nallow 0 0\nvertex 0 0 0\nvertex 1 5 0\nedge 0: 0 0 5 0\n", 3,
+         "edge 0 cannot be allowed to cross itself"),
+        ("2 1\n0 1\nedge 0: 0 0 5\n", 3, "need an even count >= 4 of coordinates"),
+        ("2 1\n0 1\nedge 0: 0 0 5 x\n", 3, "coordinates must be integers"),
+        ("2 2\n0 1\n", 2, "expected 2 edges, found 1"),
+    ],
+    ids=["self-loop", "duplicate-edge", "allow-itself", "odd-count", "not-int", "missing-edge"],
+)
+def test_realization_file_graph_block_errors(text, line, message):
+    # the graph block reads as a graph file does, and edge curves as curves
+    with pytest.raises(ParseError) as err:
+        parse_realization_file(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+def test_realization_file_skips_blank_lines_in_the_edge_block():
+    tail = "vertex 0 0 0\nvertex 1 5 0\nedge 0: 0 0 5 0\n"
+    spaced = parse_realization_file("2 1\n\n  \n0 1\n\n" + tail)
+    assert spaced == parse_realization_file("2 1\n0 1\n" + tail)
 
 
 def test_realization_file_round_trip():
