@@ -49,9 +49,10 @@ def _load_graph_arg(args) -> Graph:
 
 
 def _flow_json(sol: congestion.FlowSolution) -> dict:
+    # JSON has no infinity: a disconnected graph's congestion is written as null
     return {
         "mode": sol.mode,
-        "congestion": sol.congestion,
+        "congestion": sol.congestion if sol.is_finite() else None,
         "commodities": [
             {
                 "pair": list(pair),

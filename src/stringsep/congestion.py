@@ -7,7 +7,10 @@ unordered pair receives its unit demand as two half-units.  Splitting a
 per-pair flow half/half onto its two endpoints, and conversely decomposing a
 source flow by target, maps either formulation onto the other while keeping
 every edge and vertex load unchanged, so the aggregated LP has the same
-optimum with n instead of n(n-1)/2 commodity blocks.
+optimum with n instead of n(n-1)/2 commodity blocks.  Its matrix is built
+from `Graph.ends` by index arithmetic, as two blocks of rows handed to
+`LpProblem.add_rows`, and `validate_flows` sums all commodities at once with
+`bincount`.
 
 Reported solutions are per unordered pair: each source flow is split by
 target and the two half-flows of a pair are merged (one reversed), giving
@@ -28,10 +31,10 @@ are out of scope.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_array
 
 from .errors import ContractViolation, SizeCapExceeded
 from .graphs import Graph
@@ -63,60 +66,48 @@ class PathFlow:
     paths: dict[Pair, tuple[tuple[tuple[int, ...], float], ...]]
 
 
-def _arcs(g: Graph) -> list[Arc]:
-    arcs: list[Arc] = []
-    for u, v in g.edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return arcs
+def _arc_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the arcs: arc 2i is edge i as (u, v), arc 2i + 1 as (v, u)."""
+    return g.ends.ravel(), g.ends[:, ::-1].ravel()
 
 
-def _aggregated_lp(g: Graph, mode: str) -> tuple[LpProblem, list[Arc], int]:
+def _aggregated_lp(g: Graph, mode: str) -> LpProblem:
     """min lambda; block s routes 1/2 unit from s to every other vertex.
 
-    Conservation rows demand net inflow 1/2 at every x != s (the source's
-    supply is implied).  Load rows come last, one per edge or vertex, each
-    of the form load - lambda <= 0.
+    Column 0 is lambda and column 1 + s * 2m + a the flow of block s on arc
+    a.  Conservation rows come first, one per source s and vertex x != s in
+    that order, and demand net inflow 1/2 at x (the source's supply is
+    implied).  Load rows come last, one per edge or vertex, each of the form
+    load - lambda <= 0.  The matrix is built as arrays, with no loop over
+    rows.
     """
-    arcs = _arcs(g)
-    na = len(arcs)
-    n = g.n
+    n, na = g.n, 2 * g.m
     nv = 1 + n * na
-    out_idx: dict[int, list[int]] = {x: [] for x in g.vertices()}
-    in_idx: dict[int, list[int]] = {x: [] for x in g.vertices()}
-    for ai, (a, b) in enumerate(arcs):
-        out_idx[a].append(ai)
-        in_idx[b].append(ai)
-
+    tail, head = _arc_ends(g)
     obj = np.zeros(nv)
     obj[0] = 1.0
     lp = LpProblem(obj, "min")
-    for s in g.vertices():
-        base = 1 + s * na
-        for x in g.vertices():
-            if x == s:
-                continue
-            row = {base + ai: 1.0 for ai in in_idx[x]}
-            row.update((base + ai, -1.0) for ai in out_idx[x])
-            lp.add(row, "=", 0.5)
 
+    # arc a of block s enters row (s, head[a]) at +1 and leaves row
+    # (s, tail[a]) at -1, where row (s, x) is s * (n - 1) + x - (x > s)
+    s = np.arange(n)[:, None]
+    x = np.stack([head, tail])[:, None, :]
+    keep = x != s
+    rows = (s * (n - 1) + x - (x > s))[keep]
+    cols = np.broadcast_to(1 + s * na + np.arange(na), keep.shape)[keep]
+    vals = np.broadcast_to(np.array([1.0, -1.0])[:, None, None], keep.shape)[keep]
+    lp.add_rows(coo_array((vals, (rows, cols)), shape=(n * (n - 1), nv)), "=", 0.5)
+
+    # per load row, the arcs it counts and their weight in every block
     if mode == "edge":
-        for ei in range(g.m):
-            row = {0: -1.0}
-            for s in g.vertices():
-                base = 1 + s * na
-                row[base + 2 * ei] = 1.0
-                row[base + 2 * ei + 1] = 1.0
-            lp.add(row, "<=", 0.0)
+        n_load, owner, arc, w = g.m, np.arange(na) // 2, np.arange(na), 1.0
     else:
-        for x in g.vertices():
-            row = {0: -1.0}
-            for s in g.vertices():
-                base = 1 + s * na
-                row.update((base + ai, 0.5) for ai in out_idx[x] + in_idx[x])
-            lp.add(row, "<=", 0.0)
-    n_load = g.m if mode == "edge" else n
-    return lp, arcs, n_load
+        n_load, owner, arc, w = n, np.concatenate([tail, head]), np.tile(np.arange(na), 2), 0.5
+    rows = np.concatenate([np.arange(n_load), np.tile(owner, n)])
+    cols = np.concatenate([np.zeros(n_load, np.int64), (1 + s * na + arc).ravel()])
+    vals = np.concatenate([np.full(n_load, -1.0), np.full(n * len(arc), w)])
+    lp.add_rows(coo_array((vals, (rows, cols)), shape=(n_load, nv)), "<=", 0.0)
+    return lp
 
 
 def _peel(
@@ -198,19 +189,19 @@ def _solve(g: Graph, mode: str, allow_large: bool) -> FlowSolution:
     if not g.is_connected():
         return FlowSolution(mode, math.inf, {})
 
-    lp, arcs, n_load = _aggregated_lp(g, mode)
-    sol = lp_solve(lp)
+    sol = lp_solve(_aggregated_lp(g, mode))
     if sol.status != "optimal":
         raise RuntimeError(f"congestion LP unexpectedly {sol.status}")
-    na = len(arcs)
+    tail, head = _arc_ends(g)
+    blocks = sol.x[1:].reshape(g.n, -1)
 
     # split each source block by target, then merge the two halves per pair
     commodities: dict[Pair, dict[Arc, float]] = {
         (u, v): {} for u in g.vertices() for v in g.vertices() if u < v
     }
     for s in g.vertices():
-        base = 1 + s * na
-        flow = dict(zip(arcs, sol.x[base : base + na].tolist()))
+        nz = np.flatnonzero(blocks[s] > FLOW_TOL)
+        flow = dict(zip(zip(tail[nz].tolist(), head[nz].tolist()), blocks[s, nz].tolist()))
         for t, paths in _split_by_target(g, s, flow).items():
             pair = (s, t) if s < t else (t, s)
             d = commodities[pair]
@@ -219,13 +210,11 @@ def _solve(g: Graph, mode: str, allow_large: bool) -> FlowSolution:
                 for a, b in zip(seq, seq[1:]):
                     d[(a, b)] = d.get((a, b), 0.0) + w
 
-    load_dual_vals = sol.duals[-n_load:]
-    # min problem, <= rows: canonical duals are <= 0; the metric weights are
-    # their magnitudes
-    if mode == "edge":
-        duals = {e: max(0.0, -float(d)) for e, d in zip(g.edges, load_dual_vals)}
-    else:
-        duals = {x: max(0.0, -float(d)) for x, d in zip(g.vertices(), load_dual_vals)}
+    # the load rows follow the n(n-1) conservation rows; min problem, <=
+    # rows: canonical duals are <= 0, the metric weights are their magnitudes
+    keys = g.edges if mode == "edge" else g.vertices()
+    load_duals = sol.duals[g.n * (g.n - 1) :].tolist()
+    duals = {key: max(0.0, -d) for key, d in zip(keys, load_duals)}
     return FlowSolution(mode, float(sol.value), commodities, duals)
 
 
@@ -245,40 +234,54 @@ def vertex_congestion(g: Graph, allow_large: bool = False) -> FlowSolution:
 
 
 def validate_flows(g: Graph, flows: FlowSolution) -> None:
-    """Check per-pair conservation and the load cap; raises ContractViolation."""
+    """Check per-pair conservation and the load cap; raises ContractViolation.
+
+    Every commodity's arcs are gathered into one (commodity, tail, head,
+    weight) array and summed with `bincount`, which adds each bin's terms in
+    the order of the commodity dicts, as a loop over them would.  The first
+    violation is reported: commodities, then vertices, in order; then edges
+    or vertices in order.
+    """
     if not flows.is_finite():
         raise ContractViolation("infinite congestion carries no flows")
-    edge = flows.mode == "edge"
-    load: dict = defaultdict(int)  # per edge, or per vertex before halving
-    for (s, t), fl in flows.commodities.items():
-        outs: dict[int, float] = defaultdict(int)
-        ins: dict[int, float] = defaultdict(int)
-        for (a, b), w in fl.items():
-            outs[a] += w
-            ins[b] += w
-            if not edge:
-                for x in {a, b}:
-                    load[x] += w
-        for x in g.vertices():
-            net = outs[x] - ins[x]
-            want = 1.0 if x == s else -1.0 if x == t else 0.0
-            if abs(net - want) > VALIDATE_TOL:
-                raise ContractViolation(
-                    f"commodity {(s, t)}: net flow {net:.2e} at vertex {x}, expected {want}"
-                )
-        if edge:
-            for u, v in g.edges:
-                load[(u, v)] += fl.get((u, v), 0.0) + fl.get((v, u), 0.0)
-    if edge:
-        for u, v in g.edges:
-            if load[(u, v)] > flows.congestion + VALIDATE_TOL:
-                raise ContractViolation(
-                    f"edge ({u},{v}) load {load[(u, v)]} exceeds congestion"
-                )
+    n, pairs, fls = g.n, list(flows.commodities), flows.commodities.values()
+    k = np.repeat(np.arange(len(pairs)), [len(fl) for fl in fls])
+    arcs = np.array([arc for fl in fls for arc in fl], dtype=np.int64).reshape(-1, 2)
+    w = np.array([x for fl in fls for x in fl.values()], dtype=float)
+    # an end outside the graph becomes vertex n, whose sums are dropped
+    a, b = np.where((arcs >= 0) & (arcs < n), arcs, n).T
+    size = len(pairs) * (n + 1)
+    net = np.bincount(k * (n + 1) + a, w, size) - np.bincount(k * (n + 1) + b, w, size)
+    net = net.reshape(-1, n + 1)[:, :n]
+    want = np.zeros_like(net)
+    st = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if ((st < 0) | (st >= n)).any():
+        raise ContractViolation(f"a commodity pair names a vertex outside [0, {n})")
+    want[np.arange(len(pairs)), st[:, 1]] = -1.0
+    want[np.arange(len(pairs)), st[:, 0]] = 1.0
+    bad = np.flatnonzero(np.abs(net - want) > VALIDATE_TOL)
+    if len(bad):
+        i, x = divmod(int(bad[0]), n)
+        raise ContractViolation(
+            f"commodity {pairs[i]}: net flow {net[i, x]:.2e} at vertex {x}, "
+            f"expected {float(want[i, x])}"
+        )
+    if flows.mode == "edge":
+        edge_of = np.full((n + 1, n + 1), -1)
+        edge_of[g.ends[:, 0], g.ends[:, 1]] = edge_of[g.ends[:, 1], g.ends[:, 0]] = np.arange(g.m)
+        e = edge_of[a, b]
+        # per commodity an edge's two directions, then the commodities in order
+        both = np.bincount(k[e >= 0] * g.m + e[e >= 0], w[e >= 0], len(pairs) * g.m)
+        load = np.bincount(np.tile(np.arange(g.m), len(pairs)), both, g.m)
     else:
-        for x in g.vertices():
-            if 0.5 * load[x] > flows.congestion + VALIDATE_TOL:
-                raise ContractViolation(f"vertex {x} load {0.5 * load[x]} exceeds congestion")
+        # each arc loads its tail and its head, in the order of the arcs
+        ends = np.stack([a, np.where(b == a, n, b)], axis=1).ravel()
+        load = 0.5 * np.bincount(ends, np.repeat(w, 2), n + 1)[:n]
+    over = np.flatnonzero(load > flows.congestion + VALIDATE_TOL)
+    if len(over):
+        j = int(over[0])
+        what = "edge ({},{})".format(*g.edges[j]) if flows.mode == "edge" else f"vertex {j}"
+        raise ContractViolation(f"{what} load {float(load[j])} exceeds congestion")
 
 
 def decompose_to_paths(g: Graph, flows: FlowSolution) -> PathFlow:

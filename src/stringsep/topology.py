@@ -547,7 +547,8 @@ def write_realization_file(w: WeakRealization) -> str:
 
 def parse_realization_file(text: str) -> WeakRealization:
     """Parse the realization format: the graph block of a graph file, then
-    "allow i j", "vertex v x y" and "edge i: x0 y0 x1 y1 ..." lines."""
+    "allow i j", "vertex v x y" and "edge i: x0 y0 x1 y1 ..." lines, in any
+    order; each curve must end at its edge's two vertices."""
     lines = text.splitlines()
     # every vertex and every edge has a line of its own
     n, edges, rest = parse_graph_block(lines, len(lines))
@@ -560,6 +561,7 @@ def parse_realization_file(text: str) -> WeakRealization:
     allowed_pairs: set[EdgePair] = set()
     points: list[Point | None] = [None] * n
     curves: list[PolylineCurve | None] = [None] * m
+    curve_lines: dict[int, int] = {}  # edge line i -> its line number, in file order
     for off, raw in rest:
         if raw.startswith("allow "):
             i, j = int_tokens(raw.split()[1:], 2, "expected 'allow i j'", off)
@@ -587,11 +589,21 @@ def parse_realization_file(text: str) -> WeakRealization:
             if curves[rank[i]] is not None:
                 raise ParseError(f"second line for edge {i}", off)
             curves[rank[i]] = PolylineCurve(f"e{rank[i]}", pts)
+            curve_lines[i] = off
         else:
             raise ParseError(f"unrecognized line {raw!r}", off)
     if None in points:
         raise ParseError("missing vertex coordinate lines", len(lines))
     if None in curves:
         raise ParseError("missing edge curve lines", len(lines))
+    # vertex lines may follow the edge lines, so the ends are checked last
+    for i, off in curve_lines.items():
+        (u, v), pts = edges[i], curves[rank[i]].points
+        if {pts[0], pts[-1]} != {points[u], points[v]}:
+            raise ParseError(
+                f"edge {i}: curve from {pts[0]} to {pts[-1]} does not join "
+                f"vertex {u} at {points[u]} and vertex {v} at {points[v]}",
+                off,
+            )
     atg = AbstractTopologicalGraph(graph, frozenset(allowed_pairs))
     return WeakRealization(atg, tuple(points), tuple(curves))

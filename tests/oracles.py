@@ -28,8 +28,12 @@ and strings parsers as they stood before the three input formats shared one
 line grammar, each with its own loop over the lines and its own integer
 reads.
 
-`on_segment`, `curve_pair_points`, `segment_shared_point`, `dual_of` and
-`validate_metric` have no caller in the package; they serve the tests only.
+`dict_aggregated_lp` is the congestion LP as it was built before its
+assembly moved to arrays, one {column: coefficient} dict per row.
+
+`on_segment`, `curve_pair_points`, `segment_shared_point`, `dense_rows`,
+`dual_of` and `validate_metric` have no caller in the package; they serve
+the tests only.
 """
 
 from fractions import Fraction
@@ -510,6 +514,59 @@ def scan_decompose_to_paths(g, flows) -> PathFlow:
     return PathFlow(out)
 
 
+def dense_rows(problem: LpProblem) -> list[tuple[np.ndarray, str, float]]:
+    """The rows as (dense coefficient vector, relation, rhs)."""
+    out = []
+    for (cols, vals), rel, rhs in problem.rows:
+        row = np.zeros(problem.n_vars)
+        row[cols] = vals
+        out.append((row, rel, rhs))
+    return out
+
+
+def dict_aggregated_lp(g: Graph, mode: str) -> LpProblem:
+    """The aggregated congestion LP of `congestion._aggregated_lp`, one
+    {column: coefficient} dict per row, in the same row and column order."""
+    arcs = [arc for u, v in g.edges for arc in ((u, v), (v, u))]
+    na = len(arcs)
+    n = g.n
+    nv = 1 + n * na
+    out_idx: dict[int, list[int]] = {x: [] for x in g.vertices()}
+    in_idx: dict[int, list[int]] = {x: [] for x in g.vertices()}
+    for ai, (a, b) in enumerate(arcs):
+        out_idx[a].append(ai)
+        in_idx[b].append(ai)
+
+    obj = np.zeros(nv)
+    obj[0] = 1.0
+    lp = LpProblem(obj, "min")
+    for s in g.vertices():
+        base = 1 + s * na
+        for x in g.vertices():
+            if x == s:
+                continue
+            row = {base + ai: 1.0 for ai in in_idx[x]}
+            row.update((base + ai, -1.0) for ai in out_idx[x])
+            lp.add(row, "=", 0.5)
+
+    if mode == "edge":
+        for ei in range(g.m):
+            row = {0: -1.0}
+            for s in g.vertices():
+                base = 1 + s * na
+                row[base + 2 * ei] = 1.0
+                row[base + 2 * ei + 1] = 1.0
+            lp.add(row, "<=", 0.0)
+    else:
+        for x in g.vertices():
+            row = {0: -1.0}
+            for s in g.vertices():
+                base = 1 + s * na
+                row.update((base + ai, 0.5) for ai in out_idx[x] + in_idx[x])
+            lp.add(row, "<=", 0.0)
+    return lp
+
+
 def dual_of(problem: LpProblem) -> LpProblem:
     """Mechanically constructed dual, for duality spot-checks.
 
@@ -536,7 +593,7 @@ def dual_of(problem: LpProblem) -> LpProblem:
             cols.append((i, mult))
 
     obj = np.array([b[i] * mult for i, mult in cols])
-    dual = LpProblem(obj, "min" if problem.sense == "max" else "max", [])
+    dual = LpProblem(obj, "min" if problem.sense == "max" else "max")
     for j in range(n):
         coeffs = np.array([A[i, j] * mult for i, mult in cols])
         if problem.sense == "min":

@@ -97,6 +97,62 @@ def test_report_complete_graph_empty_vertex_cells(capsys, tmp_path):
     assert row[6] == "" and row[9] == ""  # vspars and prod_vertex empty
 
 
+@pytest.mark.parametrize("command,mode", [("econg", "edge"), ("vcong", "vertex")])
+def test_disconnected_congestion_is_json_null(capsys, tmp_path, command, mode):
+    graph = tmp_path / "two-edges.txt"
+    graph.write_text("4 2\n0 1\n2 3\n")
+    code, out, err = run(capsys, command, "--graph", str(graph))
+    assert (code, err) == (0, "")
+
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert json.loads(out, parse_constant=no_constants) == {
+        "mode": mode, "congestion": None, "commodities": []}
+
+
+# stdout digests of the congestion LPs and the duality report, taken before
+# the LP was assembled from arrays
+CONGESTION_BYTES = {
+    ("econg", "p3"): "85c91afe0c88b989d0296ecdf3e8a3363f415a9776e9c238d5c03464d160f71e",
+    ("vcong", "p3"): "4fbd103fa8ef95b45830955a1903e552fb298e99fdb2ad29161bd9735730c45d",
+    ("report", "p3"): "29f75af4bbed7cb29ef26ec3a21607005aa043fd2b61aa2787996cfdb61f94dc",
+    ("econg", "c4"): "4e2a707ae893470d4af7c7c2dd2e99d3ee7c1ede75d0b10a274c9e7763a378b4",
+    ("vcong", "c4"): "57095174d9615026b397521848f9af56629ae9287363aa12291970a9a4130350",
+    ("report", "c4"): "d1039de5c89ae72be8817c61c51e20b363685e419d123e15b1edca1ed3acfde3",
+    ("econg", "k4"): "2aa551048eb78e7005b6b0d312a89da82948eb12b468ef70145e42d302bef1f4",
+    ("vcong", "k4"): "1d17e3505f17d578c4f620a2edcb8918b5abd3e2d736750f137fe439a5213736",
+    ("report", "k4"): "3b2a6bf73983aad7999c1b13ff0487e240ea35a7171c09d760dbe064524ad6ab",
+    ("econg", "grid3x4"): "d0abab62534dd0d3615e7e5576d12c2ed0e50bbdff8a7405c8c9744b3a8eedd2",
+    ("vcong", "grid3x4"): "c3388ba91b362042687915d2fbccfd72f047b5091520fd3e7a37c148f8724a7a",
+    ("report", "grid3x4"): "ec9a1384f52f760b591c1b18f0c67e97258c4bd39efafec31561a40add21ebc2",
+    ("econg", "gnp12-40-s1"): "0f79fff663dc98b6b0d731f6464266d781526e73df9fdea3e7a739b5d21f77cd",
+    ("vcong", "gnp12-40-s1"): "35a5664800624cf77f5286cd5d910d3daafb84d1bea91b5fa427e846fe2e6f30",
+    ("report", "gnp12-40-s1"): "c94423a40283e462cb469a40c07b13e6f28f5b07fc9f99adb7d7081c049d5f31",
+    ("econg", "gnp12-40-s4"): "b1739234858c396c45568f0c1a99a118e46395296143fa0bcfaf1ef2abc2bbeb",
+    ("vcong", "gnp12-40-s4"): "1f9ac000b92f02265e0dc1db6fb1443564680f26b764ac473a6bc992982855a7",
+    ("report", "gnp12-40-s4"): "77a9f7fda3fc7cbc881284dd974f1f1ee4648e51652820cb2cdb3adb5bff5681",
+}
+CONGESTION_GRAPHS = {
+    "p3": lambda: graphs.graph_from_pairs(3, [(0, 1), (1, 2)]),
+    "c4": lambda: graphs.graph_from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "k4": lambda: graphs.generate("complete", (4,)),
+    "grid3x4": lambda: graphs.generate("grid", (3, 4)),
+    "gnp12-40-s1": lambda: graphs.generate("gnp_connected", (12, 40), seed=1),
+    "gnp12-40-s4": lambda: graphs.generate("gnp_connected", (12, 40), seed=4),
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(CONGESTION_BYTES), ids="-".join)
+def test_congestion_bytes_unchanged(capsys, tmp_path, command, name):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(graphs.serialize_graph(CONGESTION_GRAPHS[name]()))
+    extra = ("--name", name) if command == "report" else ()
+    code, out, err = run(capsys, command, "--graph", str(path), *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CONGESTION_BYTES[command, name]
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
@@ -107,6 +163,11 @@ def test_contract_error_exit_1(capsys, tmp_path):
     bad.write_text("2 1\n0 0\n")
     code, _, err = run(capsys, "econg", "--graph", str(bad))
     assert code == 1 and "self-loop" in err
+
+
+# the file's edge 0 is (1, 2), drawn from (4, 0) to (9, 0); vertex 2 is at (8, 0)
+REALIZATION_BAD_ENDS = ("3 2\n1 2\n0 1\nvertex 0 0 0\nvertex 1 4 0\nvertex 2 8 0\n"
+                        "edge 0: 4 0 9 0\nedge 1: 0 0 4 0\n")
 
 
 @pytest.mark.parametrize(
@@ -133,13 +194,15 @@ def test_contract_error_exit_1(capsys, tmp_path):
         ("sweep", "3 1\n0 1\n1 2\n"),
         ("conflicts", "3 1\n0 x\n"),
         ("report", "3 1\n0 1 2\n"),
+        ("weak2str", REALIZATION_BAD_ENDS),
     ],
     ids=["bad-int", "edge-index", "realization-huge-n", "second-vertex-line", "second-edge-line",
          "graph-n-overflow", "graph-n-memory",
          "strings-no-colon", "strings-odd-count", "strings-not-int", "strings-repeated-id",
          "allow-itself", "realization-self-loop", "realization-duplicate-edge",
          "econg-self-loop", "vcong-out-of-range", "sparsity-duplicate-edge",
-         "embed-missing-edge", "sweep-extra-edge", "conflicts-not-int", "report-three-fields"],
+         "embed-missing-edge", "sweep-extra-edge", "conflicts-not-int", "report-three-fields",
+         "realization-curve-ends"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, command, text):
     bad = tmp_path / "bad.txt"
@@ -148,6 +211,20 @@ def test_malformed_input_exit_1(capsys, tmp_path, command, text):
     code, out, err = run(capsys, command, flag, str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error: line ")
+
+
+def test_weak2str_curve_ends_name_the_file_edge_and_line(capsys, tmp_path):
+    # the ends are checked once every line is read, so vertex lines may
+    # come after the edge lines
+    lines = REALIZATION_BAD_ENDS.splitlines()
+    moved = "\n".join(lines[:3] + lines[6:][::-1] + lines[3:6][::-1]) + "\n"
+    want = "does not join vertex 1 at (4, 0) and vertex 2 at (8, 0)\n"
+    for text, line in ((REALIZATION_BAD_ENDS, 7), (moved, 5)):
+        real = tmp_path / "real.txt"
+        real.write_text(text)
+        code, out, err = run(capsys, "weak2str", "--realization", str(real))
+        assert (code, out) == (1, "")
+        assert err == f"error: line {line}: edge 0: curve from (4, 0) to (9, 0) " + want
 
 
 def test_weak2str_curve_not_simple_exit_1(capsys, tmp_path):
@@ -222,19 +299,14 @@ _fuzz_text = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_fuzz_text)
 def test_parsers_raise_only_usage_errors(text):
-    # any text parses or fails with an error main reports as "error: ..." and
-    # exit 1, and a parse error names a line of the text (an empty text
-    # counts as one empty line); the only other error is the realization
-    # check that an edge curve ends at its edge's vertices
+    # any text parses or fails with a ParseError that names a line of the
+    # text (an empty text counts as one empty line)
     lines = max(1, len(text.splitlines()))
     for parse in (geometry.parse_strings_file, graphs.parse_graph, topology.parse_realization_file):
         try:
             parse(text)
         except ParseError as exc:
             assert 1 <= exc.line <= lines
-        except ContractViolation as exc:
-            assert parse is topology.parse_realization_file
-            assert "endpoints" in str(exc)
 
 
 def _outcome(parse, text):

@@ -313,3 +313,21 @@ def test_validate_flows_matches_scan_oracle(p3, c4, k4):
     assert any(v and "net flow" in v for v in verdicts)
     assert any(v and v.startswith("edge") for v in verdicts)
     assert any(v and v.startswith("vertex") for v in verdicts)
+
+
+def test_validate_flows_outside_the_graph(p3):
+    # an arc with an end outside the graph loads only the end inside it, as
+    # in the scan; a pair naming a vertex outside the graph is refused
+    verdicts = []
+    for mode, cong in (("edge", 2.0), ("vertex", 2.25), ("vertex", 2.0)):
+        sol = FlowSolution(mode, cong, {
+            (0, 1): {(0, 1): 1.0, (1, 7): 0.25, (7, 1): 0.25},
+            (0, 2): {(0, 1): 1.0, (1, 2): 1.0, (-1, 9): 3.0},
+            (1, 2): {(1, 2): 1.0},
+        })
+        verdicts.append(_verdict(validate_flows, p3, sol))
+        assert verdicts[-1] == _verdict(scan_validate_flows, p3, sol)
+    assert verdicts == [None, None, "vertex 1 load 2.25 exceeds congestion"]
+    outside = FlowSolution("edge", 2.0, {(0, 5): {}})
+    with pytest.raises(ContractViolation, match=r"outside \[0, 3\)"):
+        validate_flows(p3, outside)

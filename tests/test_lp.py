@@ -8,7 +8,7 @@ import pytest
 
 from stringsep.lp import LpProblem, lp_solve
 
-from .oracles import dual_of
+from .oracles import dense_rows, dual_of
 
 
 def test_box_max():
@@ -47,7 +47,7 @@ def _brute_force_optimum(p: LpProblem):
     """Enumerate basic points: intersections of n active constraints drawn
     from {rows as equalities} + {x_j = 0}, keep the feasible ones."""
     n = p.n_vars
-    rows = [(np.asarray(c, dtype=float), rel, b) for c, rel, b in p.rows]
+    rows = dense_rows(p)
     planes = [(c, b) for c, rel, b in rows] + [
         (np.eye(n)[j], 0.0) for j in range(n)
     ]
@@ -150,8 +150,8 @@ def test_feasibility_residuals():
         s = lp_solve(p)
         if s.status != "optimal":
             continue
-        for coeffs, rel, rhs in p.rows:
-            lhs = float(np.asarray(coeffs) @ s.x)
+        for coeffs, rel, rhs in dense_rows(p):
+            lhs = float(coeffs @ s.x)
             if rel == "<=":
                 assert lhs <= rhs + 1e-9
             elif rel == ">=":

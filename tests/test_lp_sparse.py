@@ -1,24 +1,30 @@
-"""Sparse {column: coefficient} rows, and the lazy import of scipy.optimize."""
+"""Sparse {column: coefficient} rows, blocks of rows, the array-built
+congestion LP against the dict-built one, and the lazy import of
+scipy.optimize."""
 
 import os
 import subprocess
 import sys
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy.sparse import coo_array, csr_array
 
 import stringsep
 from stringsep.congestion import _aggregated_lp
-from stringsep.graphs import generate
+from stringsep.graphs import generate, graph_from_pairs
 from stringsep.lp import LpProblem, lp_solve
+
+from .conftest import connected_graphs
+from .oracles import dense_rows, dict_aggregated_lp
 
 
 def _dense_twin(p: LpProblem) -> LpProblem:
     twin = LpProblem(p.objective, p.sense)
-    for coeffs, rel, rhs in p.rows:
-        row = np.zeros(p.n_vars)
-        for j, c in coeffs.items():
-            row[j] = c
+    for row, rel, rhs in dense_rows(p):
         twin.add(row, rel, rhs)
     return twin
 
@@ -48,7 +54,7 @@ def test_dict_rows_match_dense_twin():
 
 @pytest.mark.parametrize("mode", ["edge", "vertex"])
 def test_congestion_lp_matches_dense_twin(mode):
-    lp, _, _ = _aggregated_lp(generate("grid", (3, 3)), mode)
+    lp = _aggregated_lp(generate("grid", (3, 3)), mode)
     _assert_same_solution(lp)
 
 
@@ -62,12 +68,117 @@ def test_dict_row_column_out_of_range():
     assert len(p.rows) == 1
 
 
+class _Handed(Exception):
+    """Raised by the stand-in for linprog once it has its arguments."""
+
+
+def _linprog_inputs(p: LpProblem) -> dict:
+    """What lp_solve hands to linprog: each array as (dtype, shape, bytes),
+    each sparse matrix as its CSR (indptr, indices, data) and its shape,
+    the other arguments as they are."""
+    seen = {}
+
+    def spy(c, **kw):
+        seen.update(kw, c=c)
+        raise _Handed
+
+    with patch("scipy.optimize.linprog", spy), pytest.raises(_Handed):
+        lp_solve(p)
+    out = {}
+    for key, val in seen.items():
+        if isinstance(val, csr_array):
+            assert val.has_sorted_indices
+            parts = (val.indptr, val.indices, val.data)
+            out[key] = tuple((a.dtype.str, a.shape, a.tobytes()) for a in parts)
+            out[key + ".shape"] = val.shape
+        elif isinstance(val, np.ndarray):
+            out[key] = (val.dtype.str, val.shape, val.tobytes())
+        else:
+            out[key] = val
+    return out
+
+
+def _assert_same_linprog_inputs(g) -> None:
+    for mode in ("edge", "vertex"):
+        handed = _linprog_inputs(_aggregated_lp(g, mode))
+        assert handed == _linprog_inputs(dict_aggregated_lp(g, mode))
+        assert {"c", "A_ub", "b_ub", "A_eq", "b_eq"} <= handed.keys()
+
+
+def _star(n):
+    return graph_from_pairs(n, [(0, i) for i in range(1, n)])
+
+
+FAMILIES = (
+    [generate("path", (n,)) for n in (2, 3, 5, 8)]
+    + [_star(n) for n in (3, 4, 7)]
+    + [generate("cycle", (n,)) for n in (3, 4, 7)]
+    + [generate("complete", (n,)) for n in (2, 4, 6)]
+    + [generate("grid", ab) for ab in ((1, 4), (2, 3), (3, 4), (4, 5))]
+)
+
+
+@pytest.mark.parametrize("g", FAMILIES, ids=lambda g: f"n{g.n}m{g.m}")
+def test_array_lp_hands_linprog_the_dict_lp(g):
+    _assert_same_linprog_inputs(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_n=2, max_n=9))
+def test_array_lp_hands_linprog_the_dict_lp_random(g):
+    _assert_same_linprog_inputs(g)
+
+
+def _error(fn, *args):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def test_add_rows_rejects_what_add_rejects():
+    p = LpProblem(np.array([1.0, 1.0, 1.0]), "max")
+    for row, block in (([1.0, 2.0], np.ones((2, 2))), ([1.0] * 4, coo_array(np.ones((1, 4))))):
+        assert _error(p.add_rows, block, "<=", 1.0) == _error(p.add, row, "<=", 1.0)
+    for rhs in (np.inf, -np.inf, np.nan):
+        assert _error(p.add_rows, np.ones((2, 3)), "<=", rhs) == _error(p.add, [1, 1, 1], "<=", rhs)
+    assert _error(p.add_rows, np.ones((2, 3)), "<=", [1.0, np.inf]) == "bounds must be finite"
+    for rel in ("<>", "==", "<"):
+        assert _error(p.add_rows, np.ones((2, 3)), rel, 0.0) == _error(p.add, [1, 1, 1], rel, 0.0)
+    assert _error(p.add_rows, np.ones((2, 3)), "<=", [1.0, 2.0, 3.0]) == "one rhs per row required"
+    assert _error(p.add_rows, np.ones(3), "<=", 1.0) == _error(p.add, [1, 1], "<=", 1.0)
+    assert len(p.rows) == 0
+
+
+def test_add_rows_matches_add():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        block = rng.integers(-3, 4, (k, n)).astype(float)
+        rhs = rng.integers(-3, 8, k).astype(float)
+        rel = ["<=", ">=", "="][int(rng.integers(3))]
+        obj = rng.integers(-4, 5, n).astype(float)
+        p, q = LpProblem(obj, "min"), LpProblem(obj, "min")
+        p.add([1.0] * n, "<=", 9.0)
+        q.add([1.0] * n, "<=", 9.0)
+        p.add_rows(block if rng.integers(2) else coo_array(block), rel, rhs)
+        for row, b in zip(block, rhs):
+            q.add(row, rel, b)
+        assert _linprog_inputs(p) == _linprog_inputs(q)
+        assert [(r, b) for _, r, b in p.rows] == [(r, b) for _, r, b in q.rows]
+
+
 def test_separator_does_not_import_scipy_optimize():
-    # scipy.optimize costs memory on import and only the LPs need it
+    # scipy.optimize costs memory on import and only lp_solve needs it: the
+    # separator pipeline must not load it, nor may importing the congestion
+    # module and assembling its LP, rows and matrix included
     code = (
         "import sys, stringsep\n"
+        "from stringsep import congestion, lp\n"
         "from stringsep.graphs import generate\n"
         "stringsep.find_separator(generate('grid', (4, 4)), seed=1)\n"
+        "for mode in ('edge', 'vertex'):\n"
+        "    p = congestion._aggregated_lp(generate('grid', (3, 3)), mode)\n"
+        "    assert len(p.rows) == lp._row_matrix(p).shape[0] > 0\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(stringsep.__file__))
