@@ -22,8 +22,13 @@ USAGE_ERRORS = (ParseError, ContractViolation, SizeCapExceeded, NoVertexCut,
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # name the first bad byte's line as the parsers count
+        line = len((data[: exc.start].decode() + ".").splitlines())
+        raise ParseError("not UTF-8 text", line) from None
 
 
 def _write_out(path: str | None, text: str) -> None:

@@ -17,8 +17,9 @@ sparsity (n-2)/(n-1)^2 < 1/n, so degenerate positions never undercut true
 cuts; among equal-sparsity positions the selection prefers both sides
 nonempty, then the lower position.
 
-The separator pipeline repeatedly embeds the largest oversized part with
-unit weights and cuts it with the sweep, then groups the leftover parts
+At most one part exceeds ceil(2n/3), so the separator pipeline is one
+chain of cuts: embed that part with unit weights, cut it with the sweep,
+go on with its piece still above the limit.  The parts left are grouped
 greedily by descending size; with every part at most ceil(2n/3), the
 greedy grouping keeps both sides within ceil(2n/3).
 """
@@ -306,11 +307,12 @@ class SeparatorResult:
 
 
 def find_separator(g: Graph, seed: int = 0, trials: int | None = None) -> SeparatorResult:
-    """Balanced separator by recursive embed-and-sweep.
+    """Balanced separator by a chain of embed-and-sweep cuts.
 
-    While a part exceeds ceil(2n/3): embed its largest component's subgraph
-    with unit vertex weights, sweep for a sparse vertex cut, move the cut
-    into the separator.  The remaining parts are grouped greedily into two
+    At most one part exceeds ceil(2n/3), so the pipeline is one chain of
+    cuts: embed that part with unit vertex weights, sweep it for a sparse
+    vertex cut, move the cut into the separator, and go on with the piece
+    still above the limit.  The parts left are grouped greedily into two
     sides.  The output always satisfies check_separator.
     """
     if g.n < 2:
@@ -318,26 +320,18 @@ def find_separator(g: Graph, seed: int = 0, trials: int | None = None) -> Separa
     if trials is not None and trials < 1:
         raise ContractViolation("trials must be >= 1")
     limit = balance_limit(g.n)
-    parts: list[frozenset[int]] = list(g.components())
     separator: set[int] = set()
     trace: list[tuple[int, float]] = []
-    round_no = 0
-    while True:
-        oversized = [p for p in parts if len(p) > limit]
-        if not oversized:
-            break
-        part = max(oversized, key=lambda p: (len(p), -min(p)))
-        parts.remove(part)
-        sub, back = g.induced(part)
-        f = _embed_or_fallback(sub, seed * 1_000_003 + round_no, trials)
-        round_no += 1
+    pieces, back = g.components(), range(g.n)
+    while part := next((p for p in pieces if len(p) > limit), None):
+        sub, back = g.induced({back[v] for v in part})
+        f = _embed_or_fallback(sub, seed * 1_000_003 + len(trace), trials)
         res = fhl_sweep(sub, np.ones(sub.n), f)
         trace.append((sub.n, float(res.sparsity)))
         separator.update(back[v] for v in res.S)
-        remaining = part - separator
-        parts.extend(g.components(removed=frozenset(g.vertices()) - remaining))
+        pieces = sub.components(removed=res.S)
 
-    side_a, side_b = _greedy_sides(parts)
+    side_a, side_b = _greedy_sides(g.components(removed=separator))
     cut = VertexCut(frozenset(side_a), frozenset(side_b), frozenset(separator))
     ok, why = check_separator(g, cut)
     if not ok:
@@ -370,24 +364,14 @@ def min_separator_exact(g: Graph) -> tuple[int, VertexCut]:
     for size in range(g.n + 1):
         for s_tuple in combinations(range(g.n), size):
             s_set = frozenset(s_tuple)
-            grouping = _grouping_within_limit(g, s_set, limit)
-            if grouping is not None:
-                a, b = grouping
+            comps = g.components(removed=s_set)
+            if all(len(c) <= limit for c in comps):
+                a, b = _greedy_sides(comps)  # fits when every part does
                 cut = VertexCut(frozenset(a), frozenset(b), s_set)
                 ok, why = check_separator(g, cut)
                 assert ok, why
                 return size, cut
     raise RuntimeError("unreachable: S = V always succeeds")
-
-
-def _grouping_within_limit(g: Graph, s_set: frozenset[int], limit: int):
-    comps = g.components(removed=s_set)
-    if any(len(c) > limit for c in comps):
-        return None
-    side_a, side_b = _greedy_sides(comps)
-    if len(side_a) <= limit and len(side_b) <= limit:
-        return side_a, side_b
-    return None
 
 
 def _greedy_sides(parts) -> tuple[set[int], set[int]]:

@@ -210,10 +210,13 @@ def duality_report(g: Graph, name: str = "graph", seed: int = 0) -> DualityRow:
 def report_csv(rows: list[DualityRow]) -> str:
     out = [REPORT_HEADER]
     for r in rows:
+        name = r.name
+        if any(c in name for c in ',"\r\n'):  # RFC 4180 quoting, quotes doubled
+            name = '"' + name.replace('"', '""') + '"'
         vs = "" if r.vspars is None else repr(r.vspars)
         pv = "" if r.prod_vertex is None else repr(r.prod_vertex)
         out.append(
-            f"{r.name},{r.n},{r.m},{r.econg!r},{r.espars!r},{r.vcong!r},{vs},"
+            f"{name},{r.n},{r.m},{r.econg!r},{r.espars!r},{r.vcong!r},{vs},"
             f"{r.sep_size},{r.prod_edge!r},{pv}"
         )
     return "\n".join(out) + "\n"

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations
 
 from .errors import ContractViolation, ParseError, StandardnessError
 from .geometry import (
@@ -384,10 +384,8 @@ def weak_to_strings(w: WeakRealization) -> tuple[StringRepresentation, Graph]:
     for (eu, ev), path in zip(g.edges, curves):
         if path[0] != vp[eu]:
             eu, ev = ev, eu
-        pu, iu = _exit_port(vp[eu], path)
-        pv, iv = _exit_port(vp[ev], list(reversed(path)))
-        iv = len(path) - 1 - iv
-        trimmed.append(tuple(p for p, _ in groupby([pu, *path[iu : iv + 1], pv])))
+        pu, pv = _exit_port(vp[eu], path[1]), _exit_port(vp[ev], path[-2])
+        trimmed.append((pu, *path[1:-1], pv))
         ports[eu].append(pu)
         ports[ev].append(pv)
 
@@ -429,8 +427,8 @@ def _pick_scale(w: WeakRealization) -> int:
             d2, bound = val, math.ceil(val)
 
     for c in w.edge_curves:
-        # the first and last segments must span the loop ring so each port
-        # direction is read from the segment the curve actually exits on
+        # the first and last segments must span the loop ring: _exit_port
+        # reads each port off the segment the curve exits on
         keep(sq_dist_points(c.points[0], c.points[1]))
         keep(sq_dist_points(c.points[-1], c.points[-2]))
     # (box, p, q, vertex or None, the ends of its edge or ()) per item
@@ -461,28 +459,17 @@ def _pick_scale(w: WeakRealization) -> int:
     return scale
 
 
-def _exit_port(center: Point, path: list[Point]) -> tuple[Point, int]:
-    """Integer port on the L-infinity ring of radius 16 where the curve exits.
-
-    Returns the port and the index of the first path point outside the ring.
-    The first segment always spans the ring because all clearances are >= 64.
-    """
+def _exit_port(center: Point, nxt: Point) -> Point:
+    """Integer port where the segment from center to nxt leaves the
+    L-infinity ring of radius 16 around center; nxt lies outside the ring,
+    as _pick_scale makes every first and last segment at least 64 long."""
     cx, cy = center
-    p0, p1 = path[0], path[1]
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    dx, dy = nxt[0] - cx, nxt[1] - cy
     # exact exit of the ray from the ring, then the nearest lattice point on
     # that ring side (< 1 unit away)
     if abs(dx) >= abs(dy):
-        t = Fraction(16, abs(dx))
-        port = (cx + (16 if dx > 0 else -16), cy + round(t * dy))
-    else:
-        t = Fraction(16, abs(dy))
-        port = (cx + round(t * dx), cy + (16 if dy > 0 else -16))
-    for idx in range(1, len(path)):
-        q = path[idx]
-        if max(abs(q[0] - cx), abs(q[1] - cy)) > 16:
-            return port, idx
-    raise ContractViolation("edge curve never leaves its endpoint's loop ring")
+        return cx + (16 if dx > 0 else -16), cy + round(Fraction(16, abs(dx)) * dy)
+    return cx + round(Fraction(16, abs(dy)) * dx), cy + (16 if dy > 0 else -16)
 
 
 def _open_loop(center: Point, rho: int, taken: list[Point]) -> tuple[Point, ...]:

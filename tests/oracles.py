@@ -28,6 +28,14 @@ and strings parsers as they stood before the three input formats shared one
 line grammar, each with its own loop over the lines and its own integer
 reads.
 
+`reference_find_separator` is the separator pipeline as a worklist of
+parts, before it became one chain of cuts; `reference_min_separator_exact`
+checks the greedy grouping's side sizes, which every candidate whose
+components fit the limit already meets.  `scan_exit_port` reads a loop
+port off the first segment and scans the path for its first point outside
+the ring, as `weak_to_strings` did before it relied on the clearance that
+`_pick_scale` guarantees.
+
 `dict_aggregated_lp` is the congestion LP as it was built before its
 assembly moved to arrays, one {column: coefficient} dict per row.
 
@@ -37,14 +45,28 @@ the tests only.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import numpy as np
 
 from stringsep.congestion import FLOW_TOL, PathFlow
-from stringsep.cuts import SweepPosition, min_vertex_cut
+from stringsep.cuts import (
+    SeparatorResult,
+    SweepPosition,
+    _embed_or_fallback,
+    _greedy_sides,
+    fhl_sweep,
+    min_vertex_cut,
+)
 from stringsep.embedding import Embedding, _mix, scale_count
-from stringsep.errors import ContractViolation, GenerationError, ParseError, StandardnessError
+from stringsep.errors import (
+    ContractViolation,
+    GenerationError,
+    ParseError,
+    SizeCapExceeded,
+    StandardnessError,
+)
 from stringsep.geometry import (
     PolylineCurve,
     SegmentRelation,
@@ -57,7 +79,14 @@ from stringsep.geometry import (
     sq_dist_points,
     sq_dist_segments,
 )
-from stringsep.graphs import MAX_GRAPH_VERTICES, Graph, graph_from_pairs
+from stringsep.graphs import (
+    MAX_GRAPH_VERTICES,
+    Graph,
+    VertexCut,
+    balance_limit,
+    check_separator,
+    graph_from_pairs,
+)
 from stringsep.lp import LpProblem, _row_matrix
 from stringsep.topology import Violation
 
@@ -895,3 +924,82 @@ def reference_parse_strings_file(text: str) -> StringRepresentation:
         pts = tuple(zip(vals[::2], vals[1::2]))
         curves.append(PolylineCurve(label.strip(), pts))
     return StringRepresentation(tuple(curves))
+
+
+def reference_find_separator(g: Graph, seed: int = 0, trials: int | None = None) -> SeparatorResult:
+    """cuts.find_separator as a worklist of parts: each round takes the
+    largest oversized part (ties: least vertex) and puts back the
+    components of its uncut vertices, found by a walk over all of g."""
+    if g.n < 2:
+        raise ContractViolation("separator needs n >= 2")
+    if trials is not None and trials < 1:
+        raise ContractViolation("trials must be >= 1")
+    limit = balance_limit(g.n)
+    parts: list[frozenset[int]] = list(g.components())
+    separator: set[int] = set()
+    trace: list[tuple[int, float]] = []
+    round_no = 0
+    while True:
+        oversized = [p for p in parts if len(p) > limit]
+        if not oversized:
+            break
+        part = max(oversized, key=lambda p: (len(p), -min(p)))
+        parts.remove(part)
+        sub, back = g.induced(part)
+        f = _embed_or_fallback(sub, seed * 1_000_003 + round_no, trials)
+        round_no += 1
+        res = fhl_sweep(sub, np.ones(sub.n), f)
+        trace.append((sub.n, float(res.sparsity)))
+        separator.update(back[v] for v in res.S)
+        remaining = part - separator
+        parts.extend(g.components(removed=frozenset(g.vertices()) - remaining))
+
+    side_a, side_b = _greedy_sides(parts)
+    cut = VertexCut(frozenset(side_a), frozenset(side_b), frozenset(separator))
+    ok, why = check_separator(g, cut)
+    if not ok:
+        raise RuntimeError(f"pipeline produced an invalid separator: {why}")
+    return SeparatorResult(cut, len(separator), (len(side_a), len(side_b), g.n), tuple(trace))
+
+
+def reference_min_separator_exact(g: Graph) -> tuple[int, VertexCut]:
+    """cuts.min_separator_exact that also checks the sizes of the greedy
+    grouping's sides before it accepts a candidate S."""
+    if g.n > 14:
+        raise SizeCapExceeded(f"n={g.n} exceeds the brute-force cap 14")
+    if g.n < 2:
+        raise ContractViolation("needs n >= 2")
+    limit = balance_limit(g.n)
+    for size in range(g.n + 1):
+        for s_tuple in combinations(range(g.n), size):
+            s_set = frozenset(s_tuple)
+            comps = g.components(removed=s_set)
+            if any(len(c) > limit for c in comps):
+                continue
+            side_a, side_b = _greedy_sides(comps)
+            if len(side_a) <= limit and len(side_b) <= limit:
+                cut = VertexCut(frozenset(side_a), frozenset(side_b), s_set)
+                ok, why = check_separator(g, cut)
+                assert ok, why
+                return size, cut
+    raise RuntimeError("unreachable: S = V always succeeds")
+
+
+def scan_exit_port(center, path) -> tuple[tuple[int, int], int]:
+    """topology._exit_port as a scan: the port on the L-infinity ring of
+    radius 16 read from the first segment of `path`, which starts at
+    `center`, and the index of the first path point outside the ring."""
+    cx, cy = center
+    p0, p1 = path[0], path[1]
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    if abs(dx) >= abs(dy):
+        t = Fraction(16, abs(dx))
+        port = (cx + (16 if dx > 0 else -16), cy + round(t * dy))
+    else:
+        t = Fraction(16, abs(dy))
+        port = (cx + round(t * dx), cy + (16 if dy > 0 else -16))
+    for idx in range(1, len(path)):
+        q = path[idx]
+        if max(abs(q[0] - cx), abs(q[1] - cy)) > 16:
+            return port, idx
+    raise ContractViolation("edge curve never leaves its endpoint's loop ring")

@@ -1,4 +1,7 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -95,6 +98,24 @@ def test_report_complete_graph_empty_vertex_cells(capsys, tmp_path):
     assert code == 0
     row = out.strip().splitlines()[1].split(",")
     assert row[6] == "" and row[9] == ""  # vspars and prod_vertex empty
+
+
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\r\nb", "a\rb", "a\nb", '"', "plain name"])
+def test_report_name_reads_back_as_one_csv_field(capsys, p3_file, name):
+    code, out, err = run(capsys, "report", "--graph", p3_file, "--name", name)
+    assert (code, err) == (0, "")
+    header, row = csv.reader(io.StringIO(out, newline=""))
+    assert len(header) == len(row) == 10
+    assert row[0] == name and row[1:3] == ["3", "2"]
+
+
+def test_report_default_name_with_a_comma_is_quoted(capsys, tmp_path):
+    path = tmp_path / "p,3.txt"
+    path.write_text("3 2\n0 1\n1 2\n")
+    code, out, _ = run(capsys, "report", "--graph", str(path))
+    assert code == 0
+    assert out.splitlines()[1].startswith(f'"{path}",3,2,')
+    assert [len(r) for r in csv.reader(io.StringIO(out, newline=""))] == [10, 10]
 
 
 @pytest.mark.parametrize("command,mode", [("econg", "edge"), ("vcong", "vertex")])
@@ -195,6 +216,9 @@ REALIZATION_BAD_ENDS = ("3 2\n1 2\n0 1\nvertex 0 0 0\nvertex 1 4 0\nvertex 2 8 0
         ("conflicts", "3 1\n0 x\n"),
         ("report", "3 1\n0 1 2\n"),
         ("weak2str", REALIZATION_BAD_ENDS),
+        ("separator", b"3 1\n0 \xff1\n"),
+        ("build-ig", b"a: 0 0 1 1\nb: 0 1 \xff 0\n"),
+        ("weak2str", b"2 1\n0 1\xc3\nvertex 0 0 0\nvertex 1 1 0\nedge 0: 0 0 1 0\n"),
     ],
     ids=["bad-int", "edge-index", "realization-huge-n", "second-vertex-line", "second-edge-line",
          "graph-n-overflow", "graph-n-memory",
@@ -202,15 +226,45 @@ REALIZATION_BAD_ENDS = ("3 2\n1 2\n0 1\nvertex 0 0 0\nvertex 1 4 0\nvertex 2 8 0
          "allow-itself", "realization-self-loop", "realization-duplicate-edge",
          "econg-self-loop", "vcong-out-of-range", "sparsity-duplicate-edge",
          "embed-missing-edge", "sweep-extra-edge", "conflicts-not-int", "report-three-fields",
-         "realization-curve-ends"],
+         "realization-curve-ends", "graph-not-utf8", "strings-not-utf8", "realization-not-utf8"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, command, text):
     bad = tmp_path / "bad.txt"
-    bad.write_text(text)
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text)
     flag = {"weak2str": "--realization", "build-ig": "--strings"}.get(command, "--graph")
     code, out, err = run(capsys, command, flag, str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error: line ")
+
+
+@pytest.mark.parametrize(
+    "data,line",
+    [(b"\xff3 2\n", 1), (b"3 2\n0 1\n1 \xe2\x82\n", 3), (b"3 2\r\n0 1\r\n\xc3", 3),
+     (b"3 2\r0 1\r\n\n1 2\x80\n", 4), (b"3 2\n\n0 1\n1 2\n", None)],
+    ids=["first-byte", "cut-sequence", "crlf", "lone-cr", "valid"],
+)
+def test_not_utf8_names_the_line_of_the_first_bad_byte(capsys, tmp_path, data, line):
+    # lines are counted as the parsers count them, so a lone CR ends one
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "econg", "--graph", str(path))
+    if line is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (1, "", f"error: line {line}: not UTF-8 text\n")
+
+
+def test_crlf_input_parses_as_lf(capsys, tmp_path):
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    for path, eol in ((lf, b"\n"), (crlf, b"\r\n")):
+        path.write_bytes(eol.join([b"4 3", b"0 1", b"", b"1 2", b"2 3", b""]))
+    assert run(capsys, "separator", "--graph", str(crlf)) == run(capsys, "separator", "--graph", str(lf))
+    lf.write_bytes(b"a: 0 0 4 0\nb: 1 -1 1 1\n")
+    crlf.write_bytes(b"a: 0 0 4 0\r\nb: 1 -1 1 1\r\n")
+    assert run(capsys, "build-ig", "--strings", str(crlf)) == run(capsys, "build-ig", "--strings", str(lf))
 
 
 def test_weak2str_curve_ends_name_the_file_edge_and_line(capsys, tmp_path):
@@ -253,6 +307,34 @@ def test_seed_handling_bytes_unchanged(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout digests of `separator --graph` on random segment instances that
+# take two to four embed-and-sweep rounds, taken while the pipeline still
+# kept a worklist of parts: (count, span, seed, extra flags)
+SEPARATOR_BYTES = {
+    (60, 120, 1, ()): "ec50b22bb10d5849c446a30ea4de365624b17e5eb9f40dd5f312113e1a95add2",
+    (60, 90, 2, ()): "1fcd86a9e95cf4e07c0f1d4de65ac724fb64bf787eda87698c20388661edbfd8",
+    (100, 100, 1, ()): "ef3295ac3f0aa0ec07e0a9db143b8857cfc3e8325bc4d1d775a17483241aab73",
+    (100, None, 2, ()): "4f15666b8d413ae73a8afcf7607f2fdadcdcd90b2ee1537fe0140389a5cae042",
+    (200, 300, 1, ()): "7367f28d18c83ab7b4ad4ec908259e60df25fa233d3af4669ca931e46606965b",
+    (100, None, 2, ("--seed", "3", "--trials", "2")):
+        "dd42c14875f1d93f3bb6f212179acd4c03188c6d25d4f795e106bfa7e7849308",
+    (60, 120, 2, ("--seed", "3", "--trials", "1")):
+        "4c3399f219203500b3bc61b6011a8394cfd1330e01604807875692dfe5823910",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEPARATOR_BYTES, key=str), ids=str)
+def test_separator_bytes_unchanged(capsys, tmp_path, case):
+    count, span, seed, extra = case
+    g, _ = geometry.intersection_graph(geometry.random_segment_instance(count, seed, span))
+    path = tmp_path / "g.txt"
+    path.write_text(graphs.serialize_graph(g))
+    code, out, err = run(capsys, "separator", "--graph", str(path), *extra)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["sparsity_trace"]) >= 2
+    assert hashlib.sha256(out.encode()).hexdigest() == SEPARATOR_BYTES[case]
+
+
 @pytest.mark.parametrize("command", ["embed", "sweep", "conflicts", "separator"])
 def test_zero_trials_rejected(capsys, tmp_path, p3_file, command):
     paths = [p3_file]
@@ -266,14 +348,21 @@ def test_zero_trials_rejected(capsys, tmp_path, p3_file, command):
         assert (code, out, err) == (1, "", "error: trials must be >= 1\n")
 
 
-def test_python_m_stringsep():
+def test_python_m_stringsep(tmp_path):
     paths = [str(Path(stringsep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "stringsep", "pcr-bound", "--n", "10"],
-        capture_output=True, text=True, env=env, check=False,
-    )
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "stringsep", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+
+    proc = python_m("pcr-bound", "--n", "10")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "42\n", "")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a: 0 0 1 1\nb: 0 1 \xff 0\n")
+    proc = python_m("build-ig", "--strings", str(bad))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: line 2:") and "Traceback" not in proc.stderr
 
 
 _token = st.sampled_from(
@@ -307,6 +396,48 @@ def test_parsers_raise_only_usage_errors(text):
             parse(text)
         except ParseError as exc:
             assert 1 <= exc.line <= lines
+
+
+def _splice(lines, eol, inserts):
+    data = eol.join(lines).encode()
+    for at, chunk in inserts:
+        at %= len(data) + 1
+        data = data[:at] + chunk + data[at:]
+    return data
+
+
+# valid lines with random bytes spliced in: mostly not UTF-8, sometimes a
+# valid sequence that lands inside a token or a curve id
+_fuzz_bytes = st.builds(
+    _splice,
+    st.lists(_line, max_size=12),
+    st.sampled_from(["\n", "\r\n"]),
+    st.lists(st.tuples(st.integers(0, 200), st.binary(min_size=1, max_size=3)), max_size=4),
+)
+_READERS = [
+    ("separator", "--graph", graphs.parse_graph),
+    ("build-ig", "--strings", geometry.parse_strings_file),
+    ("weak2str", "--realization", topology.parse_realization_file),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_bytes)
+def test_cli_readers_on_raw_bytes_exit_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_bytes(data)
+    for command, flag, parse in _READERS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, flag, str(path)])
+        assert code in (0, 1), (command, code)
+        if code == 1:
+            err = err.getvalue()
+            assert err.startswith("error: ")
+            # bytes the reader or the parser refuse name a line; past them
+            # a command may refuse the graph or the curves as a whole
+            if not err.startswith("error: line "):
+                parse(data.decode())
 
 
 def _outcome(parse, text):

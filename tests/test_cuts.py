@@ -23,8 +23,13 @@ from stringsep.embedding import best_embedding, default_trials
 from stringsep.errors import NoVertexCut
 from stringsep.geometry import intersection_graph, random_segment_instance
 
-from .conftest import connected_graphs
-from .oracles import edmonds_karp_vertex_cut, set_sweep
+from .conftest import arbitrary_graphs, connected_graphs
+from .oracles import (
+    edmonds_karp_vertex_cut,
+    reference_find_separator,
+    reference_min_separator_exact,
+    set_sweep,
+)
 
 
 def brute_min_vertex_cut(g: Graph, xs, ys) -> int:
@@ -290,6 +295,53 @@ def test_find_separator_not_below_exact():
         best, _ = min_separator_exact(g)
         res = find_separator(g, seed=3)
         assert res.size >= best
+
+
+SEPARATOR_SETTINGS = [(seed, trials) for seed in (0, 3) for trials in (None, 1, 2)]
+
+
+def _assert_separator_matches_reference(g):
+    for seed, trials in SEPARATOR_SETTINGS:
+        # equal results: the same A, B, S, size, balance and trace
+        got = find_separator(g, seed=seed, trials=trials)
+        assert got == reference_find_separator(g, seed=seed, trials=trials), (seed, trials)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arbitrary_graphs(min_n=2, max_n=10))
+def test_find_separator_matches_worklist_reference_on_arbitrary_graphs(g):
+    _assert_separator_matches_reference(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs(min_n=2, max_n=12))
+def test_find_separator_matches_worklist_reference_on_connected_graphs(g):
+    _assert_separator_matches_reference(g)
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [("grid", (4, 4)), ("grid", (6, 6)), ("grid", (8, 5)), ("grid", (10, 10)),
+     ("subdivided_complete", (5,)), ("subdivided_complete", (6,))],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_find_separator_matches_worklist_reference_on_families(kind, params):
+    _assert_separator_matches_reference(generate(kind, params))
+
+
+@pytest.mark.parametrize(
+    "count,span,seed", [(60, 120, 1), (60, 90, 2), (100, 100, 1), (100, None, 2), (200, 300, 1)]
+)
+def test_find_separator_matches_worklist_reference_on_segment_instances(count, span, seed):
+    g, _ = intersection_graph(random_segment_instance(count, seed=seed, span=span))
+    assert len(find_separator(g).trace) >= 3  # several rounds, each on a piece of the last
+    _assert_separator_matches_reference(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arbitrary_graphs(min_n=2, max_n=9))
+def test_min_separator_exact_matches_reference(g):
+    assert min_separator_exact(g) == reference_min_separator_exact(g)
 
 
 def test_min_separator_exact_values(p3):

@@ -21,6 +21,7 @@ from stringsep.topology import (
 from .oracles import (
     pair_intersections,
     pairwise_validate_weak_realization,
+    scan_exit_port,
     scan_niceness,
     scan_segments_intersect,
     segment_shared_point,
@@ -589,3 +590,25 @@ def small_realizations(draw):
 @given(small_realizations())
 def test_niceness_matches_full_scan_on_small_realizations(w):
     assert _niceness_fires(w) == scan_niceness(w, topology._pick_scale(w))
+
+
+def _assert_exit_ports_match_scan(w):
+    """At both ends of every scaled edge curve, the port read off the end
+    segment is the scan's port, and the scan's first point outside the
+    ring is the far end of that segment."""
+    scale = topology._pick_scale(w)
+    for c in w.edge_curves:
+        path = [(x * scale, y * scale) for x, y in c.points]
+        for end in (path, path[::-1]):
+            assert scan_exit_port(end[0], end) == (topology._exit_port(end[0], end[1]), 1)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_exit_port_matches_scan_on_expo(k):
+    _assert_exit_ports_match_scan(expo_family(k).realization)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_realizations())
+def test_exit_port_matches_scan_on_small_realizations(w):
+    _assert_exit_ports_match_scan(w)
