@@ -44,9 +44,11 @@ def _jdump(obj) -> str:
 
 
 def _load_graph_arg(args) -> Graph:
-    if getattr(args, "graph", None):
+    if args.graph and args.strings:
+        raise ContractViolation("give one of --graph or --strings, not both")
+    if args.graph:
         return parse_graph(_read(args.graph))
-    if getattr(args, "strings", None):
+    if args.strings:
         rep = geometry.parse_strings_file(_read(args.strings))
         g, _ = geometry.intersection_graph(rep)
         return g
@@ -331,6 +333,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (*USAGE_ERRORS, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # e.g. the n x n metric of a large graph
+        sys.stderr.write(f"error: out of memory{': ' if str(exc) else ''}{exc}\n")
         return 1
 
 

@@ -1,15 +1,14 @@
-"""Vertex cuts by max-flow, the embedding sweep, and the separator pipeline.
+"""Vertex cuts by unit flow, the embedding sweep, and the separator pipeline.
 
-The sweep orders vertices by a 1-Lipschitz embedding, computes for every
-prefix/suffix split a minimum vertex cut between the sides, and keeps the
-sparsest (A_i, B_i, S_i).  Its sparsity never exceeds
-(sum of vertex weights) / (sum of embedding gaps over pairs).  One
-warm-started unit flow on the node-split network serves all n-1 splits:
-moving a vertex across cancels at most one path and re-augments.  Every
-search starts from a copy of the source's arcs, kept up to date as the
-prefix grows, and only the winning split's sides are built as sets.  The
-winning split is recomputed from scratch by min_vertex_cut (scipy max-flow
-with a Menger certificate of vertex-disjoint paths) as a cross-check.
+Every minimum vertex cut comes from one unit flow on the node-split
+network (_max_flow); min_vertex_cut runs it from an empty flow and checks
+its Menger certificate.  The sweep orders vertices by a 1-Lipschitz
+embedding, computes for every prefix/suffix split a minimum vertex cut
+between the sides, and keeps the sparsest (A_i, B_i, S_i).  Its sparsity
+never exceeds (sum of vertex weights) / (sum of embedding gaps over
+pairs).  One warm-started flow serves all n-1 splits, only the winner's
+sides are built as sets, and min_vertex_cut recomputes the winner as a
+cross-check.
 
 A sweep position whose A or B side is empty has sparsity exactly 1/n
 (|S| / (|S| n)), while every non-complete graph admits a proper cut of
@@ -31,13 +30,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .embedding import _spread, best_embedding, default_trials
 from .errors import ContractViolation, SizeCapExceeded
 from .graphs import Graph, VertexCut, EdgeCut, balance_limit, check_separator
 from .metrics import derived_edge_weights, shortest_path_metric, sparsity_exact, _vertex_weights
+
+
+_NONE, _SRC = -1, -2  # pred entries that are not vertices
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,9 @@ class MengerCertificate:
 def min_vertex_cut(g: Graph, xs, ys) -> MengerCertificate:
     """Minimum set of vertices whose removal separates X from Y.
 
-    Node-split reduction: vertex v becomes an arc in(v) -> out(v) of capacity
-    one; graph edges and super-terminal attachments get capacity n+1.  The
-    max-flow is scipy.sparse.csgraph.maximum_flow.  The cut is read from the
-    residual reachability of the super-source (saturated split arcs on the
-    frontier), the unique minimal source-side minimum cut; the certificate
-    paths are peeled from the integral flow.  Vertices of X or Y may
-    themselves be cut.
+    _max_flow from an empty flow; the paths are walked back through pred
+    from the Y vertices that carry a unit, and _check_menger checks them
+    with the cut.  X or Y vertices may themselves be cut.
     """
     xs, ys = frozenset(xs), frozenset(ys)
     if not xs or not ys:
@@ -66,42 +62,37 @@ def min_vertex_cut(g: Graph, xs, ys) -> MengerCertificate:
         raise ContractViolation("X and Y must be disjoint")
 
     n = g.n
-    big = n + 1
-    src, snk = 2 * n, 2 * n + 1
-    # in(v) = 2v, out(v) = 2v + 1
-    verts = np.arange(n)
-    x_arr, y_arr = np.array(sorted(xs)), np.array(sorted(ys))
-    arc_from = np.concatenate([2 * verts, 2 * g.ends[:, 0] + 1, 2 * g.ends[:, 1] + 1,
-                               np.full(len(x_arr), src), 2 * y_arr + 1])
-    arc_to = np.concatenate([2 * verts + 1, 2 * g.ends[:, 1], 2 * g.ends[:, 0],
-                             2 * x_arr, np.full(len(y_arr), snk)])
-    caps = np.full(len(arc_from), big, dtype=np.int32)
-    caps[:n] = 1
-    cap = csr_array((caps, (arc_from, arc_to)), shape=(2 * n + 2, 2 * n + 2))
-    res = maximum_flow(cap, src, snk)
-    flow = res.flow.tocoo()
-
-    residual = (cap - res.flow).tocsr()
-    residual.eliminate_zeros()  # to csgraph, an explicit zero is an arc
-    reach = np.zeros(2 * n + 2, dtype=bool)
-    reach[breadth_first_order(residual, src, return_predecessors=False)] = True
-    cut = frozenset(int(v) for v in np.flatnonzero(reach[0::2][:n] & ~reach[1::2][:n]))
-
-    # every vertex carries at most one unit, so each node on a flow path has
-    # exactly one successor with positive flow
-    pos = flow.data > 0
-    tails, heads = flow.row[pos], flow.col[pos]
-    succ = dict(zip(tails.tolist(), heads.tolist()))
+    adj = [[2 * w for w in sorted(a)] for a in g.adjacency]
+    pred = [_NONE] * n
+    is_y = [v in ys for v in range(n)]
+    seeds = [2 * x for x in sorted(xs)]
+    seed_par = [-1] * (2 * n)
+    seed_par[0::2] = [2 * n if v in xs else -1 for v in range(n)]
+    _, cut = _max_flow(adj, pred, is_y, seed_par, seeds)
     paths = []
-    for node in sorted(heads[tails == src].tolist()):
-        path = []
-        while node != snk:
-            path.append(node // 2)
-            node = succ[succ[node]]  # in(v) -> out(v) -> next in(w) or the sink
-        paths.append(tuple(path))
-    if res.flow_value != len(cut) or len(paths) != len(cut):
-        raise RuntimeError("max-flow value disagrees with the extracted cut")
+    for y in sorted(y for y in ys if pred[y] != _NONE):
+        path = [y]
+        while pred[path[-1]] >= 0 and len(path) <= n:  # a cycle fails the check
+            path.append(pred[path[-1]])
+        paths.append(tuple(reversed(path)))
+    _check_menger(g, xs, ys, cut, paths)
     return MengerCertificate(cut, tuple(paths))
+
+
+def _check_menger(g: Graph, xs, ys, cut, paths) -> None:
+    """Raise RuntimeError unless `paths` are len(cut) vertex-disjoint X-Y
+    paths along edges of g and no component of g - cut meets both X and Y,
+    which proves `cut` a minimum X-Y separator."""
+    if len(paths) != len(cut):
+        raise RuntimeError("max-flow value disagrees with the extracted cut")
+    flat = [v for p in paths for v in p]
+    if len(flat) != len(set(flat)) or not all(
+        p[0] in xs and p[-1] in ys and all(v in g.adjacency[u] for u, v in zip(p, p[1:]))
+        for p in paths
+    ):
+        raise RuntimeError("Menger paths are not vertex-disjoint X-Y paths of the graph")
+    if any(c & xs and c & ys for c in g.components(removed=cut)):
+        raise RuntimeError("the cut does not separate X from Y")
 
 
 @dataclass(frozen=True)
@@ -137,13 +128,12 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     non-constant and 1-Lipschitz with respect to the metric of the derived
     edge weights of s, which is checked edge by edge.
 
-    The cuts come from one flow carried from position to position
-    (_sweep_cuts), each equal to what min_vertex_cut returns for that split.
-    A position's side sizes are counted from the places of its cut vertices
-    in the order; the sides themselves are built for the winner only.
-    Checked at run time: the flow value equals the cut size at every
-    position, min_vertex_cut recomputes the winning position's cut, and the
-    result's sparsity is within its bound.
+    The cuts come from one flow carried across the positions (_sweep_cuts).
+    Side sizes are counted from the places of the cut vertices in the
+    order; only the winner's sides are built.  Checked at run time: the
+    flow value equals the cut size at every position, min_vertex_cut
+    recomputes the winner's cut from an empty flow and certifies it
+    minimum, and the sparsity is within its bound.
     """
     weights = _vertex_weights(g, s)
     vals = np.asarray(f, dtype=float)
@@ -193,33 +183,21 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     return res
 
 
-_NONE, _SRC = -1, -2  # pred entries that are not vertices
-
-
 def _sweep_cuts(g: Graph, order):
     """The cut min_vertex_cut(g, order[:i], order[i:]) for i = 1..n-1.
 
-    One flow on min_vertex_cut's node-split network is kept across the
-    positions.  Every vertex carries at most one unit, so the flow is a set
-    of vertex-disjoint paths, stored as pred[v]: the vertex before v on its
-    path, _SRC if v starts it, _NONE if v carries no flow.  An augmenting
-    path stops at the first Y vertex it reaches, so every flow path runs
-    through X vertices to one Y vertex, and a Y vertex that carries flow
-    ends its path.  Moving v from Y to X removes the arc out(v) -> sink, so
-    the one path that ended at v is cancelled, and adds source -> in(v);
-    breadth-first augmentation then restores a maximum flow.  The source's
-    arcs are kept as a parent template (the source at in(x) for every X
-    vertex x) and a list of the in-nodes of X, in order, that each search
-    starts from a copy of.  The last, failing search gives the residual
-    reachability of the source, and the minimal source-side minimum cut
-    read from the in-nodes it reached is the same for every maximum flow,
-    so it does not depend on the order in which the searches go.
+    One flow is kept across the positions, stored as pred[v]: the vertex
+    before v on its vertex-disjoint path, _SRC if v starts it, _NONE if v
+    carries no flow.  Every path runs through X vertices to one Y vertex,
+    since a search stops at the first Y vertex it reaches.  Moving v into X
+    cancels the one path that ended at v and adds the arc source -> in(v);
+    augmentation restores a maximum flow.  The cut read from the last
+    search is the same for every maximum flow.
     """
     n = g.n
-    # the in-nodes of each vertex's neighbours, in vertex order
     adj = [[2 * w for w in sorted(a)] for a in g.adjacency]
     pred = [_NONE] * n
-    in_x = [False] * n
+    is_y = [True] * n
     seed_par = [-1] * (2 * n)
     seeds = []
     value = 0
@@ -231,47 +209,61 @@ def _sweep_cuts(g: Graph, order):
                 p = pred[u]
                 pred[u] = _NONE
                 u = p
-        in_x[v] = True
+        is_y[v] = False
         seed_par[2 * v] = 2 * n
         seeds.append(2 * v)
-        while True:
-            par, queue, end = _augmenting_search(adj, pred, in_x, seed_par, seeds)
-            if end is None:
-                break
-            _augment(par, pred, end)
-            value += 1
-        cut = frozenset(a >> 1 for a in queue if par[a + 1] == -1)
+        units, cut = _max_flow(adj, pred, is_y, seed_par, seeds)
+        value += units
         if len(cut) != value:
             raise RuntimeError("sweep flow value disagrees with the extracted cut")
         yield cut
 
 
-def _augmenting_search(adj, pred, in_x, seed_par, seeds):
-    """Breadth-first search of the residual network from the source.
+def _max_flow(adj, pred, is_y, seed_par, seeds):
+    """Augment the flow in pred to a maximum one.  Returns the number of
+    units added and the cut read from the last search, the minimal
+    source-side minimum cut: the vertices whose in-node it reached and
+    whose out-node it did not."""
+    units = 0
+    while True:
+        par, queue, end = _augmenting_search(adj, pred, is_y, seed_par, seeds)
+        if end is None:
+            return units, frozenset(a >> 1 for a in queue if par[a + 1] == -1)
+        _augment(par, pred, end)
+        units += 1
 
-    Node 2v is in(v), 2v + 1 is out(v) and 2n the source; adj[v] lists the
-    in-nodes of v's neighbours.  The source's arcs to the in-nodes `seeds`
-    of X are set in the parent template `seed_par`.  The queue holds
-    in-nodes: the one residual arc out of in(v) leads to a single out-node,
-    which is expanded as soon as it is reached.  Returns the parent of every
-    node (-1 where unreached), the in-nodes reached in order, and the
-    out-node of the first Y vertex reached, whose arc to the sink closes an
-    augmenting path, or None when there is none.  The residual arc
-    out(x) -> in(x) of a used X vertex is left out: the source reaches in(x)
-    directly.
+
+def _augmenting_search(adj, pred, is_y, seed_par, seeds):
+    """Breadth-first search of the residual node-split network.
+
+    Vertex v is an arc of capacity one from in(v) = 2v to out(v) = 2v + 1.
+    Unbounded arcs join out(u) to in(w) for each edge uw, the source 2n to
+    the in-nodes `seeds` of X (set in the parent template `seed_par`), and
+    out(y) to the sink for each Y vertex (is_y).  adj[v] lists the in-nodes
+    of v's neighbours.  The queue holds in-nodes.  The one residual arc out
+    of in(v) goes to out(v) when v is free, else back along the unit into
+    v, so each out-node is reached once.  Reached back along the unit
+    p -> v, out(p) also leads back through p's split arc to in(p).  Returns
+    the parents (-1 where unreached), the in-nodes reached in order, and
+    the out-node of the first Y vertex reached, or None when no augmenting
+    path is left.
     """
     par = seed_par.copy()
     queue = seeds.copy()
     for a in queue:  # the queue grows while it is read
-        # in(v): forward through a free vertex, else back along the unit
-        # that enters it (none to follow when it comes from the source)
         p = pred[a >> 1]
-        b = a + 1 if p == _NONE else 2 * p + 1
-        if p == _SRC or par[b] != -1:
+        if p == _NONE:
+            b = a + 1
+        elif p == _SRC:  # the unit comes from the source: nothing to follow
             continue
+        else:
+            b = 2 * p + 1
+            if par[b - 1] == -1:
+                par[b - 1] = b
+                queue.append(b - 1)
         par[b] = a
         v = b >> 1
-        if not in_x[v]:
+        if is_y[v]:
             return par, queue, b
         for c in adj[v]:
             if par[c] == -1:
@@ -283,17 +275,17 @@ def _augmenting_search(adj, pred, in_x, seed_par, seeds):
 def _augment(par, pred, end):
     """Push one unit along the search path from the source to out(end // 2).
 
-    Only the arcs source -> in(x) and out(u) -> in(w) set a pred entry.  The
-    split arc in(v) -> out(v) leaves it to the arc into in(v), and the arc
-    in(u) -> out(w), which cancels the unit w -> u, finds pred[u] already
-    set by the arc into in(u).
+    Only the arcs into in-nodes set pred: source -> in(x) and
+    out(u) -> in(w) make their tail the vertex before, and out(p) -> in(p),
+    which cancels p's own unit, leaves p free.  The arc in(u) -> out(w),
+    which cancels the unit w -> u, finds pred[u] already set.
     """
     src = len(par)
     b = end
     while par[b] != src:
         a = par[b]
         if a & 1:
-            pred[b >> 1] = a >> 1
+            pred[b >> 1] = _NONE if a == b + 1 else a >> 1
         b = a
     pred[b >> 1] = _SRC
 

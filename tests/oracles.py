@@ -22,7 +22,8 @@ one `curve_pair_points` call per pair of edge curves, `unpruned_pick_scale`
 takes the exact distance of every pair of segments, and `scan_niceness`
 tests every crossing point against every vertex.  `set_sweep` builds both
 sides of every threshold split of an embedding as sets, with each split's
-cut from a fresh `min_vertex_cut`.
+cut from `edmonds_karp_vertex_cut`, so it runs none of the package's flow
+code.
 `reference_parse_graph` and `reference_parse_strings_file` are the graph
 and strings parsers as they stood before the three input formats shared one
 line grammar, each with its own loop over the lines and its own integer
@@ -57,7 +58,6 @@ from stringsep.cuts import (
     _embed_or_fallback,
     _greedy_sides,
     fhl_sweep,
-    min_vertex_cut,
 )
 from stringsep.embedding import Embedding, _mix, scale_count
 from stringsep.errors import (
@@ -368,7 +368,7 @@ def set_sweep(g, f):
     best_key = None
     positions = []
     for i in range(1, g.n):
-        s_i = min_vertex_cut(g, order[:i], order[i:]).cut
+        s_i = edmonds_karp_vertex_cut(g, order[:i], order[i:])
         a_i = frozenset(order[:i]) - s_i
         b_i = frozenset(order[i:]) - s_i
         val = Fraction(len(s_i), (len(a_i) + len(s_i)) * (len(b_i) + len(s_i)))

@@ -365,6 +365,36 @@ def test_python_m_stringsep(tmp_path):
     assert proc.stderr.startswith("error: line 2:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["separator", "embed", "sweep"])
+def test_out_of_memory_exits_1_without_a_traceback(tmp_path, command):
+    # the n x n metric of a 40,000-vertex path needs 12.8 GB; under a 3 GiB
+    # address-space limit its allocation fails at once
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "path.txt"
+    n = 40_000
+    path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    paths = [str(Path(stringsep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               OPENBLAS_NUM_THREADS="1")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "stringsep", command, "--graph", str(path)],
+                          capture_output=True, text=True, env=env, check=False,
+                          preexec_fn=limit_address_space)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: out of memory") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["separator", "econg"])
+def test_graph_and_strings_together_exit_1(capsys, tmp_path, p3_file, command):
+    strings = tmp_path / "curves.txt"
+    strings.write_text("a: 0 0 4 0\nb: 1 -1 1 1\n")
+    code, out, err = run(capsys, command, "--graph", p3_file, "--strings", str(strings))
+    assert (code, out, err) == (1, "", "error: give one of --graph or --strings, not both\n")
+
+
 _token = st.sampled_from(
     ["0", "1", "2", "3", "-1", "7", "99999999999999999999", "1.5", "x", ":", "a:", "3:",
      "vertex", "edge", "allow", ""]

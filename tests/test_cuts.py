@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import stringsep.cuts
 from stringsep.cuts import (
+    _check_menger,
     _embed_or_fallback,
     _sweep_cuts,
     balanced_edge_cut,
@@ -84,6 +85,88 @@ def test_min_vertex_cut_matches_brute_force(g, data):
         assert len(set(p) & cert.cut) == 1
         for a, b in zip(p, p[1:]):
             assert g.has_edge(a, b)
+
+
+def _assert_menger(g, xs, ys, cert):
+    """The certificate proves the cut minimum: as many vertex-disjoint X-Y
+    paths along edges of g as cut vertices, and no component of g minus the
+    cut meets both X and Y."""
+    assert len(cert.paths) == len(cert.cut)
+    flat = [v for p in cert.paths for v in p]
+    assert len(flat) == len(set(flat))
+    for p in cert.paths:
+        assert p[0] in xs and p[-1] in ys
+        assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+    for comp in g.components(removed=cert.cut):
+        assert not (comp & set(xs) and comp & set(ys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrary_graphs(min_n=2, max_n=12), st.data())
+def test_min_vertex_cut_general_sides_match_edmonds_karp(g, data):
+    # X and Y disjoint and nonempty, X and Y together need not be V
+    verts = data.draw(st.permutations(range(g.n)))
+    k = data.draw(st.integers(1, g.n - 1))
+    j = data.draw(st.integers(k + 1, g.n))
+    xs, ys = set(verts[:k]), set(verts[k:j])
+    cert = min_vertex_cut(g, xs, ys)
+    assert cert.cut == edmonds_karp_vertex_cut(g, xs, ys)
+    _assert_menger(g, xs, ys, cert)
+
+
+def test_min_vertex_cut_small_sides_of_sparse_graphs_match_edmonds_karp():
+    # sparse graphs with most vertices in neither side are where a flow path
+    # through a vertex in neither side must be cancelled (a few percent here)
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        n = 12
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+        g = graph_from_pairs(n, pairs)
+        verts = rng.permutation(n).tolist()
+        xs, ys = set(verts[:4]), set(verts[4 : 4 + int(rng.integers(1, 3))])
+        cert = min_vertex_cut(g, xs, ys)
+        assert cert.cut == edmonds_karp_vertex_cut(g, xs, ys), (pairs, xs, ys)
+        _assert_menger(g, xs, ys, cert)
+
+
+def test_min_vertex_cut_cancels_a_unit_through_a_vertex_in_neither_side():
+    # the flow is 0 -> 3 -> 2; the last search goes back from in(2) along the
+    # unit 3 -> 2 to out(3), and must go on through 3's split arc to in(3)
+    # and back to out(0); without that arc it reads the cut {0, 2}
+    g = graph_from_pairs(6, [(0, 1), (0, 3), (0, 5), (1, 4), (1, 5), (2, 3), (2, 5)])
+    cert = min_vertex_cut(g, {0, 1, 4}, {2})
+    assert cert.cut == frozenset({2})
+    _assert_menger(g, {0, 1, 4}, {2}, cert)
+
+
+def test_min_vertex_cut_certificate_catches_a_non_maximum_flow(monkeypatch):
+    g = generate("grid", (2, 3))
+    real = stringsep.cuts._augmenting_search
+    units = []
+
+    def stop_after_one_unit(*args):
+        par, queue, end = real(*args)
+        units.append(end)
+        return par, queue, end if len(units) == 1 else None
+
+    monkeypatch.setattr(stringsep.cuts, "_augmenting_search", stop_after_one_unit)
+    with pytest.raises(RuntimeError):
+        min_vertex_cut(g, {0, 3}, {2, 5})
+
+
+@pytest.mark.parametrize(
+    "xs,cut,paths,why",
+    [
+        ({0}, {1}, (), "disagrees"),  # fewer paths than cut vertices
+        ({0}, {1, 2}, ((0, 1, 2), (0, 2)), "vertex-disjoint"),  # 0 shared
+        ({0}, {1}, ((0, 2),), "vertex-disjoint"),  # 0-2 is no edge of P3
+        ({0}, {1}, ((1, 2),), "vertex-disjoint"),  # starts outside X
+        ({0, 1}, {0}, ((1, 2),), "separate"),  # 1-2 survives the cut
+    ],
+)
+def test_check_menger_rejects_bad_certificates(p3, xs, cut, paths, why):
+    with pytest.raises(RuntimeError, match=why):
+        _check_menger(p3, frozenset(xs), frozenset({2}), frozenset(cut), paths)
 
 
 def _assert_sweep_cuts_match_oracle(g, seed):
