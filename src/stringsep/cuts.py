@@ -6,9 +6,17 @@ its Menger certificate.  The sweep orders vertices by a 1-Lipschitz
 embedding, computes for every prefix/suffix split a minimum vertex cut
 between the sides, and keeps the sparsest (A_i, B_i, S_i).  Its sparsity
 never exceeds (sum of vertex weights) / (sum of embedding gaps over
-pairs).  One warm-started flow serves all n-1 splits, only the winner's
-sides are built as sets, and min_vertex_cut recomputes the winner as a
-cross-check.
+pairs).
+
+The sweep is a parametric flow: moving a vertex into the prefix raises its
+source arc and lowers its sink arc, so the minimal source sides of the
+minimum cuts of successive positions are nested (Gallo, Grigoriadis &
+Tarjan, "A fast parametric maximum flow algorithm and applications", SIAM
+J. Comput. 1989).  One flow and the last position's source side serve all
+n-1 splits; each position searches only outside that side, so the final
+searches of the whole sweep reach every node once (_sweep_cuts).  Only
+the winner's sides are built as sets, and min_vertex_cut recomputes the
+winner as a cross-check.
 
 A sweep position whose A or B side is empty has sparsity exactly 1/n
 (|S| / (|S| n)), while every non-complete graph admits a proper cut of
@@ -65,10 +73,8 @@ def min_vertex_cut(g: Graph, xs, ys) -> MengerCertificate:
     adj = [[2 * w for w in sorted(a)] for a in g.adjacency]
     pred = [_NONE] * n
     is_y = [v in ys for v in range(n)]
-    seeds = [2 * x for x in sorted(xs)]
-    seed_par = [-1] * (2 * n)
-    seed_par[0::2] = [2 * n if v in xs else -1 for v in range(n)]
-    _, cut = _max_flow(adj, pred, is_y, seed_par, seeds)
+    _, par = _max_flow(adj, pred, is_y, [2 * x for x in sorted(xs)], ())
+    cut = frozenset(a >> 1 for a in par if not a & 1 and a + 1 not in par)
     paths = []
     for y in sorted(y for y in ys if pred[y] != _NONE):
         path = [y]
@@ -128,7 +134,8 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     non-constant and 1-Lipschitz with respect to the metric of the derived
     edge weights of s, which is checked edge by edge.
 
-    The cuts come from one flow carried across the positions (_sweep_cuts).
+    The cuts come from one flow and one source side carried across the
+    positions (_sweep_cuts).
     Side sizes are counted from the places of the cut vertices in the
     order; only the winner's sides are built.  Checked at run time: the
     flow value equals the cut size at every position, min_vertex_cut
@@ -188,68 +195,85 @@ def _sweep_cuts(g: Graph, order):
 
     One flow is kept across the positions, stored as pred[v]: the vertex
     before v on its vertex-disjoint path, _SRC if v starts it, _NONE if v
-    carries no flow.  Every path runs through X vertices to one Y vertex,
-    since a search stops at the first Y vertex it reaches.  Moving v into X
-    cancels the one path that ended at v and adds the arc source -> in(v);
-    augmentation restores a maximum flow.  The cut read from the last
-    search is the same for every maximum flow.
+    carries no flow.  X and Y cover V, a search enters no X vertex along an
+    edge, and it stops at the first Y vertex, so every path is an X vertex
+    and a neighbouring Y vertex.
+
+    `reached` is R, the minimal source side of the previous position: the
+    nodes its last search reached.  Moving v into X adds the arc
+    source -> in(v) and cancels the path that ended at v, which leaves v
+    and its partner free X vertices, the marked ones.  Only arcs out of the
+    source and of marked in-nodes changed, and R is closed under every
+    other residual arc, so an augmenting path, after its last node in R,
+    starts at a marked in-node and stays outside R.  The searches therefore
+    start at the marked in-nodes and never enter R.  A path they augment
+    lies outside R but for its first in-node, so the arcs it changes lead
+    out of R nowhere new, and the next search is complete too.  The minimal
+    source sides of successive positions are nested (Gallo, Grigoriadis &
+    Tarjan, SIAM J. Comput. 1989), so R plus the nodes of the last search
+    is this position's side.  The cut, the vertices whose in-node is in R
+    and whose out-node is not, changes only at those nodes.  Every node
+    joins R once, so the last searches cost O(n + m) over the sweep.
     """
     n = g.n
     adj = [[2 * w for w in sorted(a)] for a in g.adjacency]
     pred = [_NONE] * n
     is_y = [True] * n
-    seed_par = [-1] * (2 * n)
-    seeds = []
+    reached: set[int] = set()
+    cut: set[int] = set()
     value = 0
     for v in order[:-1]:
-        if pred[v] != _NONE:
+        marked = [2 * v]
+        if (p := pred[v]) != _NONE:  # cancel the path p -> v
             value -= 1
-            u = v
-            while u != _SRC:
-                p = pred[u]
-                pred[u] = _NONE
-                u = p
+            pred[p] = pred[v] = _NONE
+            marked.append(2 * p)
         is_y[v] = False
-        seed_par[2 * v] = 2 * n
-        seeds.append(2 * v)
-        units, cut = _max_flow(adj, pred, is_y, seed_par, seeds)
+        units, par = _max_flow(adj, pred, is_y, marked, reached)
         value += units
+        reached.update(par)
+        for a in par:
+            if a & 1 or a + 1 in reached:
+                cut.discard(a >> 1)
+            else:
+                cut.add(a >> 1)
         if len(cut) != value:
             raise RuntimeError("sweep flow value disagrees with the extracted cut")
-        yield cut
+        yield frozenset(cut)
 
 
-def _max_flow(adj, pred, is_y, seed_par, seeds):
-    """Augment the flow in pred to a maximum one.  Returns the number of
-    units added and the cut read from the last search, the minimal
-    source-side minimum cut: the vertices whose in-node it reached and
-    whose out-node it did not."""
+def _max_flow(adj, pred, is_y, seeds, blocked):
+    """Augment the flow in pred to a maximum one by searches from the
+    in-nodes `seeds` that never enter `blocked`.  Returns the number of
+    units added and the parents of the last search, which found no
+    augmenting path."""
     units = 0
     while True:
-        par, queue, end = _augmenting_search(adj, pred, is_y, seed_par, seeds)
+        par, _, end = _augmenting_search(adj, pred, is_y, seeds, blocked)
         if end is None:
-            return units, frozenset(a >> 1 for a in queue if par[a + 1] == -1)
+            return units, par
         _augment(par, pred, end)
         units += 1
 
 
-def _augmenting_search(adj, pred, is_y, seed_par, seeds):
+def _augmenting_search(adj, pred, is_y, seeds, blocked):
     """Breadth-first search of the residual node-split network.
 
     Vertex v is an arc of capacity one from in(v) = 2v to out(v) = 2v + 1.
-    Unbounded arcs join out(u) to in(w) for each edge uw, the source 2n to
-    the in-nodes `seeds` of X (set in the parent template `seed_par`), and
-    out(y) to the sink for each Y vertex (is_y).  adj[v] lists the in-nodes
-    of v's neighbours.  The queue holds in-nodes.  The one residual arc out
-    of in(v) goes to out(v) when v is free, else back along the unit into
-    v, so each out-node is reached once.  Reached back along the unit
-    p -> v, out(p) also leads back through p's split arc to in(p).  Returns
-    the parents (-1 where unreached), the in-nodes reached in order, and
-    the out-node of the first Y vertex reached, or None when no augmenting
-    path is left.
+    Unbounded arcs join out(u) to in(w) for each edge uw, the source to the
+    in-nodes of X, and out(y) to the sink for each Y vertex (is_y).  adj[v]
+    lists the in-nodes of v's neighbours.  The search starts at the
+    in-nodes `seeds`, all of X for a fresh flow, and from them enters no
+    node of `blocked`.  The queue holds in-nodes.  The one residual arc out of
+    in(v) goes to out(v) when v is free, else back along the unit into v,
+    so each out-node is reached once.  Reached back along the unit p -> v,
+    out(p) also leads back through p's split arc to in(p).  Returns the
+    parents of the nodes reached (a dict, _SRC for the seeds), the in-nodes
+    reached in order, and the out-node of the first Y vertex reached, or
+    None when no augmenting path is left.
     """
-    par = seed_par.copy()
-    queue = seeds.copy()
+    par = dict.fromkeys(seeds, _SRC)
+    queue = list(seeds)
     for a in queue:  # the queue grows while it is read
         p = pred[a >> 1]
         if p == _NONE:
@@ -258,15 +282,17 @@ def _augmenting_search(adj, pred, is_y, seed_par, seeds):
             continue
         else:
             b = 2 * p + 1
-            if par[b - 1] == -1:
-                par[b - 1] = b
-                queue.append(b - 1)
+        if b in blocked:
+            continue
+        if p >= 0 and b - 1 not in par and b - 1 not in blocked:
+            par[b - 1] = b
+            queue.append(b - 1)
         par[b] = a
         v = b >> 1
         if is_y[v]:
             return par, queue, b
         for c in adj[v]:
-            if par[c] == -1:
+            if c not in par and c not in blocked:
                 par[c] = b
                 queue.append(c)
     return par, queue, None
@@ -280,10 +306,8 @@ def _augment(par, pred, end):
     which cancels p's own unit, leaves p free.  The arc in(u) -> out(w),
     which cancels the unit w -> u, finds pred[u] already set.
     """
-    src = len(par)
     b = end
-    while par[b] != src:
-        a = par[b]
+    while (a := par[b]) != _SRC:
         if a & 1:
             pred[b >> 1] = _NONE if a == b + 1 else a >> 1
         b = a

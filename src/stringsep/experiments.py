@@ -63,6 +63,8 @@ def drawing_conflict_experiment(
     """
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
+    if seed < 0:
+        raise ContractViolation(f"seed must be non-negative, got {seed}")
     if not g.is_connected() or g.n < 2:
         raise ContractViolation("needs a connected graph on >= 2 vertices")
     pairs = [(u, v) for u in g.vertices() for v in range(u + 1, g.n)]

@@ -413,6 +413,8 @@ def random_segment_instance(
     """
     if count < 1:
         raise ContractViolation("count must be >= 1")
+    if seed < 0:
+        raise ContractViolation(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng((seed, 977))
     side = max(8, 2 * count)
     placed: list[tuple[Point, Point]] = []

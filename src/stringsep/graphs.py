@@ -224,6 +224,7 @@ def generate(kind: str, params: tuple[int, ...], seed: int | None = None) -> Gra
       gnp_connected (n, percent)  -- G(n, p) resampled until connected
       subdivided_complete (t)     -- K_t with every edge subdivided once
     """
+    _require(seed is None or seed >= 0, f"seed must be non-negative, got {seed}")
     if kind == "complete":
         (n,) = params
         _require(n >= 1, "complete requires n >= 1")

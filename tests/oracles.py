@@ -23,7 +23,11 @@ takes the exact distance of every pair of segments, and `scan_niceness`
 tests every crossing point against every vertex.  `set_sweep` builds both
 sides of every threshold split of an embedding as sets, with each split's
 cut from `edmonds_karp_vertex_cut`, so it runs none of the package's flow
-code.
+code.  `restart_sweep_cuts` is the sweep as it stood before it kept the
+last position's source side: one flow carried across the positions, but
+every search restarted from a copy of the source's arcs to all prefix
+vertices, Theta(n^2) over a sweep.  It has its own search and augment and
+runs no code of `stringsep.cuts`.
 `reference_parse_graph` and `reference_parse_strings_file` are the graph
 and strings parsers as they stood before the three input formats shared one
 line grammar, each with its own loop over the lines and its own integer
@@ -377,6 +381,76 @@ def set_sweep(g, f):
         if best is None or key < best_key:
             best, best_key = (a_i, b_i, s_i), key
     return (*best, tuple(positions))
+
+
+def restart_sweep_cuts(g, order):
+    """The cut min_vertex_cut(g, order[:i], order[i:]) for i = 1..n-1, with
+    one flow kept across the positions but every search restarted from all
+    prefix vertices.
+
+    pred[v] is the vertex before v on its vertex-disjoint path, -2 if v
+    starts it, -1 if v carries no flow.  Moving v into X cancels the one
+    path that ended at v and adds the arc source -> in(v); breadth-first
+    searches from a copy of the source's arcs augment until none succeeds,
+    and the cut is read from that last search.
+    """
+    none, source = -1, -2
+    n = g.n
+    adj = [[2 * w for w in sorted(a)] for a in g.adjacency]
+    pred = [none] * n
+    is_y = [True] * n
+    seed_par = [-1] * (2 * n)
+    seeds = []
+    value = 0
+    for v in order[:-1]:
+        if pred[v] != none:
+            value -= 1
+            u = v
+            while u != source:
+                p = pred[u]
+                pred[u] = none
+                u = p
+        is_y[v] = False
+        seed_par[2 * v] = 2 * n
+        seeds.append(2 * v)
+        while True:
+            # search the node-split network: in(v) = 2v, out(v) = 2v + 1
+            par = seed_par.copy()
+            queue = seeds.copy()
+            end = None
+            for a in queue:
+                p = pred[a >> 1]
+                if p == none:
+                    b = a + 1
+                elif p == source:
+                    continue
+                else:
+                    b = 2 * p + 1
+                    if par[b - 1] == -1:
+                        par[b - 1] = b
+                        queue.append(b - 1)
+                par[b] = a
+                if is_y[b >> 1]:
+                    end = b
+                    break
+                for c in adj[b >> 1]:
+                    if par[c] == -1:
+                        par[c] = b
+                        queue.append(c)
+            if end is None:
+                break
+            value += 1
+            b = end
+            while par[b] != 2 * n:
+                a = par[b]
+                if a & 1:
+                    pred[b >> 1] = none if a == b + 1 else a >> 1
+                b = a
+            pred[b >> 1] = source
+        cut = frozenset(a >> 1 for a in queue if par[a + 1] == -1)
+        if len(cut) != value:
+            raise RuntimeError("sweep flow value disagrees with the extracted cut")
+        yield cut
 
 
 def scan_split_by_target(g, s: int, flow: dict) -> dict:

@@ -348,6 +348,11 @@ def test_zero_trials_rejected(capsys, tmp_path, p3_file, command):
         assert (code, out, err) == (1, "", "error: trials must be >= 1\n")
 
 
+def test_negative_seed_exits_1(capsys, p3_file):
+    code, out, err = run(capsys, "conflicts", "--graph", p3_file, "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: seed must be non-negative, got -1\n")
+
+
 def test_python_m_stringsep(tmp_path):
     paths = [str(Path(stringsep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))

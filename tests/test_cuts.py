@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import stringsep.cuts
 from stringsep.cuts import (
+    _SRC,
     _check_menger,
     _embed_or_fallback,
     _sweep_cuts,
@@ -29,6 +30,7 @@ from .oracles import (
     edmonds_karp_vertex_cut,
     reference_find_separator,
     reference_min_separator_exact,
+    restart_sweep_cuts,
     set_sweep,
 )
 
@@ -205,6 +207,64 @@ def test_sweep_cuts_match_edmonds_karp_on_dense_segment_instance():
     sub, _ = g.induced(giant)
     assert sub.n >= 20 and sub.m >= 4 * sub.n
     _assert_sweep_cuts_match_oracle(sub, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrary_graphs(min_n=2, max_n=12), st.data())
+def test_sweep_cuts_match_edmonds_karp_in_any_vertex_order(g, data):
+    # disconnected graphs too, in orders that no embedding need give
+    order = data.draw(st.permutations(range(g.n)))
+    cuts = list(_sweep_cuts(g, order))
+    assert len(cuts) == g.n - 1
+    for i, cut in enumerate(cuts, start=1):
+        assert cut == edmonds_karp_vertex_cut(g, order[:i], order[i:]), (order, i)
+
+
+@pytest.mark.parametrize("count,span", [(140, 110), (400, 140)])
+def test_sweep_cuts_match_restart_oracle_on_segment_cores(count, span):
+    g, _ = intersection_graph(random_segment_instance(count, seed=1, span=span))
+    giant = max(g.components(), key=lambda c: (len(c), -min(c)))
+    sub, _ = g.induced(giant)
+    assert sub.n >= 90
+    f = _embed_or_fallback(sub, 1, None)
+    embedded = sorted(sub.vertices(), key=lambda v: (f[v], v))
+    shuffled = np.random.default_rng(count).permutation(sub.n).tolist()
+    for order in (embedded, shuffled):
+        assert list(_sweep_cuts(sub, order)) == list(restart_sweep_cuts(sub, order))
+
+
+def test_sweep_cuts_drop_a_vertex_once_its_out_node_is_reached():
+    # P4 in the order 1, 0, 2, 3: vertex 1 is the cut of positions 1 and 2;
+    # at position 3 the last search reaches out(1), so 1 leaves the cut
+    assert list(_sweep_cuts(generate("path", (4,)), [1, 0, 2, 3])) == [{1}, {1}, {2}]
+
+
+def test_sweep_cuts_search_from_the_partner_of_the_moved_vertex():
+    # P3 in the order 1, 0, 2: position 1 sends the unit 1 -> 0; moving 0
+    # into X cancels it, and the unit that replaces it, 1 -> 2, starts at
+    # in(1), which a search from in(0) alone cannot enter
+    assert list(_sweep_cuts(generate("path", (3,)), [1, 0, 2])) == [{1}, {1}]
+
+
+def test_sweep_flow_paths_are_single_edges(monkeypatch):
+    # a search enters no X vertex along an edge and stops at the first Y
+    # vertex, so every unit runs from an X vertex to a neighbouring Y vertex,
+    # and cancelling the path that ended at v frees v and one partner
+    real = stringsep.cuts._max_flow
+
+    def checked(adj, pred, is_y, seeds, blocked):
+        res = real(adj, pred, is_y, seeds, blocked)
+        for w, p in enumerate(pred):
+            assert p < 0 or (is_y[w] and not is_y[p] and pred[p] == _SRC)
+        return res
+
+    monkeypatch.setattr(stringsep.cuts, "_max_flow", checked)
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        pairs = [(u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.3]
+        g = graph_from_pairs(12, pairs)
+        order = rng.permutation(12).tolist()
+        assert list(_sweep_cuts(g, order)) == list(restart_sweep_cuts(g, order))
 
 
 def _assert_sweep_matches_set_oracle(g, seed):

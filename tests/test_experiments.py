@@ -93,6 +93,12 @@ def test_conflicts_reject_partial_flow(p3):
         drawing_conflict_experiment(p3, type(phi)(broken), trials=5, seed=0)
 
 
+def test_conflicts_reject_negative_seed(p3):
+    phi = decompose_to_paths(p3, edge_congestion(p3))
+    with pytest.raises(ContractViolation, match="^seed must be non-negative, got -1$"):
+        drawing_conflict_experiment(p3, phi, trials=5, seed=-1)
+
+
 def test_duality_report_rows(p3, c4):
     row = duality_report(p3, "P3")
     assert row.econg == pytest.approx(2.0, abs=1e-6)

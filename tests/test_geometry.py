@@ -189,6 +189,8 @@ def test_random_instance_trivial_and_errors():
     assert g.n == 1 and g.m == 0
     with pytest.raises(ContractViolation):
         random_segment_instance(0, seed=0)
+    with pytest.raises(ContractViolation, match="^seed must be non-negative, got -1$"):
+        random_segment_instance(5, seed=-1, span=4)
 
 
 # small grids make shared endpoints, corners, collinear overlaps and

@@ -79,6 +79,9 @@ def test_generate_rejects():
         generate("grid", (0, 3))
     with pytest.raises(ContractViolation):
         generate("mystery", (3,))
+    for kind, params in (("gnp_connected", (8, 40)), ("path", (3,))):
+        with pytest.raises(ContractViolation, match="^seed must be non-negative, got -1$"):
+            generate(kind, params, seed=-1)
 
 
 def test_check_separator_examples(p3, k4):
