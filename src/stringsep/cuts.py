@@ -166,9 +166,15 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     best = None
     best_key = None
     positions = []
+    prev, k = frozenset(), 0  # the last cut and k = |its vertices in the prefix|
     for i, s_i in enumerate(_sweep_cuts(g, order), start=1):
-        # |A_i| = i - |S_i in the prefix|, |B_i| = n - i - |S_i in the suffix|
-        k = sum(place[u] < i for u in s_i)
+        # |A_i| = i - k, |B_i| = n - i - |S_i in the suffix|; k follows the
+        # vertex that joins the prefix and the vertices the cut gains or loses
+        k += order[i - 1] in prev
+        for u in prev ^ s_i:
+            if place[u] < i:
+                k += 1 if u in s_i else -1
+        prev = s_i
         a_size, b_size = i - k, g.n - i - len(s_i) + k
         val = Fraction(len(s_i), (a_size + len(s_i)) * (b_size + len(s_i)))
         positions.append(SweepPosition(i, len(s_i), val, a_size, b_size))

@@ -6,11 +6,14 @@ normalised integer triples (X, Y, D) and returned as Fractions, so results
 are invariant under integer translation and never depend on an epsilon.
 
 Many segment pairs at once go through one screen, `_meets`, that decides
-exactly and as arrays whether closed segments share a point.  It computes
-in int64 when every |coordinate| is below 2^30, so every cross product
-stays below 2^63, and otherwise on Python ints (dtype=object); the code is
-the same and the dtype follows from the input.  Only pairs that pass it
-reach the scalar predicates.
+exactly and as arrays whether closed segments share a point.  The pairs of
+distinct curves that pass it go on, still as arrays, to `_meeting_keys`,
+which finds where each pair meets as `_meeting` does for one pair.  Both
+compute in int64 below a stated bound on every |coordinate| (2^30 for the
+screen's cross products, 2^19 for a key's products) and otherwise on
+Python ints (dtype=object); the code is the same and the dtype follows
+from the input.  The scalar `_meeting` serves single pairs: the
+generator's screened hits and `segments_intersect`.
 """
 
 from __future__ import annotations
@@ -19,14 +22,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 from math import gcd
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import ContractViolation, GenerationError, ParseError, StandardnessError
-from .graphs import Graph, graph_from_pairs, int_tokens, numbered_lines
+from .graphs import Graph, int_tokens, numbered_lines
 
 Point = tuple[int, int]
 RatPoint = tuple[Fraction, Fraction]
@@ -37,6 +38,10 @@ PointKey = tuple[int, int, int]
 # below this bound on |coordinate|, differences stay below 2^31 and every
 # cross product of _meets below 2^63, so int64 is exact
 _INT64_BOUND = 1 << 30
+# below this bound, every intermediate of a key in _meeting_keys fits in
+# int64: differences stay below 2^20, den and num below 2^41, and
+# p den + num d below 2^60 + 2^61
+_KEY_BOUND = 1 << 19
 # candidate segment pairs expanded at once by _segment_pairs
 _PAIR_CHUNK = 1 << 18
 
@@ -230,35 +235,60 @@ class PolylineCurve:
             raise ContractViolation(f"curve {self.id}: non-adjacent segments {i0},{j0} intersect")
 
 
-def _meeting_groups(groups):
-    """Yield (i, j, the segment pairs ((p, q), (r, s)) of groups[i] x groups[j]
-    that meet) for each pair i < j of meeting groups of segments, in
-    lexicographic order, all from one _segment_pairs call; a group may hold
-    a one-point segment (p, p)."""
+def _meeting_keys(groups):
+    """Every pair of segments of distinct groups that share a point, from
+    one _segment_pairs call, as arrays in order of (group pair, segments):
+    the groups i < j, whether the pair overlaps on a sub-segment, and the
+    key (X, Y, D) of its one shared point as a row of a (k, 3) array (a
+    row of no meaning where it overlaps).  A group may hold a one-point
+    segment (p, p).
+
+    Decided as _meeting decides it, from the orientations o(p,q,r),
+    o(p,q,s), o(r,s,p) and o(r,s,q); a one-point segment makes both
+    orientations about it 0, so its pairs are collinear touches.  Computed
+    in int64 when every |coordinate| is below _KEY_BOUND, else on Python
+    ints.
+    """
     segs = [seg for group in groups for seg in group]
     curve_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     found = [(np.zeros(0, dtype=np.int64),) * 2, *_segment_pairs(segs, curve_of)]
     a, b = (np.concatenate(column) for column in zip(*found))
     by = np.lexsort((b, a, curve_of[b], curve_of[a]))
     a, b = a[by], b[by]
-    rows = zip(curve_of[a].tolist(), curve_of[b].tolist(), a.tolist(), b.tolist())
-    for (i, j), group in groupby(rows, key=itemgetter(0, 1)):
-        yield i, j, ((segs[x], segs[y]) for _, _, x, y in group)
-
-
-def _point_keys(c1: PolylineCurve, c2: PolylineCurve, seg_pairs) -> dict[PointKey, None]:
-    """The shared points of the segment pairs ((p, q), (r, s)) of c1 x c2, in
-    order; raises StandardnessError when a pair overlaps."""
-    keys: dict[PointKey, None] = {}
-    for (p, q), (r, s) in seg_pairs:
-        rel, key = _meeting(p, q, r, s)
-        if rel is SegmentRelation.OVERLAPPING:
-            raise StandardnessError(
-                f"curves {c1.id} and {c2.id} overlap on a common sub-segment"
-            )
-        if key is not None:
-            keys[key] = None
-    return keys
+    ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
+    if ends.dtype == object or ends.size and (
+        ends.max() >= _KEY_BOUND or ends.min() <= -_KEY_BOUND
+    ):
+        ends = ends.astype(object)
+    P, Q, R, S = ends[a, :2], ends[a, 2:], ends[b, :2], ends[b, 2:]
+    (px, py), (qx, qy), (rx, ry), (sx, sy) = P.T, Q.T, R.T, S.T
+    dx, dy, ex, ey = qx - px, qy - py, sx - rx, sy - ry
+    o1 = np.sign(dx * (ry - py) - dy * (rx - px))
+    o2 = np.sign(dx * (sy - py) - dy * (sx - px))
+    o3 = np.sign(ex * (py - ry) - ey * (px - rx))
+    o4 = np.sign(ex * (qy - ry) - ey * (qx - rx))
+    collinear = (o1 == 0) & (o2 == 0)
+    # on a common line: 1-d extents along an axis pq is not constant on
+    along = [np.where(px != qx, u[:, 0], u[:, 1]) for u in (P, Q, R, S)]
+    lo = np.maximum(np.minimum(along[0], along[1]), np.minimum(along[2], along[3]))
+    hi = np.minimum(np.maximum(along[0], along[1]), np.maximum(along[2], along[3]))
+    overlap = collinear & (lo < hi)
+    # a touch: on a common line the first end at lo, else the end whose
+    # orientation is 0
+    at = [collinear & (along[0] == lo), collinear & (along[1] == lo),
+          collinear & (along[2] == lo), collinear, o1 == 0, o2 == 0, o3 == 0]
+    key = np.ones((len(a), 3), dtype=ends.dtype)
+    key[:, :2] = np.select([c[:, None] for c in at], [P, Q, R, S, R, S, P], Q)
+    # a proper crossing: p + t (q - p), t = num / den as in _meeting
+    k = np.flatnonzero((o1 * o2 < 0) & (o3 * o4 < 0))
+    px, py, dx, dy, ex, ey = (v[k] for v in (px, py, dx, dy, ex, ey))
+    den = dx * ey - dy * ex
+    num = (rx[k] - px) * ey - (ry[k] - py) * ex
+    sign = np.where(den < 0, -1, 1)
+    x, y, den = (px * den + num * dx) * sign, (py * den + num * dy) * sign, den * sign
+    g = np.gcd(np.gcd(x, y), den)
+    key[k] = np.stack([x // g, y // g, den // g], axis=1)
+    return curve_of[a], curve_of[b], overlap, key
 
 
 def _segment_pairs(segs, curve_of):
@@ -319,22 +349,43 @@ def validate_standardness(rep: StringRepresentation) -> dict[tuple[int, int], in
     collinear overlaps between distinct curves), and no point lies on three
     or more curves.  Returns the number of distinct intersection points of
     every pair (i, j), i < j, of curves that meet, indexed in id-sorted order
-    and listed in lexicographic order.  Only the segment pairs that
-    _meeting_groups yields are tested, by curve pair in lexicographic order,
-    so the first violation raised does not depend on how they were found.
+    and listed in lexicographic order.  The segment pairs come from one
+    _meeting_keys call, and one sort of their points by (key, curve pair)
+    gives each pair's distinct points and each point's first pair, its
+    owner.  The first curve pair in lexicographic order that overlaps or
+    has a point an earlier pair owns is reported, an overlap first, so the
+    violation raised does not depend on how the pairs were found.
     """
     curves = rep.sorted_curves()
     for c in curves:
         c.validate()
-    owner: dict[PointKey, tuple[int, int]] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for i, j, seg_pairs in _meeting_groups([c.segments for c in curves]):
-        keys = _point_keys(curves[i], curves[j], seg_pairs)
-        if not owner.keys().isdisjoint(keys):
-            _raise_triple_point(curves, owner, i, j, keys)
-        owner.update(dict.fromkeys(keys, (i, j)))
-        counts[(i, j)] = len(keys)
-    return counts
+    n = len(curves)
+    i, j, overlap, key = _meeting_keys([c.segments for c in curves])
+    pair = i * n + j
+    rows = np.flatnonzero(~overlap)
+    rows = rows[np.lexsort((pair[rows], key[rows, 2], key[rows, 1], key[rows, 0]))]
+    keys, pairs = key[rows], pair[rows]
+    new_key = np.ones(len(rows), dtype=bool)
+    new_key[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    new_point = new_key.copy()
+    new_point[1:] |= pairs[1:] != pairs[:-1]
+    bad = np.concatenate([pair[overlap], pairs[new_point & ~new_key]])
+    if bad.size:
+        first = int(bad.min())
+        i0, j0 = divmod(first, n)
+        if (pair[overlap] == first).any():
+            raise StandardnessError(
+                f"curves {curves[i0].id} and {curves[j0].id} overlap on a common sub-segment"
+            )
+        points = dict.fromkeys(map(tuple, key[pair == first].tolist()))
+        owner = {
+            pt: divmod(p, n)
+            for pt, p in zip(map(tuple, keys[new_key].tolist()), pairs[new_key].tolist())
+            if pt in points and p < first
+        }
+        _raise_triple_point(curves, owner, i0, j0, points)
+    found, counts = np.unique(pairs[new_point], return_counts=True)
+    return {divmod(p, n): c for p, c in zip(found.tolist(), counts.tolist())}
 
 
 def _raise_triple_point(curves, owner, i, j, keys):
@@ -357,10 +408,10 @@ def intersection_graph(rep: StringRepresentation) -> tuple[Graph, dict[tuple[int
 
     Vertex i is the i-th curve in id-sorted order.  Also returns, for every
     adjacent pair, the number of distinct intersection points: the counts
-    validate_standardness collects in its one pass over the pairs.
+    validate_standardness collects, in lexicographic order.
     """
     counts = validate_standardness(rep)
-    return graph_from_pairs(len(rep.curves), list(counts)), counts
+    return Graph(len(rep.curves), tuple(counts)), counts
 
 
 def parse_points(coords: str, lineno: int) -> tuple[Point, ...]:

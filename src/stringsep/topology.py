@@ -12,16 +12,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
-from .errors import ContractViolation, ParseError, StandardnessError
+from .errors import ContractViolation, ParseError
 from .geometry import (
     Point,
     PolylineCurve,
     RatPoint,
     StringRepresentation,
-    _meeting_groups,
-    _point_keys,
+    _meeting_keys,
     _rational,
     parse_points,
     sq_dist_points,
@@ -84,12 +84,11 @@ class WeakRealization:
         return self.edge_curves[self.edge_index[e]]
 
     @cached_property
-    def _meeting_pairs(self) -> list[tuple[int, int, list]]:
-        """(i, j, the segment pairs that meet) for each meeting pair of groups
-        i < j, in lexicographic order, from one pass: group i < m is edge
-        curve i and group m + v the point of vertex v as a one-point segment."""
+    def _meetings(self):
+        """_meeting_keys of the groups: group i < m is edge curve i and group
+        m + v the point of vertex v as a one-point segment."""
         groups = [c.segments for c in self.edge_curves] + [((p, p),) for p in self.vertex_points]
-        return [(i, j, list(seg_pairs)) for i, j, seg_pairs in _meeting_groups(groups)]
+        return _meeting_keys(groups)
 
     @cached_property
     def crossings(self) -> dict[tuple[int, int], frozenset[RatPoint] | None]:
@@ -97,19 +96,21 @@ class WeakRealization:
         for each pair that does, in lexicographic order; None marks a pair
         that overlaps on a sub-segment."""
         edges = self.atg.graph.edges
+        i, j, overlap, key = self._meetings
+        rows = zip(i.tolist(), j.tolist(), overlap.tolist(), map(tuple, key.tolist()))
         out: dict[tuple[int, int], frozenset[RatPoint] | None] = {}
-        for i, j, seg_pairs in self._meeting_pairs:
-            if j >= len(edges):
+        for (a, b), group in groupby(rows, key=itemgetter(0, 1)):
+            if b >= len(edges):
                 continue  # a vertex point
-            try:
-                keys = _point_keys(self.edge_curves[i], self.edge_curves[j], seg_pairs)
-            except StandardnessError:
-                out[(i, j)] = None
+            group = list(group)
+            if any(row[2] for row in group):
+                out[(a, b)] = None
                 continue
-            for v in set(edges[i]) & set(edges[j]):
+            keys = dict.fromkeys(row[3] for row in group)
+            for v in set(edges[a]) & set(edges[b]):
                 keys.pop((*self.vertex_points[v], 1), None)
             if keys:
-                out[(i, j)] = frozenset(map(_rational, keys))
+                out[(a, b)] = frozenset(map(_rational, keys))
         return out
 
 
@@ -150,7 +151,8 @@ def validate_weak_realization(
     if len(set(w.vertex_points)) != g.n:
         out.append(Violation("overlap", "two vertices share a point"))
 
-    for i, j, _ in w._meeting_pairs:
+    first, second, _, _ = w._meetings
+    for i, j in dict.fromkeys(zip(first.tolist(), second.tolist())):
         if not i < g.m <= j or j - g.m in g.edges[i]:
             continue  # two edge curves, two vertex points, or an edge at its end
         e, v = g.edges[i], j - g.m

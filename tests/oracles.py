@@ -14,9 +14,14 @@ each candidate segment against every placed segment in turn.
 `scan_segments_intersect` classifies a segment pair from four orientations
 and up to four `on_segment` tests, and `scan_meeting` then scans the
 endpoints with `on_segment` for the touching point; the Fraction oracles,
-`segment_shared_point`, `scan_random_segment_instance` and
+`segment_shared_point`, `scan_random_segment_instance`,
+`scan_meeting_keys` (every pair of segments of distinct groups) and
 `scan_validate_curve` (every pair of non-adjacent segments of a curve) use
 them, not the package's `_meeting`.
+`meeting_groups` and `point_keys` are the package's loop over the meeting
+segment pairs as it stood before `_meeting_keys` decided them as arrays:
+one `_meeting` call per pair, grouped by pair of curves; `curve_pair_points`
+runs them on two curves, so no oracle runs `_meeting_keys`.
 `pairwise_validate_weak_realization` finds the crossings of a drawing with
 one `curve_pair_points` call per pair of edge curves, `unpruned_pick_scale`
 takes the exact distance of every pair of segments, and `scan_niceness`
@@ -50,8 +55,9 @@ the tests only.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd
+from operator import itemgetter
 
 import numpy as np
 
@@ -75,9 +81,9 @@ from stringsep.geometry import (
     PolylineCurve,
     SegmentRelation,
     StringRepresentation,
-    _meeting_groups,
-    _point_keys,
+    _meeting,
     _rational,
+    _segment_pairs,
     orientation,
     sq_dist_point_segment,
     sq_dist_points,
@@ -248,6 +254,25 @@ def segment_shared_point(p, q, r, s):
     if rel is SegmentRelation.OVERLAPPING:
         raise StandardnessError("overlapping segments have no unique shared point")
     return None if key is None else _rational(key)
+
+
+def scan_meeting_keys(groups) -> list:
+    """_meeting_keys as rows (i, j, overlap, key or None), from every pair of
+    segments of distinct groups in turn: scan_meeting for two segments, and
+    on_segment for a one-point segment (v, v)."""
+    rows = []
+    for i, j in combinations(range(len(groups)), 2):
+        for p, q in groups[i]:
+            for r, s in groups[j]:
+                if p == q or r == s:
+                    v, (a, b) = (p, (r, s)) if p == q else (r, (p, q))
+                    if on_segment(a, b, v):
+                        rows.append((i, j, False, (v[0], v[1], 1)))
+                    continue
+                rel, key = scan_meeting(p, q, r, s)
+                if rel is not SegmentRelation.DISJOINT:
+                    rows.append((i, j, rel is SegmentRelation.OVERLAPPING, key))
+    return rows
 
 
 def fraction_segment_point(p, q, r, s):
@@ -772,17 +797,49 @@ def scan_random_segment_instance(count: int, seed: int, span: int | None = None)
     )
 
 
+def meeting_groups(groups):
+    """Yield (i, j, the segment pairs ((p, q), (r, s)) of groups[i] x groups[j]
+    that meet) for each pair i < j of meeting groups of segments, in
+    lexicographic order, all from one _segment_pairs call; a group may hold
+    a one-point segment (p, p)."""
+    segs = [seg for group in groups for seg in group]
+    curve_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    found = [(np.zeros(0, dtype=np.int64),) * 2, *_segment_pairs(segs, curve_of)]
+    a, b = (np.concatenate(column) for column in zip(*found))
+    by = np.lexsort((b, a, curve_of[b], curve_of[a]))
+    a, b = a[by], b[by]
+    rows = zip(curve_of[a].tolist(), curve_of[b].tolist(), a.tolist(), b.tolist())
+    for (i, j), group in groupby(rows, key=itemgetter(0, 1)):
+        yield i, j, ((segs[x], segs[y]) for _, _, x, y in group)
+
+
+def point_keys(c1: PolylineCurve, c2: PolylineCurve, seg_pairs) -> dict:
+    """The shared points of the segment pairs ((p, q), (r, s)) of c1 x c2, in
+    order, one _meeting call each; raises StandardnessError when a pair
+    overlaps."""
+    keys = {}
+    for (p, q), (r, s) in seg_pairs:
+        rel, key = _meeting(p, q, r, s)
+        if rel is SegmentRelation.OVERLAPPING:
+            raise StandardnessError(
+                f"curves {c1.id} and {c2.id} overlap on a common sub-segment"
+            )
+        if key is not None:
+            keys[key] = None
+    return keys
+
+
 def curve_pair_points(c1: PolylineCurve, c2: PolylineCurve) -> set:
     """All intersection points of two distinct simple curves, as exact
-    rationals, from one _meeting_groups pass over the two curves alone.
+    rationals, from one meeting_groups pass over the two curves alone.
 
     Raises StandardnessError when the curves share a sub-segment of positive
     length (infinitely many intersections).
     """
     return {
         _rational(key)
-        for _, _, seg_pairs in _meeting_groups((c1.segments, c2.segments))
-        for key in _point_keys(c1, c2, seg_pairs)
+        for _, _, seg_pairs in meeting_groups((c1.segments, c2.segments))
+        for key in point_keys(c1, c2, seg_pairs)
     }
 
 

@@ -335,6 +335,27 @@ def test_separator_bytes_unchanged(capsys, tmp_path, case):
     assert hashlib.sha256(out.encode()).hexdigest() == SEPARATOR_BYTES[case]
 
 
+# SHA-256 of `build-ig` stdout on random_segment_instance(count, seed, span),
+# taken while the meeting segment pairs were decided one _meeting call at a
+# time: finding them as arrays may not change a byte.  (140, 1001..1003, 110)
+# and (880, 1000, 207) are instances of the sep_sparse and embed_giant corpora.
+BUILD_IG_BYTES = {
+    (140, 1001, 110): "751375abcae19769cb40b0b09c2de401178acd54b7048703dc3994d2c57db2e8",
+    (140, 1002, 110): "5ae69295001cf85a7794a399a114fbb458c451f33cb9a16e1ffbb6e9e140b0b9",
+    (140, 1003, 110): "2c19fbda6775bd38fe97aa81cd6ef603cd8be1268a28a11687f2c95c9d4062ec",
+    (880, 1000, 207): "5e0766a14fae055004d087d12f246956b080d8e95c81194621c6aabaff022e93",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_IG_BYTES), ids=str)
+def test_build_ig_bytes_unchanged(capsys, tmp_path, case):
+    path = tmp_path / "curves.txt"
+    path.write_text(geometry.write_strings_file(geometry.random_segment_instance(*case)))
+    code, out, err = run(capsys, "build-ig", "--strings", str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILD_IG_BYTES[case]
+
+
 @pytest.mark.parametrize("command", ["embed", "sweep", "conflicts", "separator"])
 def test_zero_trials_rejected(capsys, tmp_path, p3_file, command):
     paths = [p3_file]

@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,8 @@ from stringsep.geometry import (
     StringRepresentation,
     _coords,
     _meeting,
-    _meeting_groups,
+    _meeting_keys,
     _meets,
-    _point_keys,
     intersection_graph,
     parse_strings_file,
     random_segment_instance,
@@ -35,6 +35,7 @@ from .oracles import (
     fraction_intersection_graph,
     on_segment,
     scan_meeting,
+    scan_meeting_keys,
     scan_random_segment_instance,
     scan_segments_intersect,
     scan_validate_curve,
@@ -255,20 +256,16 @@ def test_intersection_graph_matches_fraction_oracle_examples(point_lists):
 )
 def test_point_keys_are_the_exact_fraction_points(a, b):
     c1, c2 = PolylineCurve("a", tuple(a)), PolylineCurve("b", tuple(b))
-
-    def pair_keys():
-        groups = _meeting_groups((c1.segments, c2.segments))
-        return [k for _, _, pairs in groups for k in _point_keys(c1, c2, pairs)]
-
+    _, _, overlap, key = _meeting_keys((c1.segments, c2.segments))
     try:
         want = fraction_curve_pair_points(c1, c2)
     except StandardnessError as exc:
-        with pytest.raises(StandardnessError, match=re.escape(str(exc))):
-            pair_keys()
+        assert overlap.any()
         with pytest.raises(StandardnessError, match=re.escape(str(exc))):
             curve_pair_points(c1, c2)
         return
-    keys = pair_keys()
+    assert not overlap.any()
+    keys = key.tolist()
     for x, y, den in keys:
         assert den > 0 and gcd(x, y, den) == 1
     assert {(Fraction(x, den), Fraction(y, den)) for x, y, den in keys} == want
@@ -357,6 +354,68 @@ def test_meets_one_point_segment_is_on_segment(base, step, triples):
     P, Q, V = (_coords([t[i] for t in triples]) for i in range(3))
     assert _meets(P, Q, V, V).tolist() == want
     assert _meets(V, V, P, Q).tolist() == want
+
+
+# the 6x6 grid in frames about the int64 bound of the keys: the corners
+# reach +-(2^19 - 1) (int64) and -2^19 (Python ints), then +-(2^30 - 1),
+# where int64 keys would overflow, and beyond 2^63; each frame's crossings
+# have denominators of order step^2
+KEY_FRAMES = {
+    "unit": (0, 1, np.int64),
+    "below-2^19": (-(2**19 - 1), 209714, np.int64),
+    "at-2^19": (-(2**19), 209715, object),
+    "near-2^30": (-(2**30 - 1), 429496729, object),
+    "beyond-2^63": (2**64, 2**40, object),
+}
+KEY_FRAME_STEPS = pytest.mark.parametrize(
+    "base,step", [f[:2] for f in KEY_FRAMES.values()], ids=list(KEY_FRAMES)
+)
+grid6_segment = st.tuples(grid6, grid6)  # (p, p) is a one-point segment
+
+
+def _framed(groups, base, step):
+    return [[tuple((base + step * x, base + step * y) for x, y in sg) for sg in g] for g in groups]
+
+
+def _meeting_rows(groups):
+    i, j, overlap, key = _meeting_keys(groups)
+    rows = zip(i.tolist(), j.tolist(), overlap.tolist(), key.tolist())
+    return [(a, b, over, None if over else tuple(k)) for a, b, over, k in rows], key.dtype
+
+
+@KEY_FRAME_STEPS
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(grid6_segment, min_size=1, max_size=3), min_size=2, max_size=5))
+def test_meeting_keys_match_scan_oracle(base, step, groups):
+    groups = _framed(groups, base, step)
+    assert _meeting_rows(groups)[0] == scan_meeting_keys(groups)
+
+
+@pytest.mark.parametrize("base,step,dtype", KEY_FRAMES.values(), ids=list(KEY_FRAMES))
+@pytest.mark.parametrize(
+    "groups",
+    [
+        [[((0, 0), (5, 4))], [((0, 4), (5, 0))], [((1, 0), (4, 5))]],  # crossings at 20ths
+        [[((0, 0), (4, 0))], [((4, 0), (5, 0))], [((2, 0), (2, 0))]],  # collinear, a point on it
+        [[((0, 0), (4, 0))], [((2, 0), (5, 0))], [((0, 0), (0, 0))]],  # overlap, a point at an end
+        [[((0, 5), (0, 5))], [((0, 5), (0, 5)), ((1, 1), (1, 1))]],  # two equal points
+    ],
+    ids=["crossings", "collinear-touch", "overlap", "points"],
+)
+def test_meeting_keys_match_scan_oracle_examples(base, step, dtype, groups):
+    # each example has a point at x = base, so the frame sets the dtype
+    groups = _framed(groups, base, step)
+    rows, got_dtype = _meeting_rows(groups)
+    assert rows and rows == scan_meeting_keys(groups)
+    assert got_dtype == dtype
+
+
+@KEY_FRAME_STEPS
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(grid6, min_size=2, max_size=3), min_size=1, max_size=6))
+def test_intersection_graph_matches_fraction_oracle_about_the_key_bound(base, step, point_lists):
+    rep = _rep([[(base + step * x, base + step * y) for x, y in pts] for pts in point_lists])
+    assert _outcome(intersection_graph, rep) == _outcome(fraction_intersection_graph, rep)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 1001])

@@ -173,10 +173,11 @@ def test_overlapping_edges_reported_as_overlap():
 
 
 def test_unrelated_intersection_error_propagates(monkeypatch):
-    def broken(p, q, r, s):
+    # overlaps come back as flags, so an error of the pair pass propagates as it is
+    def broken(groups):
         raise ZeroDivisionError("not an overlap")
 
-    monkeypatch.setattr(geometry, "_meeting", broken)
+    monkeypatch.setattr(topology, "_meeting_keys", broken)
     with pytest.raises(ZeroDivisionError):
         validate_weak_realization(crossing_pair(allowed=True))
 
@@ -454,7 +455,7 @@ DRAWINGS = {
     "triple-point": triple_point,
     "crossing-near-a-vertex": crossing_near_a_vertex,
     "self-crossing-curves": self_crossing_curves,
-    **{f"expo-{k}": (lambda k=k: expo_family(k).realization) for k in range(1, 9)},
+    **{f"expo-{k}": (lambda k=k: expo_family(k).realization) for k in range(1, 11)},
 }
 
 
@@ -466,9 +467,54 @@ def test_validate_matches_pairwise_oracle(name, include_warnings):
     assert validate_weak_realization(w, include_warnings) == want
 
 
+grid_point = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@st.composite
+def grid_drawings(draw):
+    """Up to five vertices, perhaps on one point, and up to five edges on a
+    5x5 grid, each bending through up to two grid points, and each pair of
+    edges allowed or not: overlaps, triple points, edges through vertices,
+    adjacent crossings and curves that are not simple are all common."""
+    n = draw(st.integers(2, 5))
+    pts = tuple(draw(st.lists(grid_point, min_size=n, max_size=n)))
+    ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    pairs = draw(st.lists(ends.map(sorted).map(tuple), max_size=5, unique=True))
+    g = graph_from_pairs(n, pairs)
+    curves = tuple(
+        PolylineCurve(f"e{i}", (pts[u], *draw(st.lists(grid_point, max_size=2)), pts[v]))
+        for i, (u, v) in enumerate(g.edges)
+    )
+    allowed = frozenset(
+        frozenset((e, f))
+        for i, e in enumerate(g.edges)
+        for f in g.edges[i + 1 :]
+        if draw(st.booleans())
+    )
+    return WeakRealization(AbstractTopologicalGraph(g, allowed), pts, curves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_drawings(), st.booleans())
+def test_validate_matches_pairwise_oracle_on_grid_drawings(w, include_warnings):
+    want = pairwise_validate_weak_realization(w, include_warnings)
+    assert validate_weak_realization(w, include_warnings) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_drawings())
+def test_crossings_match_pair_intersections_on_grid_drawings(w):
+    # the oracle refuses a zero-length segment
+    assume(all(p != q for c in w.edge_curves for p, q in c.segments))
+    _assert_crossings_match_pair_intersections(w)
+
+
 @pytest.mark.parametrize("name", DRAWINGS)
 def test_crossings_match_pair_intersections(name):
-    w = DRAWINGS[name]()
+    _assert_crossings_match_pair_intersections(DRAWINGS[name]())
+
+
+def _assert_crossings_match_pair_intersections(w):
     edges = w.atg.graph.edges
     want = {}
     for i in range(len(edges)):
