@@ -86,7 +86,7 @@ def _aggregated_lp(g: Graph, mode: str) -> LpProblem:
     tail, head = _arc_ends(g)
     obj = np.zeros(nv)
     obj[0] = 1.0
-    lp = LpProblem(obj, "min")
+    lp = LpProblem(obj)
 
     # arc a of block s enters row (s, head[a]) at +1 and leaves row
     # (s, tail[a]) at -1, where row (s, x) is s * (n - 1) + x - (x > s)

@@ -88,13 +88,15 @@ def scale_count(n: int) -> int:
 
 def _sample(d: np.ndarray, rng: np.random.Generator, out: np.ndarray):
     """One random line embedding of d as arrays, drawn from rng: (scale j,
-    anchor mask, f), with f written into `out`."""
+    anchor mask, f), with f written into `out`.  f(u) is the least d[a, u]
+    over the anchors a, read from their rows; on a metric, which is
+    symmetric, these are the values of their columns."""
     n = d.shape[0]
     j = int(rng.integers(0, scale_count(n) + 1))
     members = rng.random(n) < 2.0 ** (-j)
     anchors = members.nonzero()[0]
     if anchors.size:
-        d[:, anchors].min(axis=1, out=out)
+        d[anchors].min(axis=0, out=out)
     else:
         out[:] = 0.0
     return j, members, out
@@ -107,7 +109,9 @@ def _embedding(seed: int, j: int, members: np.ndarray, f: np.ndarray) -> Embeddi
 
 def bourgain_sample(d: np.ndarray, seed: int) -> Embedding:
     """One random line embedding of the metric d, drawn from
-    default_rng((seed, 431)); deterministic per non-negative integer seed."""
+    default_rng((seed, 431)); deterministic per non-negative integer seed.
+    d is read by rows, d[a, u] for anchor a; on a metric, which is
+    symmetric, that gives the same values as reading its columns."""
     seed = _integer(seed)
     if seed < 0:
         raise ContractViolation(f"seed must be non-negative, got {seed}")

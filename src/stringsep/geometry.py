@@ -211,7 +211,7 @@ class PolylineCurve:
         """Raise ContractViolation for the first fault met: too few points, a
         repeated point, then in order of i, segments i, i+1 that double back
         or segments i < j - 1 that share a point.  The segments that meet come
-        from one _segment_pairs call, each segment its own group."""
+        from one _segment_pairs call, each segment its own curve."""
         if len(self.points) < 2:
             raise ContractViolation(f"curve {self.id}: needs at least 2 points")
         for a, b in self.segments:
@@ -220,8 +220,10 @@ class PolylineCurve:
         segs, n = self.segments, len(self.segments)
         # the least i * n + j over the segments i < j - 1 that meet, else n * n
         least = n * n
-        for a, b in _segment_pairs(segs, np.arange(n)) if n > 2 else ():
-            least = min(least, int((a * n + b)[b - a > 1].min(initial=least)))
+        if n > 2:
+            ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
+            for a, b in _segment_pairs(ends, np.arange(n)):
+                least = min(least, int((a * n + b)[b - a > 1].min(initial=least)))
         i0, j0 = divmod(least, n)
         for i, ((p, q), (_, s)) in enumerate(zip(segs[: i0 + 1], segs[1:])):
             # adjacent segments: only the shared corner, no doubling back
@@ -249,13 +251,12 @@ def _meeting_keys(groups):
     in int64 when every |coordinate| is below _KEY_BOUND, else on Python
     ints.
     """
-    segs = [seg for group in groups for seg in group]
+    ends = _coords([p + q for group in groups for p, q in group]).reshape(-1, 4)
     curve_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    found = [(np.zeros(0, dtype=np.int64),) * 2, *_segment_pairs(segs, curve_of)]
+    found = [(np.zeros(0, dtype=np.int64),) * 2, *_segment_pairs(ends, curve_of)]
     a, b = (np.concatenate(column) for column in zip(*found))
     by = np.lexsort((b, a, curve_of[b], curve_of[a]))
     a, b = a[by], b[by]
-    ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
     if ends.dtype == object or ends.size and (
         ends.max() >= _KEY_BOUND or ends.min() <= -_KEY_BOUND
     ):
@@ -291,10 +292,11 @@ def _meeting_keys(groups):
     return curve_of[a], curve_of[b], overlap, key
 
 
-def _segment_pairs(segs, curve_of):
+def _segment_pairs(ends, curve_of):
     """Yield, a chunk at a time, the segment pairs (a, b), a < b, of distinct
-    curves that share a point, as two index arrays.  Segments must be listed
-    curve by curve, so a is of the lower curve.
+    curves that share a point, as two index arrays, from the segments as the
+    rows (x0, y0, x1, y1) of the _coords array `ends`.  Segments must be
+    listed curve by curve, so a is of the lower curve.
 
     Candidates come from a sweep over the closed segment boxes sorted by
     left edge: each box meets in x the boxes that start before it ends.
@@ -303,10 +305,9 @@ def _segment_pairs(segs, curve_of):
     rest go through the exact screen _meets, so the memory a chunk takes
     does not grow with the pairs found before it.
     """
-    ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
     x0, x1 = np.minimum(ends[:, 0], ends[:, 2]), np.maximum(ends[:, 0], ends[:, 2])
     y0, y1 = np.minimum(ends[:, 1], ends[:, 3]), np.maximum(ends[:, 1], ends[:, 3])
-    n = len(segs)
+    n = len(ends)
     order = np.argsort(x0, kind="stable")
     # position k meets positions k+1 .. stop[k]-1 in x
     width = np.searchsorted(x0[order], x1[order], side="right") - np.arange(1, n + 1)

@@ -1,17 +1,16 @@
 """Linear programs over nonnegative variables, solved by HiGHS.
 
-`LpProblem` collects its rows as sparse (row, column, coefficient) triples:
-`add` takes one row as a dense vector or a {column: coefficient} dict, and
-`add_rows` a whole block of rows at once as a matrix.  `lp_solve` builds
-one sparse matrix from the triples and hands it to
-`scipy.optimize.linprog(method="highs")`.  The primal point is checked
-against every original row before it is reported optimal.
+One form only: minimise objective @ x over x >= 0, subject to blocks of
+"=" and "<=" rows, the form of the congestion LPs.  `LpProblem` collects
+its rows as sparse (row, column, coefficient) triples, one block at a time
+from `add_rows`.  `lp_solve` builds one sparse matrix from the triples and
+hands it, with the rhs, as stored to `scipy.optimize.linprog(method="highs")`.
+The primal point is checked against every row before it is reported
+optimal.
 
-Solutions expose dual values per constraint, taken from HiGHS's marginals.
-Convention: duals satisfy value = sum_i b_i * y_i, with y_i >= 0 on binding
-">=" rows of a minimization (and the sign map mirrored for maximization),
-i.e. the same convention as the mechanically constructed dual LP (the test
-oracle `dual_of` builds one).
+Solutions expose one dual value per row, HiGHS's marginals as they are:
+value = sum_i b_i * y_i, with y_i <= 0 on "<=" rows and y_i free on "="
+rows.
 """
 
 from __future__ import annotations
@@ -23,20 +22,17 @@ from scipy.sparse import coo_array, csr_array
 
 RESIDUAL_TOL = 1e-6
 
-Relation = str  # "<=", "=", ">="
+Relation = str  # "=" or "<="
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 @dataclass
 class LpProblem:
-    objective: np.ndarray
-    sense: str = "max"  # "max" | "min"
+    objective: np.ndarray  # minimised
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        if self.sense not in ("max", "min"):
-            raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
         # the coefficients as (row, column, value) arrays, one triple per
         # block added, and one relation and one rhs per row
         self._triples: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -57,22 +53,8 @@ class LpProblem:
             for p, q, rel, rhs in zip(ptr, ptr[1:], self._rels, self._rhs)
         ]
 
-    def add(self, coeffs, rel: Relation, rhs: float) -> None:
-        """Append one row: a dense vector or a {column: coefficient} dict."""
-        if isinstance(coeffs, dict):
-            cols = np.array([int(j) for j in coeffs], dtype=np.int64)
-            if ((cols < 0) | (cols >= self.n_vars)).any():
-                raise ValueError("coefficient column out of range")
-            vals = np.array([float(c) for c in coeffs.values()])
-            row = coo_array((vals, (np.zeros_like(cols), cols)), shape=(1, self.n_vars))
-        else:
-            row = np.asarray(coeffs, dtype=float)
-            if row.shape != (self.n_vars,):
-                raise ValueError("coefficient vector length mismatch")
-        self.add_rows(row.reshape(1, -1), rel, rhs)
-
     def add_rows(self, matrix, rel: Relation, rhs) -> None:
-        """Append a block of rows, all with relation `rel`.
+        """Append a block of rows, all with relation `rel`, "=" or "<=".
 
         `matrix` is a dense 2-D array or a scipy sparse matrix with n_vars
         columns; a dense one keeps only its nonzeros.  `rhs` is one value for
@@ -81,7 +63,7 @@ class LpProblem:
         block = coo_array(matrix)
         if block.ndim != 2 or block.shape[1] != self.n_vars:
             raise ValueError("coefficient vector length mismatch")
-        if rel not in ("<=", "=", ">="):
+        if rel not in ("<=", "="):
             raise ValueError(f"bad relation {rel!r}")
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape not in ((), block.shape[:1]):
@@ -99,16 +81,14 @@ class LpSolution:
     value: float
     x: np.ndarray
     iterations: int
-    duals: np.ndarray  # one per constraint row, canonical-dual convention
+    duals: np.ndarray  # one per row, <= 0 on "<=" rows
 
 
-def _row_matrix(problem: LpProblem, row_scale=None) -> csr_array:
-    """The rows as one sparse matrix, row i multiplied by row_scale[i]."""
+def _row_matrix(problem: LpProblem) -> csr_array:
+    """The rows as one sparse matrix."""
     empty = np.zeros(0, np.int64)
     parts = problem._triples or [(empty, empty, np.zeros(0))]
     rows, cols, vals = map(np.concatenate, zip(*parts))
-    if row_scale is not None:
-        vals = vals * row_scale[rows]
     return csr_array((vals, (rows, cols)), shape=(len(problem._rels), problem.n_vars))
 
 
@@ -118,20 +98,14 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     from scipy.optimize import linprog
 
     m, n = len(problem._rels), problem.n_vars
-    minimize = problem.sense == "min"
-    c = problem.objective if minimize else -problem.objective
-    rels = np.array(problem._rels, dtype=str)
-    # ">=" rows enter HiGHS negated, as "<=" rows
-    sign = np.where(rels == ">=", -1.0, 1.0)
-    a = _row_matrix(problem, sign)
-    b = sign * np.array(problem._rhs)
-    ub = rels != "="
+    a, b = _row_matrix(problem), np.array(problem._rhs)
+    ub = np.array(problem._rels, dtype=str) == "<="
     kw = {}
     if ub.any():
         kw.update(A_ub=a[ub], b_ub=b[ub])
     if not ub.all():
         kw.update(A_eq=a[~ub], b_eq=b[~ub])
-    res = linprog(c, bounds=(0, None), method="highs", **kw)
+    res = linprog(problem.objective, bounds=(0, None), method="highs", **kw)
     status = _STATUS.get(res.status, "numerical_failure")
     if status != "optimal":
         return LpSolution(status, np.nan, np.zeros(n), int(res.nit), np.zeros(m))
@@ -142,10 +116,9 @@ def lp_solve(problem: LpProblem) -> LpSolution:
         duals[ub] = res.ineqlin.marginals
     if not ub.all():
         duals[~ub] = res.eqlin.marginals
-    duals = sign * duals if minimize else -sign * duals
     value = float(problem.objective @ xs)
 
-    # residual check on the original rows
+    # residual check on the rows
     excess = a @ xs - b
     if np.where(ub, excess, np.abs(excess)).max(initial=0.0) > RESIDUAL_TOL:
         return LpSolution("numerical_failure", value, xs, int(res.nit), duals)

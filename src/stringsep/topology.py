@@ -2,8 +2,8 @@
 
 A weak realization draws a graph with polygonal edge curves so that every
 crossing pair of independent edges belongs to the allowed relation.  Adjacent
-edges may cross (the shared vertex never counts as a crossing); the validator
-reports such crossings as warnings, not violations.
+edges may cross freely (the shared vertex never counts as a crossing), so
+the validator does not report such crossings.
 """
 
 from __future__ import annotations
@@ -117,27 +117,22 @@ class WeakRealization:
 @dataclass(frozen=True)
 class Violation:
     # not_simple | forbidden_crossing | overlap | triple_point | edge_through_vertex
-    # | adjacent_crossing
     kind: str
     detail: str
     edges: tuple[Edge, ...] = ()
     point: RatPoint | None = None
-    severity: str = "error"
 
 
-def validate_weak_realization(
-    w: WeakRealization, include_warnings: bool = False
-) -> list[Violation]:
+def validate_weak_realization(w: WeakRealization) -> list[Violation]:
     """All standardness and allowed-relation violations of a drawing.
 
     Empty result means: curves are simple, pairwise intersections are finite,
     no triple points, no edge passes through a non-incident vertex, vertex
     points are distinct, and every crossing pair of independent edges is
-    allowed.  Adjacent-edge crossings surface only with include_warnings.
-    A curve that is not simple gives one violation, the first fault that
-    PolylineCurve.validate finds; the other checks need simple curves (a
-    repeated point is a segment with no direction), so when any curve is
-    not simple the result holds only these violations.
+    allowed.  Adjacent edges may cross.  A curve that is not simple gives one
+    violation, the first fault that PolylineCurve.validate finds; these come
+    first, and the pair checks run on every drawing (a repeated point is a
+    one-point segment there), so every fault is listed.
     """
     g = w.atg.graph
     out: list[Violation] = []
@@ -146,8 +141,6 @@ def validate_weak_realization(
             c.validate()
         except ContractViolation as exc:
             out.append(Violation("not_simple", str(exc), edges=(e,)))
-    if out:
-        return out
     if len(set(w.vertex_points)) != g.n:
         out.append(Violation("overlap", "two vertices share a point"))
 
@@ -176,18 +169,7 @@ def validate_weak_realization(
             continue
         for pt in pts:
             point_users.setdefault(pt, set()).update((e1, e2))
-        if set(e1) & set(e2):
-            if include_warnings:
-                out.append(
-                    Violation(
-                        "adjacent_crossing",
-                        f"adjacent edges {e1} and {e2} intersect off their shared vertex",
-                        edges=(e1, e2),
-                        point=min(pts),
-                        severity="warning",
-                    )
-                )
-        elif not w.atg.permits(e1, e2):
+        if not set(e1) & set(e2) and not w.atg.permits(e1, e2):
             out.append(
                 Violation(
                     "forbidden_crossing",

@@ -6,7 +6,9 @@ the residual reachability of the super-source; `floyd_warshall` is the dense
 all-pairs relaxation.  `fraction_validate_standardness` and
 `fraction_intersection_graph` test every pair of curves and every pair of
 segments with Fraction points; `pairwise_best_embedding` builds an
-`Embedding` per trial and scores it by the n x n sum of |f(u) - f(v)|.
+`Embedding` per trial and scores it by the n x n sum of |f(u) - f(v)|, and
+`column_sample` is `embedding._sample` reading the anchors' columns, not
+their rows.
 `scan_split_by_target` and `scan_decompose_to_paths` peel flow paths by
 scanning every residual arc at every step, and `scan_validate_flows` sums
 a commodity's arcs once per vertex.  `scan_random_segment_instance` tests
@@ -20,8 +22,9 @@ endpoints with `on_segment` for the touching point; the Fraction oracles,
 them, not the package's `_meeting`.
 `meeting_groups` and `point_keys` are the package's loop over the meeting
 segment pairs as it stood before `_meeting_keys` decided them as arrays:
-one `_meeting` call per pair, grouped by pair of curves; `curve_pair_points`
-runs them on two curves, so no oracle runs `_meeting_keys`.
+one `_meeting` call per pair, grouped by pair of curves, with a one-point
+segment read as its point; `curve_pair_points` runs them on two curves, so
+no oracle runs `_meeting_keys`.
 `pairwise_validate_weak_realization` finds the crossings of a drawing with
 one `curve_pair_points` call per pair of edge curves, `unpruned_pick_scale`
 takes the exact distance of every pair of segments, and `scan_niceness`
@@ -47,7 +50,9 @@ the ring, as `weak_to_strings` did before it relied on the clearance that
 `_pick_scale` guarantees.
 
 `dict_aggregated_lp` is the congestion LP as it was built before its
-assembly moved to arrays, one {column: coefficient} dict per row.
+assembly moved to arrays, one {column: coefficient} dict per row, and
+`dual_of` the mechanical dual of a program, itself a program of the one
+form `LpProblem` takes.
 
 `on_segment`, `curve_pair_points`, `segment_shared_point`, `dense_rows`,
 `dual_of` and `validate_metric` have no caller in the package; they serve
@@ -60,6 +65,7 @@ from math import gcd
 from operator import itemgetter
 
 import numpy as np
+from scipy.sparse import coo_array
 
 from stringsep.congestion import FLOW_TOL, PathFlow
 from stringsep.cuts import (
@@ -81,6 +87,7 @@ from stringsep.geometry import (
     PolylineCurve,
     SegmentRelation,
     StringRepresentation,
+    _coords,
     _meeting,
     _rational,
     _segment_pairs,
@@ -387,6 +394,20 @@ def pairwise_best_embedding(d, trials: int, seed: int) -> Embedding:
     return best
 
 
+def column_sample(d, rng, out):
+    """embedding._sample as it was before it read the anchors' rows: f from
+    the anchors' columns, d[:, anchors].min(axis=1)."""
+    n = d.shape[0]
+    j = int(rng.integers(0, scale_count(n) + 1))
+    members = rng.random(n) < 2.0 ** (-j)
+    anchors = members.nonzero()[0]
+    if anchors.size:
+        d[:, anchors].min(axis=1, out=out)
+    else:
+        out[:] = 0.0
+    return j, members, out
+
+
 def set_sweep(g, f):
     """(A, B, S, positions) of fhl_sweep's selection over the threshold
     splits of f: the sparsest split, then one with both sides nonempty,
@@ -654,7 +675,8 @@ def dense_rows(problem: LpProblem) -> list[tuple[np.ndarray, str, float]]:
 
 def dict_aggregated_lp(g: Graph, mode: str) -> LpProblem:
     """The aggregated congestion LP of `congestion._aggregated_lp`, one
-    {column: coefficient} dict per row, in the same row and column order."""
+    {column: coefficient} dict per row, each added as a block of one row,
+    in the same row and column order."""
     arcs = [arc for u, v in g.edges for arc in ((u, v), (v, u))]
     na = len(arcs)
     n = g.n
@@ -667,7 +689,13 @@ def dict_aggregated_lp(g: Graph, mode: str) -> LpProblem:
 
     obj = np.zeros(nv)
     obj[0] = 1.0
-    lp = LpProblem(obj, "min")
+    lp = LpProblem(obj)
+
+    def add(row: dict, rel: str, rhs: float) -> None:
+        cols = np.array(list(row), dtype=np.int64)
+        vals = np.array(list(row.values()))
+        lp.add_rows(coo_array((vals, (np.zeros_like(cols), cols)), shape=(1, nv)), rel, rhs)
+
     for s in g.vertices():
         base = 1 + s * na
         for x in g.vertices():
@@ -675,7 +703,7 @@ def dict_aggregated_lp(g: Graph, mode: str) -> LpProblem:
                 continue
             row = {base + ai: 1.0 for ai in in_idx[x]}
             row.update((base + ai, -1.0) for ai in out_idx[x])
-            lp.add(row, "=", 0.5)
+            add(row, "=", 0.5)
 
     if mode == "edge":
         for ei in range(g.m):
@@ -684,50 +712,39 @@ def dict_aggregated_lp(g: Graph, mode: str) -> LpProblem:
                 base = 1 + s * na
                 row[base + 2 * ei] = 1.0
                 row[base + 2 * ei + 1] = 1.0
-            lp.add(row, "<=", 0.0)
+            add(row, "<=", 0.0)
     else:
         for x in g.vertices():
             row = {0: -1.0}
             for s in g.vertices():
                 base = 1 + s * na
                 row.update((base + ai, 0.5) for ai in out_idx[x] + in_idx[x])
-            lp.add(row, "<=", 0.0)
+            add(row, "<=", 0.0)
     return lp
 
 
 def dual_of(problem: LpProblem) -> LpProblem:
-    """Mechanically constructed dual, for duality spot-checks.
+    """Mechanically constructed dual, for duality spot-checks, as the min
+    program whose value is minus the primal's.
 
-    Free dual variables (from equality rows) are split into differences of
-    two nonnegatives; sign-restricted ones are negated where needed so that
-    every dual variable is nonnegative.
+    The dual of min c x over A x (= or <=) b, x >= 0 is max b y over
+    A^T y <= c, with y free on "=" rows and y <= 0 on "<=" rows.  Free dual
+    variables are split into differences of two nonnegatives and the others
+    negated, so that every dual variable is nonnegative, and the objective
+    is negated so that the dual minimises.
     """
-    n = problem.n_vars
     A = _row_matrix(problem).toarray()
     b = np.array([row[2] for row in problem.rows])
     rels = [row[1] for row in problem.rows]
 
-    # columns of the dual LP: one var per sign-restricted row, two per free row
+    # columns of the dual LP: one var per "<=" row, two per "=" row
     cols = []  # (row index, multiplier)
     for i, rel in enumerate(rels):
-        if problem.sense == "min":
-            mult = {"<=": -1.0, ">=": 1.0}.get(rel)
-        else:
-            mult = {"<=": 1.0, ">=": -1.0}.get(rel)
-        if mult is None:
-            cols.append((i, 1.0))
-            cols.append((i, -1.0))
-        else:
-            cols.append((i, mult))
+        cols += [(i, -1.0)] if rel == "<=" else [(i, 1.0), (i, -1.0)]
 
-    obj = np.array([b[i] * mult for i, mult in cols])
-    dual = LpProblem(obj, "min" if problem.sense == "max" else "max")
-    for j in range(n):
-        coeffs = np.array([A[i, j] * mult for i, mult in cols])
-        if problem.sense == "min":
-            dual.add(coeffs, "<=", problem.objective[j])
-        else:
-            dual.add(coeffs, ">=", problem.objective[j])
+    dual = LpProblem(np.array([-b[i] * mult for i, mult in cols]))
+    rows = np.array([A[i] * mult for i, mult in cols]).reshape(len(cols), problem.n_vars)
+    dual.add_rows(rows.T, "<=", problem.objective)
     return dual
 
 
@@ -803,8 +820,9 @@ def meeting_groups(groups):
     lexicographic order, all from one _segment_pairs call; a group may hold
     a one-point segment (p, p)."""
     segs = [seg for group in groups for seg in group]
+    ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
     curve_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    found = [(np.zeros(0, dtype=np.int64),) * 2, *_segment_pairs(segs, curve_of)]
+    found = [(np.zeros(0, dtype=np.int64),) * 2, *_segment_pairs(ends, curve_of)]
     a, b = (np.concatenate(column) for column in zip(*found))
     by = np.lexsort((b, a, curve_of[b], curve_of[a]))
     a, b = a[by], b[by]
@@ -816,9 +834,15 @@ def meeting_groups(groups):
 def point_keys(c1: PolylineCurve, c2: PolylineCurve, seg_pairs) -> dict:
     """The shared points of the segment pairs ((p, q), (r, s)) of c1 x c2, in
     order, one _meeting call each; raises StandardnessError when a pair
-    overlaps."""
+    overlaps.  A one-point segment (p, p) is the point p: it is the pair's
+    shared point if it lies on the other segment."""
     keys = {}
     for (p, q), (r, s) in seg_pairs:
+        if p == q or r == s:
+            pt, (a, b) = (p, (r, s)) if p == q else (r, (p, q))
+            if on_segment(a, b, pt):
+                keys[(pt[0], pt[1], 1)] = None
+            continue
         rel, key = _meeting(p, q, r, s)
         if rel is SegmentRelation.OVERLAPPING:
             raise StandardnessError(
@@ -857,7 +881,7 @@ def pair_intersections(w, i: int, j: int) -> tuple[set, bool]:
     return pts, False
 
 
-def pairwise_validate_weak_realization(w, include_warnings: bool = False) -> list:
+def pairwise_validate_weak_realization(w) -> list:
     """validate_weak_realization with pair_intersections on every pair of edges."""
     g = w.atg.graph
     out = []
@@ -866,8 +890,6 @@ def pairwise_validate_weak_realization(w, include_warnings: bool = False) -> lis
             scan_validate_curve(c)
         except ContractViolation as exc:
             out.append(Violation("not_simple", str(exc), edges=(e,)))
-    if out:
-        return out
     if len(set(w.vertex_points)) != g.n:
         out.append(Violation("overlap", "two vertices share a point"))
     for i, c in enumerate(w.edge_curves):
@@ -899,18 +921,7 @@ def pairwise_validate_weak_realization(w, include_warnings: bool = False) -> lis
                 continue
             for pt in pts:
                 point_users.setdefault(pt, set()).update((e1, e2))
-            if set(e1) & set(e2):
-                if include_warnings:
-                    out.append(
-                        Violation(
-                            "adjacent_crossing",
-                            f"adjacent edges {e1} and {e2} intersect off their shared vertex",
-                            edges=(e1, e2),
-                            point=min(pts),
-                            severity="warning",
-                        )
-                    )
-            elif not w.atg.permits(e1, e2):
+            if not set(e1) & set(e2) and not w.atg.permits(e1, e2):
                 out.append(
                     Violation(
                         "forbidden_crossing",

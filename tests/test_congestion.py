@@ -58,13 +58,13 @@ def path_lp_congestion(g: Graph, mode: str) -> float:
         for pth in paths[p]:
             index.append((p, pth))
     nv = len(index) + 1  # lambda first
-    lp = LpProblem(np.eye(nv)[0], "min")
+    lp = LpProblem(np.eye(nv)[0])
     for p in pairs:
         row = np.zeros(nv)
         for i, (pp, _) in enumerate(index):
             if pp == p:
                 row[1 + i] = 1.0
-        lp.add(row, "=", 1.0)
+        lp.add_rows(row[None], "=", 1.0)
     if mode == "edge":
         for e in g.edges:
             row = np.zeros(nv)
@@ -74,7 +74,7 @@ def path_lp_congestion(g: Graph, mode: str) -> float:
                 )
                 row[1 + i] = float(hits)
             row[0] = -1.0
-            lp.add(row, "<=", 0.0)
+            lp.add_rows(row[None], "<=", 0.0)
     else:
         for v in g.vertices():
             row = np.zeros(nv)
@@ -82,7 +82,7 @@ def path_lp_congestion(g: Graph, mode: str) -> float:
                 if v in pth:
                     row[1 + i] = 0.5 if v in (pth[0], pth[-1]) else 1.0
             row[0] = -1.0
-            lp.add(row, "<=", 0.0)
+            lp.add_rows(row[None], "<=", 0.0)
     sol = lp_solve(lp)
     assert sol.status == "optimal"
     return sol.value

@@ -24,7 +24,7 @@ from stringsep.graphs import generate
 from stringsep.metrics import shortest_path_metric
 
 from .conftest import connected_graphs
-from .oracles import pairwise_best_embedding
+from .oracles import column_sample, pairwise_best_embedding
 
 
 def test_scale_count():
@@ -304,3 +304,29 @@ def test_block_trials_draw_their_own_streams(rows, seed):
     want = [(e.scale_index, e.anchors, e.values) for e in want]
     for trials in range(1, 11):
         assert _block_draws(d, trials, seed, rows) == want[:trials]
+
+
+def _assert_rows_match_columns(d):
+    # the same draws from the same stream, and f equal bit for bit
+    n = d.shape[0]
+    for seed in range(60):
+        f, want = np.empty(n), np.empty(n)
+        j, members, _ = embedding._sample(d, np.random.default_rng((seed, 431)), f)
+        wj, wmembers, _ = column_sample(d, np.random.default_rng((seed, 431)), want)
+        assert (j, members.tobytes(), f.tobytes()) == (wj, wmembers.tobytes(), want.tobytes())
+
+
+@settings(max_examples=40)
+@given(connected_graphs(max_n=12))
+def test_sample_rows_match_column_reference(g):
+    _assert_rows_match_columns(shortest_path_metric(g))
+
+
+@pytest.mark.parametrize("kind,shape,scale", [("grid", (6, 7), 1 / 3), ("path", (30,), 0.1)])
+def test_sample_rows_match_column_reference_on_scaled_metrics(kind, shape, scale):
+    _assert_rows_match_columns(shortest_path_metric(generate(kind, shape)) * scale)
+
+
+@pytest.mark.parametrize("count,span,seed", [(100, 80, 1), (80, 60, 2), (40, None, 3)])
+def test_sample_rows_match_column_reference_on_segment_cores(count, span, seed):
+    _assert_rows_match_columns(_segment_core_metric(count, span, seed))

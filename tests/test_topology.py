@@ -235,22 +235,27 @@ def self_crossing_curves() -> WeakRealization:
 
 
 def test_curve_that_is_not_simple_reported_per_edge():
-    # one violation per curve that is not simple, and then no pair checks
+    # one violation per curve that is not simple, first, and then the pair checks
     got = [(v.kind, v.detail, v.edges) for v in validate_weak_realization(self_crossing_curves())]
     assert got == [
         ("not_simple", "curve e0: non-adjacent segments 0,2 intersect", ((0, 1),)),
         ("not_simple", "curve e2: segments 0,1 double back at (3, 2)", ((4, 5),)),
+        ("forbidden_crossing",
+         "independent edges (0, 1) and (2, 3) cross at (3, -1/3) but are not allowed to",
+         ((0, 1), (2, 3))),
+        ("forbidden_crossing",
+         "independent edges (2, 3) and (4, 5) cross at (3, 2) but are not allowed to",
+         ((2, 3), (4, 5))),
     ]
     with pytest.raises(ContractViolation, match="^curve e0: non-adjacent segments 0,2 intersect$"):
         weak_to_strings(self_crossing_curves())
 
 
-def test_adjacent_crossing_is_warning():
+def test_adjacent_crossing_is_not_a_violation():
+    # the two edges share vertex 0 and cross off it: allowed in a weak realization
     w = adjacent_crossing()
+    assert w.crossings == {(0, 1): frozenset({(6, 0)})}
     assert validate_weak_realization(w) == []
-    warned = validate_weak_realization(w, include_warnings=True)
-    assert [v.kind for v in warned] == ["adjacent_crossing"]
-    assert warned[0].severity == "warning"
 
 
 def test_endpoint_mismatch_is_contract_error():
@@ -459,12 +464,22 @@ DRAWINGS = {
 }
 
 
-@pytest.mark.parametrize("include_warnings", [False, True])
+def with_repeated_point(w: WeakRealization, i: int, k: int) -> WeakRealization:
+    """w with edge curve i repeating its point k, which makes the curve not
+    simple and gives it a one-point segment."""
+    curves = list(w.edge_curves)
+    pts = curves[i].points
+    curves[i] = PolylineCurve(curves[i].id, pts[: k + 1] + pts[k:])
+    return WeakRealization(w.atg, w.vertex_points, tuple(curves))
+
+
+@pytest.mark.parametrize("repeat_a_point", [False, True])
 @pytest.mark.parametrize("name", DRAWINGS)
-def test_validate_matches_pairwise_oracle(name, include_warnings):
+def test_validate_matches_pairwise_oracle(name, repeat_a_point):
     w = DRAWINGS[name]()
-    want = pairwise_validate_weak_realization(w, include_warnings)
-    assert validate_weak_realization(w, include_warnings) == want
+    if repeat_a_point:
+        w = with_repeated_point(w, 0, 1)
+    assert validate_weak_realization(w) == pairwise_validate_weak_realization(w)
 
 
 grid_point = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -495,17 +510,38 @@ def grid_drawings(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(grid_drawings(), st.booleans())
-def test_validate_matches_pairwise_oracle_on_grid_drawings(w, include_warnings):
-    want = pairwise_validate_weak_realization(w, include_warnings)
-    assert validate_weak_realization(w, include_warnings) == want
+@given(grid_drawings())
+def test_validate_matches_pairwise_oracle_on_grid_drawings(w):
+    assert validate_weak_realization(w) == pairwise_validate_weak_realization(w)
+
+
+@st.composite
+def repeated_point_drawings(draw):
+    """A grid drawing with one to three curves each repeating one of its
+    points, so every one of them is not simple and has a one-point segment."""
+    w = draw(grid_drawings())
+    assume(w.edge_curves)
+    for i in draw(st.sets(st.integers(0, len(w.edge_curves) - 1), min_size=1, max_size=3)):
+        w = with_repeated_point(w, i, draw(st.integers(0, len(w.edge_curves[i].points) - 1)))
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_point_drawings())
+def test_validate_lists_every_fault_of_drawings_with_repeated_points(w):
+    got = validate_weak_realization(w)
+    assert got == pairwise_validate_weak_realization(w)
+    # the curves' own faults come first, so weak_to_strings reports one of them
+    repeats = sum(any(p == q for p, q in c.segments) for c in w.edge_curves)
+    kinds = [v.kind for v in got]
+    assert kinds[:repeats] == ["not_simple"] * repeats
+    with pytest.raises(ContractViolation, match="^curve "):
+        weak_to_strings(w)
 
 
 @settings(max_examples=300, deadline=None)
 @given(grid_drawings())
 def test_crossings_match_pair_intersections_on_grid_drawings(w):
-    # the oracle refuses a zero-length segment
-    assume(all(p != q for c in w.edge_curves for p, q in c.segments))
     _assert_crossings_match_pair_intersections(w)
 
 
@@ -538,15 +574,18 @@ def test_weak_to_strings_makes_one_segment_pair_pass(monkeypatch):
     calls = []
     real = geometry._segment_pairs
 
-    def spy(segs, curve_of):
-        calls.append((list(segs), curve_of.tolist()))
-        return real(segs, curve_of)
+    def spy(ends, curve_of):
+        calls.append((ends.tolist(), curve_of.tolist()))
+        return real(ends, curve_of)
+
+    def rows(segs):
+        return [[*p, *q] for p, q in segs]
 
     monkeypatch.setattr(geometry, "_segment_pairs", spy)
     w = expo_family(4).realization
     weak_to_strings(w)
     # validate, per edge curve of three or more segments, each its own group
-    want = [(list(c.segments), list(range(len(c.segments)))) for c in w.edge_curves]
+    want = [(rows(c.segments), list(range(len(c.segments)))) for c in w.edge_curves]
     want = [call for call in want if len(call[0]) >= 3]
     # then one pass over all edge segments and the vertex points
     m = len(w.edge_curves)
@@ -554,7 +593,7 @@ def test_weak_to_strings_makes_one_segment_pair_pass(monkeypatch):
     groups = [i for i, c in enumerate(w.edge_curves) for _ in c.segments]
     segs += [(p, p) for p in w.vertex_points]
     groups += list(range(m, m + len(w.vertex_points)))
-    want.append((segs, groups))
+    want.append((rows(segs), groups))
     assert calls == want
 
 
