@@ -11,7 +11,6 @@ both sides is what forces string graphs to have large vertex congestion.
 import math
 
 from stringsep import (
-    decompose_to_paths,
     drawing_conflict_experiment,
     intersection_graph,
     pcr_lower_bound,
@@ -22,12 +21,10 @@ from stringsep import (
 for n, seed in ((7, 2), (8, 2), (9, 2), (10, 2)):
     rep = random_segment_instance(n, seed=seed)
     g, _ = intersection_graph(rep)
-    sol = vertex_congestion(g)
-    phi = decompose_to_paths(g, sol)
-    stats = drawing_conflict_experiment(g, phi, trials=500, seed=1, vcong=sol.congestion)
+    stats = drawing_conflict_experiment(g, vertex_congestion(g), trials=500, seed=1)
     guard = 4 * stats.stddev / math.sqrt(stats.trials)
     print(
-        f"n={g.n} m={g.m}: vcong={sol.congestion:.3f}  "
+        f"n={g.n} m={g.m}: vcong={stats.vcong:.3f}  "
         f"{float(pcr_lower_bound(g.n)):7.1f} <= X  "
         f"(min {min(stats.counts)}, mean {stats.mean:.1f})  "
         f"<= {stats.upper_bound:8.1f} + {guard:.1f}"

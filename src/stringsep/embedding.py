@@ -178,16 +178,13 @@ def _sample_block(d: np.ndarray, seed: int, start: int, f: np.ndarray) -> None:
 
 def _mix(seed: int, trial: int) -> int:
     """Independent per-trial streams: splitmix64 of (seed, trial)."""
-    z = (seed * 0x9E3779B97F4A7C15 + trial + 1) % (1 << 64)
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % (1 << 64)
-    return z ^ (z >> 31)
+    return int(_mix_block(seed, trial, 1)[0])
 
 
 def _mix_block(seed: int, start: int, count: int) -> np.ndarray:
-    """_mix(seed, t) for t in start..start+count-1, as uint64."""
+    """splitmix64 of (seed, t) for t in start..start+count-1, as uint64."""
     z = np.uint64((seed * 0x9E3779B97F4A7C15 + start + 1) % (1 << 64))
-    z = z + np.arange(count, dtype=np.uint64)  # wraps mod 2^64, as _mix does
+    z = z + np.arange(count, dtype=np.uint64)  # wraps mod 2^64
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))

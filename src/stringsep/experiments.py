@@ -7,7 +7,9 @@ vertex or containing adjacent vertices.  Drawing each complete-graph edge
 along its sampled path through a string representation can only cross where
 paths are related, so the count dominates the intersecting pairs of an
 actual drawing of K_n and is bounded below by the pair-crossing bound
-C(n,5)/(n-4); its expectation is at most 8 m vcong^2.
+C(n,5)/(n-4); its expectation is at most 8 m vcong^2.  The experiment
+samples the paths of the vertex flow it is given, so that bound holds for
+the paths sampled: vcong is that flow's congestion.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .congestion import PathFlow, edge_congestion, vertex_congestion
+from .congestion import FlowSolution, decompose_to_paths, edge_congestion, vertex_congestion
 from .cuts import find_separator
 from .errors import ContractViolation, NoVertexCut
 from .graphs import Graph
@@ -50,35 +52,30 @@ class ConflictStats:
 
 
 def drawing_conflict_experiment(
-    g: Graph,
-    phi: PathFlow,
-    trials: int,
-    seed: int,
-    vcong: float | None = None,
+    g: Graph, flows: FlowSolution, trials: int, seed: int
 ) -> ConflictStats:
-    """Sample paths from phi and count related commodity pairs per trial.
+    """Sample paths of the vertex flow and count related commodity pairs per trial.
 
-    phi must cover every unordered pair with weights summing to one; path
-    sampling is cumulative-weight inversion on per-trial derived streams.
+    flows must be a vertex-mode flow with every unordered pair as a
+    commodity; its paths come from decompose_to_paths and its congestion is
+    the vcong of the upper bound.  Path sampling is cumulative-weight
+    inversion on per-trial derived streams.
     """
+    if flows.mode != "vertex":
+        raise ContractViolation(f"needs a vertex-mode flow, got {flows.mode!r}")
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
+    # refuses an infinite or inconsistent flow, an input fault the CLI reports before a bad seed
+    phi = decompose_to_paths(g, flows)
     if seed < 0:
         raise ContractViolation(f"seed must be non-negative, got {seed}")
     if not g.is_connected() or g.n < 2:
         raise ContractViolation("needs a connected graph on >= 2 vertices")
     pairs = [(u, v) for u in g.vertices() for v in range(u + 1, g.n)]
     for pair in pairs:
-        if pair not in phi.paths:
-            raise ContractViolation(f"path flow misses commodity {pair}")
-        total = sum(w for _, w in phi.paths[pair])
-        if abs(total - 1.0) > 1e-6:
-            raise ContractViolation(f"commodity {pair} weights sum to {total}, not 1")
-    if vcong is None:
-        vc = vertex_congestion(g)
-        if not vc.is_finite():
-            raise ContractViolation("infinite vertex congestion")
-        vcong = vc.congestion
+        if pair not in flows.commodities:
+            raise ContractViolation(f"vertex flow misses commodity {pair}")
+    vcong = flows.congestion
 
     # vertex-set and closed-neighborhood bitmasks per candidate path
     path_masks: dict[tuple[int, int], list[tuple[int, int, float]]] = {}

@@ -458,15 +458,17 @@ def random_segment_instance(
     collection standard: no collinear overlaps, no triple points, and its
     endpoints avoid the existing segments.  By default both endpoints are
     uniform over the box, which crosses any two segments with constant
-    probability; passing `span` caps the segment extent, thinning the
-    intersection graph of large instances.  A candidate goes through the
-    array screen _meets against all placed segments at once, and only the
-    placed segments it meets are checked exactly.
+    probability; passing `span` (at least 1) caps the segment extent,
+    thinning the intersection graph of large instances.  A candidate goes
+    through the array screen _meets against all placed segments at once,
+    and only the placed segments it meets are checked exactly.
     """
     if count < 1:
         raise ContractViolation("count must be >= 1")
     if seed < 0:
         raise ContractViolation(f"seed must be non-negative, got {seed}")
+    if span is not None and span < 1:
+        raise ContractViolation("span must be >= 1")
     rng = np.random.default_rng((seed, 977))
     side = max(8, 2 * count)
     placed: list[tuple[Point, Point]] = []

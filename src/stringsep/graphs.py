@@ -254,15 +254,11 @@ def generate(kind: str, params: tuple[int, ...], seed: int | None = None) -> Gra
         _require(n >= 1, "gnp_connected requires n >= 1")
         _require(0 <= percent <= 100, "edge probability percent must be in [0, 100]")
         base = 0 if seed is None else seed
+        us, vs = np.triu_indices(n, 1)  # the pairs (i, j), i < j, row by row
         for attempt in range(1000):
             rng = np.random.default_rng((base, 211, attempt))
-            pairs = [
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if rng.integers(0, 100) < percent
-            ]
-            g = graph_from_pairs(n, pairs)
+            keep = rng.integers(0, 100, size=len(us)) < percent
+            g = graph_from_pairs(n, list(zip(us[keep].tolist(), vs[keep].tolist())))
             if g.is_connected():
                 return g
         raise GenerationError("gnp_connected: no connected sample in 1000 attempts")

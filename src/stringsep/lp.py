@@ -100,22 +100,17 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     m, n = len(problem._rels), problem.n_vars
     a, b = _row_matrix(problem), np.array(problem._rhs)
     ub = np.array(problem._rels, dtype=str) == "<="
-    kw = {}
-    if ub.any():
-        kw.update(A_ub=a[ub], b_ub=b[ub])
-    if not ub.all():
-        kw.update(A_eq=a[~ub], b_eq=b[~ub])
-    res = linprog(problem.objective, bounds=(0, None), method="highs", **kw)
+    # an empty block is a (0, n) matrix: linprog takes it and returns no marginals for it
+    res = linprog(problem.objective, A_ub=a[ub], b_ub=b[ub], A_eq=a[~ub], b_eq=b[~ub],
+                  bounds=(0, None), method="highs")
     status = _STATUS.get(res.status, "numerical_failure")
     if status != "optimal":
         return LpSolution(status, np.nan, np.zeros(n), int(res.nit), np.zeros(m))
 
     xs = np.asarray(res.x, dtype=float)
     duals = np.zeros(m)
-    if ub.any():
-        duals[ub] = res.ineqlin.marginals
-    if not ub.all():
-        duals[~ub] = res.eqlin.marginals
+    duals[ub] = res.ineqlin.marginals
+    duals[~ub] = res.eqlin.marginals
     value = float(problem.objective @ xs)
 
     # residual check on the rows

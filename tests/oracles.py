@@ -54,6 +54,13 @@ assembly moved to arrays, one {column: coefficient} dict per row, and
 `dual_of` the mechanical dual of a program, itself a program of the one
 form `LpProblem` takes.
 
+`scalar_mix` is splitmix64 one trial at a time in Python ints, as
+`embedding._mix` computed it before it became one row of `_mix_block`.
+`per_pair_gnp_connected` draws one scalar per vertex pair, as
+`generate("gnp_connected")` did before each attempt drew all its pairs in
+one call.  `conflict_experiment_from_paths` is the conflict experiment as
+it was before it took the vertex flow: the paths and vcong given apart.
+
 `on_segment`, `curve_pair_points`, `segment_shared_point`, `dense_rows`,
 `dual_of` and `validate_metric` have no caller in the package; they serve
 the tests only.
@@ -75,7 +82,7 @@ from stringsep.cuts import (
     _greedy_sides,
     fhl_sweep,
 )
-from stringsep.embedding import Embedding, _mix, scale_count
+from stringsep.embedding import Embedding, scale_count
 from stringsep.errors import (
     ContractViolation,
     GenerationError,
@@ -83,6 +90,7 @@ from stringsep.errors import (
     SizeCapExceeded,
     StandardnessError,
 )
+from stringsep.experiments import ConflictStats, pcr_lower_bound
 from stringsep.geometry import (
     PolylineCurve,
     SegmentRelation,
@@ -374,13 +382,21 @@ def fraction_intersection_graph(rep):
     return graph_from_pairs(len(curves), list(counts)), counts
 
 
+def scalar_mix(seed: int, trial: int) -> int:
+    """splitmix64 of (seed, trial) in Python ints, one trial at a time."""
+    z = (seed * 0x9E3779B97F4A7C15 + trial + 1) % (1 << 64)
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % (1 << 64)
+    return z ^ (z >> 31)
+
+
 def pairwise_best_embedding(d, trials: int, seed: int) -> Embedding:
     """The trial with the largest n x n spread; the first of equal ones."""
     n = d.shape[0]
     k = scale_count(n)
     best, best_spread = None, -1.0
     for t in range(trials):
-        trial_seed = _mix(seed, t)
+        trial_seed = scalar_mix(seed, t)
         rng = np.random.default_rng((trial_seed, 431))
         j = int(rng.integers(0, k + 1))
         members = rng.random(n) < 2.0 ** (-j)
@@ -1145,3 +1161,86 @@ def scan_exit_port(center, path) -> tuple[tuple[int, int], int]:
         if max(abs(q[0] - cx), abs(q[1] - cy)) > 16:
             return port, idx
     raise ContractViolation("edge curve never leaves its endpoint's loop ring")
+
+
+def per_pair_gnp_connected(n: int, percent: int, seed: int | None = None) -> Graph:
+    """generate("gnp_connected", (n, percent), seed) with one scalar draw
+    per vertex pair, as it was before an attempt drew all its pairs at once."""
+    base = 0 if seed is None else seed
+    for attempt in range(1000):
+        rng = np.random.default_rng((base, 211, attempt))
+        pairs = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.integers(0, 100) < percent
+        ]
+        g = graph_from_pairs(n, pairs)
+        if g.is_connected():
+            return g
+    raise GenerationError("gnp_connected: no connected sample in 1000 attempts")
+
+
+def conflict_experiment_from_paths(g, phi, trials: int, seed: int, vcong: float) -> ConflictStats:
+    """The conflict experiment as it was before it took the vertex flow:
+    the paths `phi` and `vcong` given apart, every pair's weights checked to
+    sum to one, then the same per-trial draws and the same pairwise count."""
+    if trials < 1:
+        raise ContractViolation("trials must be >= 1")
+    if seed < 0:
+        raise ContractViolation(f"seed must be non-negative, got {seed}")
+    if not g.is_connected() or g.n < 2:
+        raise ContractViolation("needs a connected graph on >= 2 vertices")
+    pairs = [(u, v) for u in g.vertices() for v in range(u + 1, g.n)]
+    for pair in pairs:
+        if pair not in phi.paths:
+            raise ContractViolation(f"path flow misses commodity {pair}")
+        total = sum(w for _, w in phi.paths[pair])
+        if abs(total - 1.0) > 1e-6:
+            raise ContractViolation(f"commodity {pair} weights sum to {total}, not 1")
+
+    path_masks = {}
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    for pair in pairs:
+        entries = []
+        acc = 0.0
+        for path, w in phi.paths[pair]:
+            mask = 0
+            closed = 0
+            for x in path:
+                mask |= 1 << x
+                closed |= (1 << x) | nbr[x]
+            acc += w
+            entries.append((mask, closed, acc))
+        path_masks[pair] = entries
+
+    counts = []
+    for t in range(trials):
+        rng = np.random.default_rng((seed, 59, t))
+        draws = rng.random(len(pairs))
+        chosen = []
+        for pi, pair in enumerate(pairs):
+            entries = path_masks[pair]
+            r = draws[pi] * entries[-1][2]
+            chosen.append(next(e for e in entries if e[2] >= r - 1e-12))
+        x = 0
+        for i in range(len(chosen)):
+            for j in range(i + 1, len(chosen)):
+                if chosen[i][1] & chosen[j][0]:
+                    x += 1
+        counts.append(x)
+
+    arr = np.array(counts, dtype=float)
+    return ConflictStats(
+        trials=trials,
+        counts=tuple(counts),
+        mean=float(arr.mean()),
+        variance=float(arr.var(ddof=1)) if trials > 1 else 0.0,
+        upper_bound=8.0 * g.m * vcong * vcong,
+        lower_bound=pcr_lower_bound(g.n) if g.n >= 5 else None,
+        vcong=vcong,
+        m=g.m,
+    )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from stringsep.cli import main as cli_main
-from stringsep.congestion import decompose_to_paths, edge_congestion, vertex_congestion
+from stringsep.congestion import edge_congestion, vertex_congestion
 from stringsep.cuts import find_separator, fhl_sweep, min_separator_exact, min_vertex_cut
 from stringsep.embedding import bourgain_sample, scale_count
 from stringsep.errors import NoVertexCut
@@ -300,10 +300,8 @@ def test_criterion_10_conflict_experiment():
             rep = random_segment_instance(n, seed=seed)
             g, _ = intersection_graph(rep)
             assert g.is_connected() and 5 <= g.n <= 10
-            sol = vertex_congestion(g)
-            phi = decompose_to_paths(g, sol)
             stats = drawing_conflict_experiment(
-                g, phi, trials=2000, seed=n * 100 + seed, vcong=sol.congestion
+                g, vertex_congestion(g), trials=2000, seed=n * 100 + seed
             )
             lower = pcr_lower_bound(g.n)
             assert all(c >= lower for c in stats.counts), (n, seed, min(stats.counts), lower)

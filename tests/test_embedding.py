@@ -24,7 +24,7 @@ from stringsep.graphs import generate
 from stringsep.metrics import shortest_path_metric
 
 from .conftest import connected_graphs
-from .oracles import column_sample, pairwise_best_embedding
+from .oracles import column_sample, pairwise_best_embedding, scalar_mix
 
 
 def test_scale_count():
@@ -276,7 +276,9 @@ def test_seed_words_match_seed_sequence(xs):
 def test_mix_block_matches_scalar_mix(seed, start, count):
     got = _mix_block(seed, start, count)
     assert got.dtype == np.uint64
-    assert got.tolist() == [_mix(seed, t) for t in range(start, start + count)]
+    want = [scalar_mix(seed, t) for t in range(start, start + count)]
+    assert got.tolist() == want
+    assert [_mix(seed, t) for t in range(start, start + count)] == want
 
 
 def _block_draws(d, trials, seed, rows):

@@ -194,6 +194,13 @@ def test_random_instance_trivial_and_errors():
         random_segment_instance(5, seed=-1, span=4)
 
 
+def test_random_instance_rejects_span_below_one():
+    for span in (0, -1, -5):
+        with pytest.raises(ContractViolation, match="^span must be >= 1$"):
+            random_segment_instance(5, seed=0, span=span)
+    assert len(random_segment_instance(5, seed=0, span=1).curves) == 5
+
+
 # small grids make shared endpoints, corners, collinear overlaps and
 # concurrent crossings common; the wider one gives crossings with large
 # denominators

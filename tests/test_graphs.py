@@ -2,17 +2,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stringsep.errors import ContractViolation, ParseError
+from stringsep import graphs
+from stringsep.errors import ContractViolation, GenerationError, ParseError
 from stringsep.graphs import (
     Graph,
     VertexCut,
     balance_limit,
     check_separator,
     generate,
+    graph_from_pairs,
     parse_graph,
     serialize_graph,
 )
 
+from . import oracles
 from .conftest import arbitrary_graphs
 
 
@@ -72,6 +75,52 @@ def test_generate_deterministic():
     g1 = generate("gnp_connected", (8, 40), seed=9)
     g2 = generate("gnp_connected", (8, 40), seed=9)
     assert g1 == g2 and g1.is_connected()
+
+
+class _Stop(Exception):
+    pass
+
+
+def _first_attempts(monkeypatch, module, build, limit=3):
+    """The pairs of the first `limit` G(n, p) attempts that build makes
+    through module.graph_from_pairs, and the graph it returns, or None if it
+    is still sampling after them."""
+    seen = []
+
+    def record(n, pairs):
+        if len(seen) == limit:
+            raise _Stop
+        seen.append(list(pairs))
+        return graph_from_pairs(n, seen[-1])
+
+    monkeypatch.setattr(module, "graph_from_pairs", record)
+    try:
+        return seen, build()
+    except _Stop:
+        return seen, None
+
+
+@pytest.mark.parametrize("percent", [0, 1, 40, 99, 100])
+def test_gnp_connected_draws_as_the_per_pair_loop(monkeypatch, percent):
+    for n in range(1, 16):
+        for seed in range(20):
+            got = _first_attempts(
+                monkeypatch, graphs, lambda: generate("gnp_connected", (n, percent), seed)
+            )
+            want = _first_attempts(
+                monkeypatch, oracles, lambda: oracles.per_pair_gnp_connected(n, percent, seed)
+            )
+            assert got == want, (n, seed)
+
+
+def test_gnp_connected_ends_as_the_per_pair_loop():
+    # whole runs: up to the first connected attempt, or to giving up
+    for seed in range(3):
+        assert generate("gnp_connected", (12, 40), seed) == oracles.per_pair_gnp_connected(12, 40, seed)
+    with pytest.raises(GenerationError, match="no connected sample in 1000 attempts"):
+        generate("gnp_connected", (3, 0))
+    with pytest.raises(GenerationError, match="no connected sample in 1000 attempts"):
+        oracles.per_pair_gnp_connected(3, 0)
 
 
 def test_generate_rejects():

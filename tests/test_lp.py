@@ -193,6 +193,24 @@ def test_beale_degenerate_cycle_terminates():
     assert abs(program_value("max", s) - 0.05) < 1e-9
 
 
+def test_one_block_only():
+    # only "<=" rows: min -x0 - 2 x1 over x0 + x1 <= 3
+    p = LpProblem(np.array([-1.0, -2.0]))
+    p.add_rows([[1, 1]], "<=", 3)
+    s = lp_solve(p)
+    assert s.status == "optimal" and abs(s.value + 6.0) < 1e-9
+    assert np.allclose(s.x, [0, 3]) and np.allclose(s.duals, [-2.0])
+    # only "=" rows: min x0 + 2 x1 over x0 + x1 = 3
+    p = LpProblem(np.array([1.0, 2.0]))
+    p.add_rows([[1, 1]], "=", 3)
+    s = lp_solve(p)
+    assert s.status == "optimal" and abs(s.value - 3.0) < 1e-9
+    assert np.allclose(s.x, [3, 0]) and np.allclose(s.duals, [1.0])
+    # no rows at all
+    s = lp_solve(LpProblem(np.array([1.0, 2.0])))
+    assert s.status == "optimal" and s.value == 0.0 and s.duals.shape == (0,)
+
+
 def test_zero_rows():
     s = lp_solve(kept_form("max", [1.0], [([0], "=", 0), ([0], "<=", 1), ([1], "<=", 4)]))
     assert s.status == "optimal" and abs(program_value("max", s) - 4.0) < 1e-9
