@@ -15,13 +15,12 @@ from stringsep import (
     intersection_graph,
     pcr_lower_bound,
     random_segment_instance,
-    vertex_congestion,
 )
 
 for n, seed in ((7, 2), (8, 2), (9, 2), (10, 2)):
     rep = random_segment_instance(n, seed=seed)
     g, _ = intersection_graph(rep)
-    stats = drawing_conflict_experiment(g, vertex_congestion(g), trials=500, seed=1)
+    stats = drawing_conflict_experiment(g, trials=500, seed=1)
     guard = 4 * stats.stddev / math.sqrt(stats.trials)
     print(
         f"n={g.n} m={g.m}: vcong={stats.vcong:.3f}  "

@@ -216,9 +216,7 @@ def cmd_pcr_bound(args) -> int:
 def cmd_conflicts(args) -> int:
     g = _load_graph_arg(args)
     trials = 100 if args.trials is None else args.trials
-    stats = experiments.drawing_conflict_experiment(
-        g, congestion.vertex_congestion(g), trials=trials, seed=args.seed
-    )
+    stats = experiments.drawing_conflict_experiment(g, trials=trials, seed=args.seed)
     payload = {
         "trials": stats.trials,
         "mean": stats.mean,

@@ -8,8 +8,8 @@ along its sampled path through a string representation can only cross where
 paths are related, so the count dominates the intersecting pairs of an
 actual drawing of K_n and is bounded below by the pair-crossing bound
 C(n,5)/(n-4); its expectation is at most 8 m vcong^2.  The experiment
-samples the paths of the vertex flow it is given, so that bound holds for
-the paths sampled: vcong is that flow's congestion.
+solves the vertex-congestion LP itself and samples the paths of that flow,
+so the bound it reports holds for the paths it samples.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .congestion import FlowSolution, decompose_to_paths, edge_congestion, vertex_congestion
+from .congestion import decompose_to_paths, edge_congestion, vertex_congestion
 from .cuts import find_separator
 from .errors import ContractViolation, NoVertexCut
 from .graphs import Graph
@@ -51,30 +51,22 @@ class ConflictStats:
         return math.sqrt(self.variance)
 
 
-def drawing_conflict_experiment(
-    g: Graph, flows: FlowSolution, trials: int, seed: int
-) -> ConflictStats:
-    """Sample paths of the vertex flow and count related commodity pairs per trial.
+def drawing_conflict_experiment(g: Graph, trials: int, seed: int) -> ConflictStats:
+    """Sample paths of the optimal vertex flow and count related commodity pairs per trial.
 
-    flows must be a vertex-mode flow with every unordered pair as a
-    commodity; its paths come from decompose_to_paths and its congestion is
-    the vcong of the upper bound.  Path sampling is cumulative-weight
-    inversion on per-trial derived streams.
+    The paths come from decompose_to_paths of vertex_congestion(g), whose
+    congestion is the vcong of the upper bound.  Path sampling is
+    cumulative-weight inversion on per-trial derived streams.
     """
-    if flows.mode != "vertex":
-        raise ContractViolation(f"needs a vertex-mode flow, got {flows.mode!r}")
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
-    # refuses an infinite or inconsistent flow, an input fault the CLI reports before a bad seed
+    # the LP refuses n < 2 and a graph beyond its cap, and decompose_to_paths
+    # the infinite flow of a disconnected graph, before a bad seed is reported
+    flows = vertex_congestion(g)
     phi = decompose_to_paths(g, flows)
     if seed < 0:
         raise ContractViolation(f"seed must be non-negative, got {seed}")
-    if not g.is_connected() or g.n < 2:
-        raise ContractViolation("needs a connected graph on >= 2 vertices")
     pairs = [(u, v) for u in g.vertices() for v in range(u + 1, g.n)]
-    for pair in pairs:
-        if pair not in flows.commodities:
-            raise ContractViolation(f"vertex flow misses commodity {pair}")
     vcong = flows.congestion
 
     # vertex-set and closed-neighborhood bitmasks per candidate path

@@ -59,7 +59,8 @@ form `LpProblem` takes.
 `per_pair_gnp_connected` draws one scalar per vertex pair, as
 `generate("gnp_connected")` did before each attempt drew all its pairs in
 one call.  `conflict_experiment_from_paths` is the conflict experiment as
-it was before it took the vertex flow: the paths and vcong given apart.
+it was before it solved the vertex flow itself: the paths and vcong given
+apart.
 
 `on_segment`, `curve_pair_points`, `segment_shared_point`, `dense_rows`,
 `dual_of` and `validate_metric` have no caller in the package; they serve
@@ -1182,7 +1183,7 @@ def per_pair_gnp_connected(n: int, percent: int, seed: int | None = None) -> Gra
 
 
 def conflict_experiment_from_paths(g, phi, trials: int, seed: int, vcong: float) -> ConflictStats:
-    """The conflict experiment as it was before it took the vertex flow:
+    """The conflict experiment as it was before it solved the vertex flow itself:
     the paths `phi` and `vcong` given apart, every pair's weights checked to
     sum to one, then the same per-trial draws and the same pairwise count."""
     if trials < 1:

@@ -300,9 +300,7 @@ def test_criterion_10_conflict_experiment():
             rep = random_segment_instance(n, seed=seed)
             g, _ = intersection_graph(rep)
             assert g.is_connected() and 5 <= g.n <= 10
-            stats = drawing_conflict_experiment(
-                g, vertex_congestion(g), trials=2000, seed=n * 100 + seed
-            )
+            stats = drawing_conflict_experiment(g, trials=2000, seed=n * 100 + seed)
             lower = pcr_lower_bound(g.n)
             assert all(c >= lower for c in stats.counts), (n, seed, min(stats.counts), lower)
             guard = 4 * stats.stddev / math.sqrt(stats.trials)

@@ -67,7 +67,7 @@ SURFACE = {
     "crossing_count": "(w, e1, e2)",
     "decompose_to_paths": "(g, flows)",
     "derived_edge_weights": "(g, s)",
-    "drawing_conflict_experiment": "(g, flows, trials, seed)",
+    "drawing_conflict_experiment": "(g, trials, seed)",
     "duality_report": "(g, name='graph', seed=0)",
     "edge_congestion": "(g, allow_large=False)",
     "even_subword": "(word)",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringsep.congestion import FlowSolution, decompose_to_paths, edge_congestion, vertex_congestion
+from stringsep.congestion import decompose_to_paths, vertex_congestion
 from stringsep.errors import ContractViolation
 from stringsep.experiments import (
     drawing_conflict_experiment,
@@ -65,13 +65,13 @@ def test_even_subword_recount(word):
 
 
 def test_conflicts_p3_deterministic_three(p3):
-    stats = drawing_conflict_experiment(p3, vertex_congestion(p3), trials=25, seed=0)
+    stats = drawing_conflict_experiment(p3, trials=25, seed=0)
     assert stats.counts == (3,) * 25  # all three path pairs meet
     assert stats.lower_bound is None
 
 
 def test_conflicts_k4_bound(k4):
-    stats = drawing_conflict_experiment(k4, vertex_congestion(k4), trials=10, seed=1)
+    stats = drawing_conflict_experiment(k4, trials=10, seed=1)
     assert all(c == 15 for c in stats.counts)  # every pair of K4 edges is related
     assert stats.upper_bound == pytest.approx(8 * 6 * 1.5**2)
     assert stats.mean <= stats.upper_bound
@@ -79,31 +79,20 @@ def test_conflicts_k4_bound(k4):
 
 def test_conflicts_lower_bound_on_k6():
     g = generate("complete", (6,))
-    stats = drawing_conflict_experiment(g, vertex_congestion(g), trials=50, seed=2)
+    stats = drawing_conflict_experiment(g, trials=50, seed=2)
     assert stats.lower_bound == 3
     assert all(c >= 3 for c in stats.counts)
     assert stats.mean <= stats.upper_bound + 4 * stats.stddev / math.sqrt(stats.trials)
 
 
-@pytest.mark.parametrize("g", [generate("path", (3,)), generate("complete", (4,))], ids=["P3", "K4"])
-def test_conflicts_vertex_flow_samples_the_edge_flow_paths(g):
-    # on P3 and K4 both optimal flows decompose to the same paths, so the
-    # vertex flow gives the draws and counts the edge flow's paths gave
-    vertex, edge = vertex_congestion(g), edge_congestion(g)
-    assert decompose_to_paths(g, vertex) == decompose_to_paths(g, edge)
-    got = drawing_conflict_experiment(g, vertex, trials=25, seed=3)
-    want = conflict_experiment_from_paths(
-        g, decompose_to_paths(g, edge), trials=25, seed=3, vcong=vertex.congestion
-    )
-    assert got == want
-
-
-# criterion 10's segment instances, each with its seed there, then K6, C7
-# and the 3 x 4 grid
+# criterion 10's segment instances, each with its seed there, then P3, K4,
+# K6, C7 and the 3 x 4 grid
 CONFLICT_CORPUS = [
     (f"segments-{n}-{seed}", intersection_graph(random_segment_instance(n, seed=seed))[0], n * 100 + seed)
     for n, seed in CONFLICT_INSTANCES
 ] + [
+    ("P3", generate("path", (3,)), 3),
+    ("K4", generate("complete", (4,)), 4),
     ("K6", generate("complete", (6,)), 6),
     ("C7", generate("cycle", (7,)), 7),
     ("grid-3x4", generate("grid", (3, 4)), 12),
@@ -113,36 +102,28 @@ CONFLICT_CORPUS = [
 @pytest.mark.parametrize("name,g,seed", CONFLICT_CORPUS, ids=[c[0] for c in CONFLICT_CORPUS])
 def test_conflicts_match_the_paths_oracle(name, g, seed):
     flows = vertex_congestion(g)
-    got = drawing_conflict_experiment(g, flows, trials=200, seed=seed)
+    got = drawing_conflict_experiment(g, trials=200, seed=seed)
     want = conflict_experiment_from_paths(
         g, decompose_to_paths(g, flows), trials=200, seed=seed, vcong=flows.congestion
     )
     assert got == want
 
 
-def test_conflicts_reject_partial_flow(p3):
-    flows = vertex_congestion(p3)
-    partial = dict(flows.commodities)
-    del partial[(0, 2)]
-    broken = FlowSolution("vertex", flows.congestion, partial)
-    with pytest.raises(ContractViolation, match=r"^vertex flow misses commodity \(0, 2\)$"):
-        drawing_conflict_experiment(p3, broken, trials=5, seed=0)
+def test_conflicts_reject_trials_before_the_lp():
+    g = parse_graph("1 0\n")  # the LP would refuse it, but the trial count is checked first
+    with pytest.raises(ContractViolation, match="^trials must be >= 1$"):
+        drawing_conflict_experiment(g, trials=0, seed=0)
 
 
-def test_conflicts_reject_edge_flow(p3):
-    with pytest.raises(ContractViolation, match="^needs a vertex-mode flow, got 'edge'$"):
-        drawing_conflict_experiment(p3, edge_congestion(p3), trials=5, seed=0)
-
-
-def test_conflicts_reject_infinite_flow():
+def test_conflicts_reject_disconnected_graph():
     g = parse_graph("3 1\n0 1\n")  # vertex 2 is isolated: no flow reaches it
     with pytest.raises(ContractViolation, match="^infinite congestion carries no flows$"):
-        drawing_conflict_experiment(g, vertex_congestion(g), trials=5, seed=0)
+        drawing_conflict_experiment(g, trials=5, seed=0)
 
 
 def test_conflicts_reject_negative_seed(p3):
     with pytest.raises(ContractViolation, match="^seed must be non-negative, got -1$"):
-        drawing_conflict_experiment(p3, vertex_congestion(p3), trials=5, seed=-1)
+        drawing_conflict_experiment(p3, trials=5, seed=-1)
 
 
 def test_duality_report_rows(p3, c4):
