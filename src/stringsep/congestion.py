@@ -9,15 +9,16 @@ source flow by target, maps either formulation onto the other while keeping
 every edge and vertex load unchanged, so the aggregated LP has the same
 optimum with n instead of n(n-1)/2 commodity blocks.  Its matrix is built
 from `Graph.ends` by index arithmetic, as two blocks of rows handed to
-`LpProblem.add_rows`, and `validate_flows` sums all commodities at once with
-`bincount`.
+`LpProblem.add_rows`.  `validate_flows` checks that every arc of a flow is
+an edge of the graph and sums all commodities at once with `bincount`.
 
-Reported solutions are per unordered pair: each source flow is split by
-target and the two half-flows of a pair are merged (one reversed), giving
-unit-demand per-pair flows that satisfy the usual conservation identities.
-One path peel (`_peel`) serves both that by-target split, which walks the
-reversed source flow from each target, and the per-pair
-`decompose_to_paths`.
+Reported solutions are per unordered pair.  Each source block's nonzero
+arcs are read, reversed, into the residual map of the path peel (`_peel`),
+which walks it back from every target in ascending order; each half-unit
+path found is added to its pair's flow walked from the pair's lower end, so
+the two half-flows of a pair merge into a unit-demand per-pair flow that
+satisfies the usual conservation identities.  The same peel, walking
+forward from the source, serves the per-pair `decompose_to_paths`.
 
 Vertex mode uses the load (inflow(v) + outflow(v)) / 2 per vertex.  Optimal
 flows can be taken cycle-free, and on a cycle-free flow this half-sum equals
@@ -155,29 +156,6 @@ def _peel(
     return paths, demand
 
 
-def _split_by_target(
-    g: Graph, s: int, flow: dict[Arc, float]
-) -> dict[int, list[tuple[tuple[int, ...], float]]]:
-    """Decompose a single-source flow (1/2 unit into every t != s) by target.
-
-    Peels the reversed flow from each target back to the source; leftover
-    circulation is discarded.
-    """
-    back: dict[int, dict[int, float]] = {}
-    for (a, b), w in flow.items():
-        if w > FLOW_TOL:
-            back.setdefault(b, {})[a] = w
-    per_target: dict[int, list[tuple[tuple[int, ...], float]]] = {}
-    for t in sorted(g.vertices()):
-        if t == s:
-            continue
-        paths, remaining = _peel(back, t, s, 0.5)
-        if remaining > 1e-6:
-            raise RuntimeError(f"source {s}: target {t} under-served by {remaining}")
-        per_target[t] = [(path[::-1], w) for path, w in paths]
-    return per_target
-
-
 def _solve(g: Graph, mode: str, allow_large: bool) -> FlowSolution:
     if g.n < 2:
         raise ContractViolation("congestion needs n >= 2")
@@ -195,18 +173,25 @@ def _solve(g: Graph, mode: str, allow_large: bool) -> FlowSolution:
     tail, head = _arc_ends(g)
     blocks = sol.x[1:].reshape(g.n, -1)
 
-    # split each source block by target, then merge the two halves per pair
+    # peel each source block backward from every target; add each path to
+    # its pair walked from the pair's lower end
     commodities: dict[Pair, dict[Arc, float]] = {
         (u, v): {} for u in g.vertices() for v in g.vertices() if u < v
     }
     for s in g.vertices():
         nz = np.flatnonzero(blocks[s] > FLOW_TOL)
-        flow = dict(zip(zip(tail[nz].tolist(), head[nz].tolist()), blocks[s, nz].tolist()))
-        for t, paths in _split_by_target(g, s, flow).items():
-            pair = (s, t) if s < t else (t, s)
-            d = commodities[pair]
+        back: dict[int, dict[int, float]] = {}
+        for a, b, w in zip(tail[nz].tolist(), head[nz].tolist(), blocks[s, nz].tolist()):
+            back.setdefault(b, {})[a] = w
+        for t in g.vertices():
+            if t == s:
+                continue
+            paths, remaining = _peel(back, t, s, 0.5)
+            if remaining > 1e-6:
+                raise RuntimeError(f"source {s}: target {t} under-served by {remaining}")
+            d = commodities[(t, s) if t < s else (s, t)]
             for path, w in paths:
-                seq = path if pair[0] == s else path[::-1]
+                seq = path if t < s else path[::-1]
                 for a, b in zip(seq, seq[1:]):
                     d[(a, b)] = d.get((a, b), 0.0) + w
 
@@ -234,29 +219,40 @@ def vertex_congestion(g: Graph, allow_large: bool = False) -> FlowSolution:
 
 
 def validate_flows(g: Graph, flows: FlowSolution) -> None:
-    """Check per-pair conservation and the load cap; raises ContractViolation.
+    """Check per-pair arcs, conservation and the load cap; raises ContractViolation.
 
     Every commodity's arcs are gathered into one (commodity, tail, head,
-    weight) array and summed with `bincount`, which adds each bin's terms in
-    the order of the commodity dicts, as a loop over them would.  The first
-    violation is reported: commodities, then vertices, in order; then edges
-    or vertices in order.
+    weight) array, each arc is looked up once in an `edge_of` table, and the
+    sums are taken with `bincount`, which adds each bin's terms in the order
+    of the commodity dicts, as a loop over them would.  The first violation
+    is reported: a pair outside the graph; an arc that is not an edge (ends
+    outside [0, n), equal or not adjacent), commodities then arcs in order;
+    conservation, commodities then vertices in order; then edges or vertices
+    in order.
     """
     if not flows.is_finite():
         raise ContractViolation("infinite congestion carries no flows")
     n, pairs, fls = g.n, list(flows.commodities), flows.commodities.values()
-    k = np.repeat(np.arange(len(pairs)), [len(fl) for fl in fls])
-    arcs = np.array([arc for fl in fls for arc in fl], dtype=np.int64).reshape(-1, 2)
-    w = np.array([x for fl in fls for x in fl.values()], dtype=float)
-    # an end outside the graph becomes vertex n, whose sums are dropped
-    a, b = np.where((arcs >= 0) & (arcs < n), arcs, n).T
-    size = len(pairs) * (n + 1)
-    net = np.bincount(k * (n + 1) + a, w, size) - np.bincount(k * (n + 1) + b, w, size)
-    net = net.reshape(-1, n + 1)[:, :n]
-    want = np.zeros_like(net)
     st = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     if ((st < 0) | (st >= n)).any():
         raise ContractViolation(f"a commodity pair names a vertex outside [0, {n})")
+    k = np.repeat(np.arange(len(pairs)), [len(fl) for fl in fls])
+    arcs = np.array([arc for fl in fls for arc in fl], dtype=np.int64).reshape(-1, 2)
+    w = np.array([x for fl in fls for x in fl.values()], dtype=float)
+    # edge index per arc, -1 off the graph; an end outside [0, n) reads row or column n
+    edge_of = np.full((n + 1, n + 1), -1)
+    edge_of[g.ends[:, 0], g.ends[:, 1]] = edge_of[g.ends[:, 1], g.ends[:, 0]] = np.arange(g.m)
+    e = edge_of[tuple(np.where((arcs >= 0) & (arcs < n), arcs, n).T)]
+    off = np.flatnonzero(e < 0)
+    if len(off):
+        i = int(off[0])
+        raise ContractViolation(
+            "commodity {}: arc ({}, {}) is not an edge of the graph".format(pairs[k[i]], *arcs[i])
+        )
+    a, b = arcs.T
+    size = len(pairs) * n
+    net = (np.bincount(k * n + a, w, size) - np.bincount(k * n + b, w, size)).reshape(-1, n)
+    want = np.zeros_like(net)
     want[np.arange(len(pairs)), st[:, 1]] = -1.0
     want[np.arange(len(pairs)), st[:, 0]] = 1.0
     bad = np.flatnonzero(np.abs(net - want) > VALIDATE_TOL)
@@ -267,16 +263,12 @@ def validate_flows(g: Graph, flows: FlowSolution) -> None:
             f"expected {float(want[i, x])}"
         )
     if flows.mode == "edge":
-        edge_of = np.full((n + 1, n + 1), -1)
-        edge_of[g.ends[:, 0], g.ends[:, 1]] = edge_of[g.ends[:, 1], g.ends[:, 0]] = np.arange(g.m)
-        e = edge_of[a, b]
         # per commodity an edge's two directions, then the commodities in order
-        both = np.bincount(k[e >= 0] * g.m + e[e >= 0], w[e >= 0], len(pairs) * g.m)
+        both = np.bincount(k * g.m + e, w, len(pairs) * g.m)
         load = np.bincount(np.tile(np.arange(g.m), len(pairs)), both, g.m)
     else:
         # each arc loads its tail and its head, in the order of the arcs
-        ends = np.stack([a, np.where(b == a, n, b)], axis=1).ravel()
-        load = 0.5 * np.bincount(ends, np.repeat(w, 2), n + 1)[:n]
+        load = 0.5 * np.bincount(arcs.ravel(), np.repeat(w, 2), n)
     over = np.flatnonzero(load > flows.congestion + VALIDATE_TOL)
     if len(over):
         j = int(over[0])

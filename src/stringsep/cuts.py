@@ -391,7 +391,8 @@ def min_separator_exact(g: Graph) -> tuple[int, VertexCut]:
                 a, b = _greedy_sides(comps)  # fits when every part does
                 cut = VertexCut(frozenset(a), frozenset(b), s_set)
                 ok, why = check_separator(g, cut)
-                assert ok, why
+                if not ok:
+                    raise RuntimeError(why)
                 return size, cut
     raise RuntimeError("unreachable: S = V always succeeds")
 
@@ -456,7 +457,8 @@ def balanced_edge_cut(g: Graph, beta: Fraction) -> BalancedEdgeCutResult:
             side = other
         steps.append(PeelStep(sub.n, val, frozenset(side)))
         acc |= side
-    assert 3 * len(acc) <= 2 * g.n, "peeling overshot the balanced window"
+    if 3 * len(acc) > 2 * g.n:
+        raise RuntimeError("peeling overshot the balanced window")
     crossing = sum(1 for u, v in g.edges if (u in acc) != (v in acc))
     return BalancedEdgeCutResult(
         EdgeCut(frozenset(acc)), crossing, beta * g.n * g.n, tuple(steps), tuple(failures)

@@ -107,7 +107,8 @@ def drawing_conflict_experiment(g: Graph, trials: int, seed: int) -> ConflictSta
         counts.append(x)
 
     x_max = math.comb(len(pairs), 2)
-    assert all(0 <= x <= x_max for x in counts)
+    if not all(0 <= x <= x_max for x in counts):
+        raise RuntimeError(f"a conflict count lies outside [0, {x_max}]")
     arr = np.array(counts, dtype=float)
     mean = float(arr.mean())
     var = float(arr.var(ddof=1)) if trials > 1 else 0.0

@@ -195,7 +195,8 @@ def _balanced_split(comps: list[frozenset[int]], total: int) -> tuple[set[int], 
         if t >= sizes[k] and reach[k + 1][t - sizes[k]]:
             a |= comp
             t -= sizes[k]
-    assert t == 0
+    if t != 0:
+        raise RuntimeError(f"the components missed the split target by {t}")
     b = set().union(*comps) - a
     if min(b) < min(a):
         a, b = b, a

@@ -10,9 +10,13 @@ segments with Fraction points; `pairwise_best_embedding` builds an
 `column_sample` is `embedding._sample` reading the anchors' columns, not
 their rows.
 `scan_split_by_target` and `scan_decompose_to_paths` peel flow paths by
-scanning every residual arc at every step, and `scan_validate_flows` sums
-a commodity's arcs once per vertex.  `scan_random_segment_instance` tests
-each candidate segment against every placed segment in turn.
+scanning every residual arc at every step, and `scan_validate_flows` looks
+up every arc in the edge set and sums a commodity's arcs once per vertex.
+`split_merge_congestion` is `congestion._solve` as it stood before it
+peeled the LP blocks directly: each source flow split by target with
+`scan_split_by_target`, then the two halves of each pair merged.
+`scan_random_segment_instance` tests each candidate segment against every
+placed segment in turn.
 `scan_segments_intersect` classifies a segment pair from four orientations
 and up to four `on_segment` tests, and `scan_meeting` then scans the
 endpoints with `on_segment` for the touching point; the Fraction oracles,
@@ -75,7 +79,7 @@ from operator import itemgetter
 import numpy as np
 from scipy.sparse import coo_array
 
-from stringsep.congestion import FLOW_TOL, PathFlow
+from stringsep.congestion import FLOW_TOL, FlowSolution, PathFlow, _aggregated_lp, _arc_ends
 from stringsep.cuts import (
     SeparatorResult,
     SweepPosition,
@@ -113,7 +117,7 @@ from stringsep.graphs import (
     check_separator,
     graph_from_pairs,
 )
-from stringsep.lp import LpProblem, _row_matrix
+from stringsep.lp import LpProblem, _row_matrix, lp_solve
 from stringsep.topology import Violation
 
 
@@ -579,10 +583,40 @@ def scan_split_by_target(g, s: int, flow: dict) -> dict:
     return per_target
 
 
+def split_merge_congestion(g, mode: str) -> FlowSolution:
+    """The congestion flows of a connected graph as `congestion._solve`
+    built them before it peeled the LP blocks directly: the same LP, each
+    source block as an {arc: weight} dict split by `scan_split_by_target`,
+    and the two half-flows of each pair merged, one reversed."""
+    sol = lp_solve(_aggregated_lp(g, mode))
+    tail, head = _arc_ends(g)
+    blocks = sol.x[1:].reshape(g.n, -1)
+    commodities = {(u, v): {} for u in g.vertices() for v in g.vertices() if u < v}
+    for s in g.vertices():
+        nz = np.flatnonzero(blocks[s] > FLOW_TOL)
+        flow = dict(zip(zip(tail[nz].tolist(), head[nz].tolist()), blocks[s, nz].tolist()))
+        for t, paths in scan_split_by_target(g, s, flow).items():
+            pair = (s, t) if s < t else (t, s)
+            d = commodities[pair]
+            for path, w in paths:
+                seq = path if pair[0] == s else path[::-1]
+                for a, b in zip(seq, seq[1:]):
+                    d[(a, b)] = d.get((a, b), 0.0) + w
+    keys = g.edges if mode == "edge" else g.vertices()
+    duals = {key: max(0.0, -d) for key, d in zip(keys, sol.duals[g.n * (g.n - 1) :].tolist())}
+    return FlowSolution(mode, float(sol.value), commodities, duals)
+
+
 def scan_validate_flows(g, flows, tol: float = 1e-6) -> None:
-    """Check per-pair conservation and the load cap; raises ContractViolation."""
+    """Check per-pair arcs, conservation and the load cap; raises ContractViolation."""
     if not flows.is_finite():
         raise ContractViolation("infinite congestion carries no flows")
+    for pair, fl in flows.commodities.items():
+        for a, b in fl:
+            if not (0 <= a < g.n and 0 <= b < g.n and g.has_edge(a, b)):
+                raise ContractViolation(
+                    f"commodity {pair}: arc ({a}, {b}) is not an edge of the graph"
+                )
     for (s, t), fl in flows.commodities.items():
         for x in g.vertices():
             net = sum(w for (a, b), w in fl.items() if a == x) - sum(

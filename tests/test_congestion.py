@@ -5,21 +5,20 @@ argument (a specific edge or vertex must carry a computable load, see each
 case) and, on every graph up to five vertices, the exponential path LP built
 over all simple paths, which the edge-flow formulation must match.  Path
 peeling and flow validation are checked for exact equality against the
-arc-scanning loops in `tests/oracles.py`.
+arc-scanning loops in `tests/oracles.py`, and the per-pair flows against the
+split-and-merge of `split_merge_congestion`.
 """
 
 import math
 from itertools import combinations
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from stringsep import congestion
 from stringsep.congestion import (
     FlowSolution,
-    _split_by_target,
+    _peel,
     decompose_to_paths,
     edge_congestion,
     validate_flows,
@@ -30,7 +29,12 @@ from stringsep.graphs import Graph, generate, graph_from_pairs
 from stringsep.lp import LpProblem, lp_solve
 
 from .conftest import connected_graphs
-from .oracles import scan_decompose_to_paths, scan_split_by_target, scan_validate_flows
+from .oracles import (
+    scan_decompose_to_paths,
+    scan_split_by_target,
+    scan_validate_flows,
+    split_merge_congestion,
+)
 
 
 def all_simple_paths(g: Graph, u: int, v: int):
@@ -213,18 +217,35 @@ def test_decompose_rejects_bad_flows(p3):
         decompose_to_paths(p3, type(sol)(sol.mode, sol.congestion, broken))
 
 
+def _assert_matches_split_merge(g, allow_large=False):
+    for solve in (edge_congestion, vertex_congestion):
+        sol = solve(g, allow_large=allow_large)
+        ref = split_merge_congestion(g, sol.mode)
+        # same pairs, arcs, insertion order and float bits
+        assert list(sol.commodities) == list(ref.commodities)
+        for pair, fl in sol.commodities.items():
+            assert list(fl.items()) == list(ref.commodities[pair].items())
+        assert list(sol.load_duals.items()) == list(ref.load_duals.items())
+        assert decompose_to_paths(g, sol).paths == scan_decompose_to_paths(g, ref).paths
+
+
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs(max_n=8))
 def test_peel_matches_scan_oracles(g):
-    for solve in (edge_congestion, vertex_congestion):
-        sol = solve(g)
-        with patch.object(congestion, "_split_by_target", scan_split_by_target):
-            ref = solve(g)
-        # same pairs, arcs, insertion order and float bits
-        assert {p: list(fl.items()) for p, fl in sol.commodities.items()} == {
-            p: list(fl.items()) for p, fl in ref.commodities.items()
-        }
-        assert decompose_to_paths(g, sol).paths == scan_decompose_to_paths(g, ref).paths
+    _assert_matches_split_merge(g)
+
+
+# the graphs of the congestion benchmark at seed 1
+BENCH_GRAPHS = {
+    **{f"grid{a}x{b}": ("grid", (a, b), None) for a, b in ((3, 4), (4, 4), (4, 5))},
+    **{f"gnp{seed}": ("gnp_connected", (12, 40), seed) for seed in range(1000, 1004)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GRAPHS))
+def test_peel_matches_split_merge_on_benchmark_graphs(name):
+    kind, params, seed = BENCH_GRAPHS[name]
+    _assert_matches_split_merge(generate(kind, params, seed=seed), allow_large=True)
 
 
 # Hand-built flows for the two side branches of the peel.  "cycle": the
@@ -274,7 +295,15 @@ def test_decompose_side_branches(case):
 @pytest.mark.parametrize("case", sorted(BACKWARD))
 def test_split_side_branches(case):
     g, s, flow, want = BACKWARD[case]
-    got = _split_by_target(g, s, flow)
+    back = {}
+    for (a, b), w in flow.items():
+        back.setdefault(b, {})[a] = w
+    got = {}
+    for t in g.vertices():
+        if t != s:
+            paths, remaining = _peel(back, t, s, 0.5)
+            assert remaining <= 1e-6
+            got[t] = [(path[::-1], w) for path, w in paths]
     assert got == scan_split_by_target(g, s, flow)
     assert got.keys() == want.keys()
     for t, plist in want.items():
@@ -316,8 +345,8 @@ def test_validate_flows_matches_scan_oracle(p3, c4, k4):
 
 
 def test_validate_flows_outside_the_graph(p3):
-    # an arc with an end outside the graph loads only the end inside it, as
-    # in the scan; a pair naming a vertex outside the graph is refused
+    # an arc with an end outside the graph is refused before conservation
+    # and loads, as in the scan; so is a pair naming a vertex outside it
     verdicts = []
     for mode, cong in (("edge", 2.0), ("vertex", 2.25), ("vertex", 2.0)):
         sol = FlowSolution(mode, cong, {
@@ -327,7 +356,32 @@ def test_validate_flows_outside_the_graph(p3):
         })
         verdicts.append(_verdict(validate_flows, p3, sol))
         assert verdicts[-1] == _verdict(scan_validate_flows, p3, sol)
-    assert verdicts == [None, None, "vertex 1 load 2.25 exceeds congestion"]
+    assert verdicts == ["commodity (0, 1): arc (1, 7) is not an edge of the graph"] * 3
     outside = FlowSolution("edge", 2.0, {(0, 5): {}})
     with pytest.raises(ContractViolation, match=r"outside \[0, 3\)"):
         validate_flows(p3, outside)
+
+
+# P3 flows that conserve every pair's unit within the graph, each with a
+# first arc that is not an edge: a chord, a self-loop and ends outside [0, 3)
+OFF_GRAPH = {  # pair, its flow, the arc to be named
+    "chord": ((0, 2), {(0, 2): 1.0}, (0, 2)),
+    "self-loop": ((1, 2), {(1, 2): 1.0, (2, 2): 0.5}, (2, 2)),
+    "end 7": ((0, 1), {(0, 1): 1.0, (1, 7): 0.25, (7, 1): 0.25}, (1, 7)),
+    "ends -1, 9": ((0, 2), {(0, 1): 1.0, (1, 2): 1.0, (-1, 9): 3.0}, (-1, 9)),
+}
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+@pytest.mark.parametrize("case", sorted(OFF_GRAPH))
+def test_arcs_off_the_graph_are_refused(p3, case, mode):
+    pair, fl, arc = OFF_GRAPH[case]
+    flows = {(0, 1): {(0, 1): 1.0}, (0, 2): {(0, 1): 1.0, (1, 2): 1.0}, (1, 2): {(1, 2): 1.0}}
+    flows[pair] = fl
+    sol = FlowSolution(mode, 2.0, flows)
+    want = f"commodity {pair}: arc {arc} is not an edge of the graph"
+    assert _verdict(validate_flows, p3, sol) == want
+    assert _verdict(scan_validate_flows, p3, sol) == want
+    with pytest.raises(ContractViolation) as exc:
+        decompose_to_paths(p3, sol)
+    assert str(exc.value) == want
