@@ -225,10 +225,10 @@ def validate_flows(g: Graph, flows: FlowSolution) -> None:
     weight) array, each arc is looked up once in an `edge_of` table, and the
     sums are taken with `bincount`, which adds each bin's terms in the order
     of the commodity dicts, as a loop over them would.  The first violation
-    is reported: a pair outside the graph; an arc that is not an edge (ends
-    outside [0, n), equal or not adjacent), commodities then arcs in order;
-    conservation, commodities then vertices in order; then edges or vertices
-    in order.
+    is reported: a pair outside the graph; an arc that is not an edge (an end
+    not an integer in [0, n), equal or not adjacent), commodities then arcs in
+    order; conservation, commodities then vertices in order; then edges or
+    vertices in order.
     """
     if not flows.is_finite():
         raise ContractViolation("infinite congestion carries no flows")
@@ -237,7 +237,12 @@ def validate_flows(g: Graph, flows: FlowSolution) -> None:
     if ((st < 0) | (st >= n)).any():
         raise ContractViolation(f"a commodity pair names a vertex outside [0, {n})")
     k = np.repeat(np.arange(len(pairs)), [len(fl) for fl in fls])
-    arcs = np.array([arc for fl in fls for arc in fl], dtype=np.int64).reshape(-1, 2)
+    flat = [arc for fl in fls for arc in fl]
+    arcs = np.array(flat).reshape(-1, 2)
+    if arcs.dtype.kind not in "iu":
+        # an arc with an end that is not an integer in [0, n) reads (-1, -1), no edge
+        whole = [all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in arc) for arc in flat]
+        arcs = np.where(np.array(whole, bool).reshape(-1, 1), arcs, -1).astype(np.int64)
     w = np.array([x for fl in fls for x in fl.values()], dtype=float)
     # edge index per arc, -1 off the graph; an end outside [0, n) reads row or column n
     edge_of = np.full((n + 1, n + 1), -1)
@@ -247,7 +252,7 @@ def validate_flows(g: Graph, flows: FlowSolution) -> None:
     if len(off):
         i = int(off[0])
         raise ContractViolation(
-            "commodity {}: arc ({}, {}) is not an edge of the graph".format(pairs[k[i]], *arcs[i])
+            "commodity {}: arc ({}, {}) is not an edge of the graph".format(pairs[k[i]], *flat[i])
         )
     a, b = arcs.T
     size = len(pairs) * n

@@ -13,7 +13,7 @@ compute in int64 below a stated bound on every |coordinate| (2^30 for the
 screen's cross products, 2^19 for a key's products) and otherwise on
 Python ints (dtype=object); the code is the same and the dtype follows
 from the input.  The scalar `_meeting` serves single pairs: the
-generator's screened hits and `segments_intersect`.
+generator's box hits and `segments_intersect`.
 """
 
 from __future__ import annotations
@@ -123,21 +123,20 @@ def _coords(values) -> np.ndarray:
 def _meets(P, Q, R, S) -> np.ndarray:
     """For every k, whether the closed segments P[k]Q[k] and R[k]S[k] share a point.
 
-    The arguments are integer arrays of shape (k, 2), or (2,) for one
-    segment against many.  Exact for non-degenerate segments: the boxes
-    meet, o(p,q,r) o(p,q,s) <= 0 and o(r,s,p) o(r,s,q) <= 0.  Also exact
-    for a one-point segment r = s: both o(r,s,.) are 0, which leaves the box
-    test and o(p,q,r)^2 <= 0, that is, r lies on the closed segment pq.
-    Computed in int64 when every |coordinate| is below 2^30, else on Python
-    ints.
+    The arguments are _coords arrays of one shape (k, 2).  Exact for
+    non-degenerate segments: the boxes meet, o(p,q,r) o(p,q,s) <= 0 and
+    o(r,s,p) o(r,s,q) <= 0.  Also exact for a one-point segment r = s: both
+    o(r,s,.) are 0, which leaves the box test and o(p,q,r)^2 <= 0, that is,
+    r lies on the closed segment pq.  Computed in int64 when every
+    |coordinate| is below 2^30, else on Python ints.
     """
-    args = [a if isinstance(a, np.ndarray) else _coords(a) for a in (P, Q, R, S)]
+    args = (P, Q, R, S)
     flat = np.concatenate([a.ravel() for a in args])
     if flat.dtype == object or flat.size and (
         flat.max() >= _INT64_BOUND or flat.min() <= -_INT64_BOUND
     ):
         args = [a.astype(object) for a in args]
-    cols = [a[..., i] for a in args for i in (0, 1)]
+    cols = [a[:, i] for a in args for i in (0, 1)]
     px, py, qx, qy, rx, ry, sx, sy = cols
     hit = (
         (np.minimum(px, qx) <= np.maximum(rx, sx))
@@ -145,9 +144,9 @@ def _meets(P, Q, R, S) -> np.ndarray:
         & (np.minimum(py, qy) <= np.maximum(ry, sy))
         & (np.minimum(ry, sy) <= np.maximum(py, qy))
     )
-    # the orientations only where the boxes meet; a single point's columns broadcast
+    # the orientations only where the boxes meet
     k = np.flatnonzero(hit)
-    px, py, qx, qy, rx, ry, sx, sy = (c[k] if c.ndim else c for c in cols)
+    px, py, qx, qy, rx, ry, sx, sy = (c[k] for c in cols)
     dx, dy, ex, ey = qx - px, qy - py, sx - rx, sy - ry
     hit[k] = (
         np.sign(dx * (ry - py) - dy * (rx - px)) * np.sign(dx * (sy - py) - dy * (sx - px)) <= 0
@@ -459,9 +458,11 @@ def random_segment_instance(
     endpoints avoid the existing segments.  By default both endpoints are
     uniform over the box, which crosses any two segments with constant
     probability; passing `span` (at least 1) caps the segment extent,
-    thinning the intersection graph of large instances.  A candidate goes
-    through the array screen _meets against all placed segments at once,
-    and only the placed segments it meets are checked exactly.
+    thinning the intersection graph of large instances.  A candidate's box
+    is tested against the boxes of all placed segments at once, and
+    _meeting decides the box hits in index order: a segment that shares a
+    point with the candidate is a box hit, and any other box hit is
+    DISJOINT, which neither rejects the candidate nor adds a point.
     """
     if count < 1:
         raise ContractViolation("count must be >= 1")
@@ -472,7 +473,8 @@ def random_segment_instance(
     rng = np.random.default_rng((seed, 977))
     side = max(8, 2 * count)
     placed: list[tuple[Point, Point]] = []
-    ends = np.zeros((count, 4), dtype=np.int64)  # placed[k] as (x0, y0, x1, y1)
+    # the closed box of placed[k] as column k: x min, x max, y min, y max
+    box = np.zeros((4, count), dtype=np.int64)
     known_points: set[PointKey] = set()
     for k in range(count):
         for _ in range(1000):
@@ -488,16 +490,20 @@ def random_segment_instance(
                 continue
             new_pts: list[PointKey] = []
             ok = True
-            for h in np.flatnonzero(_meets(p, q, ends[:k, :2], ends[:k, 2:])).tolist():
-                r, s = placed[h]
-                rel, key = _meeting(p, q, r, s)
+            x_lo, x_hi, y_lo, y_hi = cand = (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
+            hits = np.flatnonzero(
+                (box[0, :k] <= x_hi) & (box[1, :k] >= x_lo)
+                & (box[2, :k] <= y_hi) & (box[3, :k] >= y_lo)
+            )
+            for h in hits.tolist():
+                rel, key = _meeting(p, q, *placed[h])
                 if rel is SegmentRelation.OVERLAPPING:
                     ok = False
                     break
                 if key is not None:
                     new_pts.append(key)
                 if key in ((x0, y0, 1), (x1, y1, 1)):
-                    ok = False  # an end of the candidate lies on rs
+                    ok = False  # an end of the candidate lies on placed[h]
                     break
             if not ok:
                 continue
@@ -506,7 +512,7 @@ def random_segment_instance(
             if any(pt in known_points for pt in new_pts):
                 continue  # would create a triple point
             placed.append((p, q))
-            ends[k] = (x0, y0, x1, y1)
+            box[:, k] = cand
             known_points.update(new_pts)
             break
         else:

@@ -613,7 +613,8 @@ def scan_validate_flows(g, flows, tol: float = 1e-6) -> None:
         raise ContractViolation("infinite congestion carries no flows")
     for pair, fl in flows.commodities.items():
         for a, b in fl:
-            if not (0 <= a < g.n and 0 <= b < g.n and g.has_edge(a, b)):
+            whole = isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))
+            if not (whole and 0 <= a < g.n and 0 <= b < g.n and g.has_edge(a, b)):
                 raise ContractViolation(
                     f"commodity {pair}: arc ({a}, {b}) is not an edge of the graph"
                 )

@@ -363,9 +363,13 @@ def test_validate_flows_outside_the_graph(p3):
 
 
 # P3 flows that conserve every pair's unit within the graph, each with a
-# first arc that is not an edge: a chord, a self-loop and ends outside [0, 3)
+# first arc that is not an edge: a chord, a self-loop, ends outside [0, 3)
+# and ends that are not integers, one of them a float equal to an integer
 OFF_GRAPH = {  # pair, its flow, the arc to be named
     "chord": ((0, 2), {(0, 2): 1.0}, (0, 2)),
+    "float ends": ((0, 1), {(0.6, 1.9): 1.0}, (0.6, 1.9)),
+    "integral float ends": ((0, 1), {(0.0, 1.0): 1.0}, (0.0, 1.0)),
+    "huge end": ((0, 2), {(0, 1): 1.0, (1, 2): 1.0, (1, 2**70): 0.5, (2**70, 1): 0.5}, (1, 2**70)),
     "self-loop": ((1, 2), {(1, 2): 1.0, (2, 2): 0.5}, (2, 2)),
     "end 7": ((0, 1), {(0, 1): 1.0, (1, 7): 0.25, (7, 1): 0.25}, (1, 7)),
     "ends -1, 9": ((0, 2), {(0, 1): 1.0, (1, 2): 1.0, (-1, 9): 3.0}, (-1, 9)),
