@@ -131,8 +131,8 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
 
     Vertices are ordered by f (ties by id); position i separates the first i
     from the rest with a minimum vertex cut.  g must be connected and f
-    non-constant and 1-Lipschitz with respect to the metric of the derived
-    edge weights of s, which is checked edge by edge.
+    finite, non-constant and 1-Lipschitz with respect to the metric of the
+    derived edge weights of s, which is checked edge by edge.
 
     The cuts come from one flow and one source side carried across the
     positions (_sweep_cuts).
@@ -146,6 +146,8 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     vals = np.asarray(f, dtype=float)
     if vals.shape != (g.n,):
         raise ContractViolation("need one embedding value per vertex")
+    if not np.isfinite(vals).all():
+        raise ContractViolation("f must be finite")
     if len(set(vals.tolist())) < 2:
         raise ContractViolation("f is constant")
     if not g.is_connected():

@@ -5,15 +5,16 @@ signs of 2x2 determinants and intersection points are exact, kept as
 normalised integer triples (X, Y, D) and returned as Fractions, so results
 are invariant under integer translation and never depend on an epsilon.
 
-Many segment pairs at once go through one screen, `_meets`, that decides
-exactly and as arrays whether closed segments share a point.  The pairs of
-distinct curves that pass it go on, still as arrays, to `_meeting_keys`,
-which finds where each pair meets as `_meeting` does for one pair.  Both
-compute in int64 below a stated bound on every |coordinate| (2^30 for the
-screen's cross products, 2^19 for a key's products) and otherwise on
-Python ints (dtype=object); the code is the same and the dtype follows
-from the input.  The scalar `_meeting` serves single pairs: the
-generator's box hits and `segments_intersect`.
+Many segment pairs at once go through one screen, the sweep
+`_segment_pairs`: it decides exactly and as arrays whether closed segments
+share a point, from the four orientation signs of each candidate pair, and
+yields the pairs that do with their signs.  `_meeting_keys` reuses those
+signs to find where the pairs of distinct curves meet, as `_meeting` does
+for one pair.  Both compute in int64 below a stated bound on every
+|coordinate| (2^30 for the screen's cross products, 2^19 for a key's
+products) and otherwise on Python ints (dtype=object); the code is the
+same and the dtype follows from the input.  The scalar `_meeting` serves
+single pairs: the generator's box hits and `segments_intersect`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ RatPoint = tuple[Fraction, Fraction]
 PointKey = tuple[int, int, int]
 
 # below this bound on |coordinate|, differences stay below 2^31 and every
-# cross product of _meets below 2^63, so int64 is exact
+# cross product of _segment_pairs below 2^63, so int64 is exact
 _INT64_BOUND = 1 << 30
 # below this bound, every intermediate of a key in _meeting_keys fits in
 # int64: differences stay below 2^20, den and num below 2^41, and
@@ -120,38 +121,11 @@ def _coords(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _meets(P, Q, R, S) -> np.ndarray:
-    """For every k, whether the closed segments P[k]Q[k] and R[k]S[k] share a point.
-
-    The arguments are _coords arrays of one shape (k, 2).  Exact for
-    non-degenerate segments: the boxes meet, o(p,q,r) o(p,q,s) <= 0 and
-    o(r,s,p) o(r,s,q) <= 0.  Also exact for a one-point segment r = s: both
-    o(r,s,.) are 0, which leaves the box test and o(p,q,r)^2 <= 0, that is,
-    r lies on the closed segment pq.  Computed in int64 when every
-    |coordinate| is below 2^30, else on Python ints.
-    """
-    args = (P, Q, R, S)
-    flat = np.concatenate([a.ravel() for a in args])
-    if flat.dtype == object or flat.size and (
-        flat.max() >= _INT64_BOUND or flat.min() <= -_INT64_BOUND
-    ):
-        args = [a.astype(object) for a in args]
-    cols = [a[:, i] for a in args for i in (0, 1)]
-    px, py, qx, qy, rx, ry, sx, sy = cols
-    hit = (
-        (np.minimum(px, qx) <= np.maximum(rx, sx))
-        & (np.minimum(rx, sx) <= np.maximum(px, qx))
-        & (np.minimum(py, qy) <= np.maximum(ry, sy))
-        & (np.minimum(ry, sy) <= np.maximum(py, qy))
-    )
-    # the orientations only where the boxes meet
-    k = np.flatnonzero(hit)
-    px, py, qx, qy, rx, ry, sx, sy = (c[k] for c in cols)
-    dx, dy, ex, ey = qx - px, qy - py, sx - rx, sy - ry
-    hit[k] = (
-        np.sign(dx * (ry - py) - dy * (rx - px)) * np.sign(dx * (sy - py) - dy * (sx - px)) <= 0
-    ) & (np.sign(ex * (py - ry) - ey * (px - rx)) * np.sign(ex * (qy - ry) - ey * (qx - rx)) <= 0)
-    return hit
+def _exact(ends, bound) -> np.ndarray:
+    """The _coords array `ends` on Python ints (dtype=object) unless every
+    |coordinate| is below `bound`."""
+    big = ends.dtype == object or ends.size and (ends.max() >= bound or ends.min() <= -bound)
+    return ends.astype(object) if big else ends
 
 
 def _rational(key: PointKey) -> RatPoint:
@@ -221,7 +195,7 @@ class PolylineCurve:
         least = n * n
         if n > 2:
             ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
-            for a, b in _segment_pairs(ends, np.arange(n)):
+            for a, b, _ in _segment_pairs(ends, np.arange(n)):
                 least = min(least, int((a * n + b)[b - a > 1].min(initial=least)))
         i0, j0 = divmod(least, n)
         for i, ((p, q), (_, s)) in enumerate(zip(segs[: i0 + 1], segs[1:])):
@@ -245,28 +219,20 @@ def _meeting_keys(groups):
     segment (p, p).
 
     Decided as _meeting decides it, from the orientations o(p,q,r),
-    o(p,q,s), o(r,s,p) and o(r,s,q); a one-point segment makes both
-    orientations about it 0, so its pairs are collinear touches.  Computed
-    in int64 when every |coordinate| is below _KEY_BOUND, else on Python
-    ints.
+    o(p,q,s), o(r,s,p) and o(r,s,q) that _segment_pairs yields with each
+    pair; a one-point segment makes both orientations about it 0, so its
+    pairs are collinear touches.  The keys are computed in int64 when every
+    |coordinate| is below _KEY_BOUND, else on Python ints.
     """
     ends = _coords([p + q for group in groups for p, q in group]).reshape(-1, 4)
     curve_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    found = [(np.zeros(0, dtype=np.int64),) * 2, *_segment_pairs(ends, curve_of)]
-    a, b = (np.concatenate(column) for column in zip(*found))
+    empty = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((4, 0), dtype=np.int8),)
+    a, b, o = (np.concatenate(c, axis=-1) for c in zip(empty, *_segment_pairs(ends, curve_of)))
     by = np.lexsort((b, a, curve_of[b], curve_of[a]))
-    a, b = a[by], b[by]
-    if ends.dtype == object or ends.size and (
-        ends.max() >= _KEY_BOUND or ends.min() <= -_KEY_BOUND
-    ):
-        ends = ends.astype(object)
+    a, b, (o1, o2, o3, o4) = a[by], b[by], o[:, by]
+    ends = _exact(ends, _KEY_BOUND)
     P, Q, R, S = ends[a, :2], ends[a, 2:], ends[b, :2], ends[b, 2:]
     (px, py), (qx, qy), (rx, ry), (sx, sy) = P.T, Q.T, R.T, S.T
-    dx, dy, ex, ey = qx - px, qy - py, sx - rx, sy - ry
-    o1 = np.sign(dx * (ry - py) - dy * (rx - px))
-    o2 = np.sign(dx * (sy - py) - dy * (sx - px))
-    o3 = np.sign(ex * (py - ry) - ey * (px - rx))
-    o4 = np.sign(ex * (qy - ry) - ey * (qx - rx))
     collinear = (o1 == 0) & (o2 == 0)
     # on a common line: 1-d extents along an axis pq is not constant on
     along = [np.where(px != qx, u[:, 0], u[:, 1]) for u in (P, Q, R, S)]
@@ -281,9 +247,10 @@ def _meeting_keys(groups):
     key[:, :2] = np.select([c[:, None] for c in at], [P, Q, R, S, R, S, P], Q)
     # a proper crossing: p + t (q - p), t = num / den as in _meeting
     k = np.flatnonzero((o1 * o2 < 0) & (o3 * o4 < 0))
-    px, py, dx, dy, ex, ey = (v[k] for v in (px, py, dx, dy, ex, ey))
+    px, py, qx, qy, rx, ry, sx, sy = (v[k] for v in (px, py, qx, qy, rx, ry, sx, sy))
+    dx, dy, ex, ey = qx - px, qy - py, sx - rx, sy - ry
     den = dx * ey - dy * ex
-    num = (rx[k] - px) * ey - (ry[k] - py) * ex
+    num = (rx - px) * ey - (ry - py) * ex
     sign = np.where(den < 0, -1, 1)
     x, y, den = (px * den + num * dx) * sign, (py * den + num * dy) * sign, den * sign
     g = np.gcd(np.gcd(x, y), den)
@@ -293,17 +260,25 @@ def _meeting_keys(groups):
 
 def _segment_pairs(ends, curve_of):
     """Yield, a chunk at a time, the segment pairs (a, b), a < b, of distinct
-    curves that share a point, as two index arrays, from the segments as the
-    rows (x0, y0, x1, y1) of the _coords array `ends`.  Segments must be
-    listed curve by curve, so a is of the lower curve.
+    curves that share a point, from the segments as the rows (x0, y0, x1, y1)
+    of the _coords array `ends`: two index arrays and the (4, k) int8 array
+    of each pair's orientations o(p,q,r), o(p,q,s), o(r,s,p) and o(r,s,q),
+    pq segment a and rs segment b.  Segments must be listed curve by curve,
+    so a is of the lower curve.
 
     Candidates come from a sweep over the closed segment boxes sorted by
     left edge: each box meets in x the boxes that start before it ends.
     They are expanded at most _PAIR_CHUNK at a time (or one box's worth),
-    pairs of one curve and pairs whose y-ranges miss are dropped, and the
-    rest go through the exact screen _meets, so the memory a chunk takes
-    does not grow with the pairs found before it.
+    so the memory a chunk takes does not grow with the pairs found before
+    it, and pairs of one curve and pairs whose y-ranges miss are dropped.
+    The boxes of the rest meet, so a pair shares a point exactly when
+    o(p,q,r) o(p,q,s) <= 0 and o(r,s,p) o(r,s,q) <= 0.  That holds for a
+    one-point segment r = s too (and likewise p = q): both o(r,s,.) are 0,
+    which leaves o(p,q,r)^2 <= 0, that is, r lies on the line pq and in its
+    box, so on the closed segment pq.  The orientations are computed in int64 when
+    every |coordinate| is below _INT64_BOUND, else on Python ints.
     """
+    exact = _exact(ends, _INT64_BOUND)
     x0, x1 = np.minimum(ends[:, 0], ends[:, 2]), np.maximum(ends[:, 0], ends[:, 2])
     y0, y1 = np.minimum(ends[:, 1], ends[:, 3]), np.maximum(ends[:, 1], ends[:, 3])
     n = len(ends)
@@ -320,9 +295,14 @@ def _segment_pairs(ends, curve_of):
         second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(w) - w, w)
         a, b = order[first], order[second]
         keep = (curve_of[a] != curve_of[b]) & (y0[a] <= y1[b]) & (y0[b] <= y1[a])
-        a, b = a[keep], b[keep]
-        hit = _meets(ends[a, :2], ends[a, 2:], ends[b, :2], ends[b, 2:])
-        yield np.minimum(a[hit], b[hit]), np.maximum(a[hit], b[hit])
+        a, b = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+        (px, py, qx, qy), (rx, ry, sx, sy) = exact[a].T, exact[b].T
+        dx, dy, ex, ey = qx - px, qy - py, sx - rx, sy - ry
+        o = np.sign([dx * (ry - py) - dy * (rx - px), dx * (sy - py) - dy * (sx - px),
+                     ex * (py - ry) - ey * (px - rx), ex * (qy - ry) - ey * (qx - rx)])
+        o = o.astype(np.int8)
+        hit = (o[0] * o[1] <= 0) & (o[2] * o[3] <= 0)
+        yield a[hit], b[hit], o[:, hit]
         lo = hi
 
 
@@ -441,8 +421,14 @@ def parse_strings_file(text: str) -> StringRepresentation:
 
 
 def write_strings_file(rep: StringRepresentation) -> str:
+    """The strings format of rep, which parse_strings_file reads back; an id
+    holding ':' or a line break, or with whitespace at either end, is
+    refused, as the reader could not return it."""
     lines = []
     for c in rep.sorted_curves():
+        if ":" in c.id or c.id != c.id.strip() or len(c.id.splitlines()) > 1:
+            raise ContractViolation(f"curve id {c.id!r} cannot be written: ':', a line "
+                                    "break or whitespace at an end")
         coords = " ".join(f"{x} {y}" for x, y in c.points)
         lines.append(f"{c.id}: {coords}")
     return "\n".join(lines) + "\n"

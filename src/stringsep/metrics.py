@@ -41,23 +41,32 @@ def shortest_path_metric(g: Graph, weights=None) -> np.ndarray:
 def _edge_weights(g: Graph, weights) -> np.ndarray:
     if weights is None:
         return np.ones(g.m)
-    if isinstance(weights, dict):
-        return np.array([float(weights[e]) for e in g.edges])
-    arr = np.asarray(weights, dtype=float)
+    arr = _weights(weights, g.edges, "edge")
     if arr.shape != (g.m,):
         raise ContractViolation("need one weight per edge")
     return arr
 
 
 def _vertex_weights(g: Graph, s) -> np.ndarray:
-    if isinstance(s, dict):
-        arr = np.array([float(s[v]) for v in g.vertices()])
-    else:
-        arr = np.asarray(s, dtype=float)
+    arr = _weights(s, g.vertices(), "vertex")
     if arr.shape != (g.n,):
         raise ContractViolation("need one weight per vertex")
     if (arr < 0).any():
         raise ContractViolation("vertex weights must be nonnegative")
+    return arr
+
+
+def _weights(weights, items, kind: str) -> np.ndarray:
+    """The weights as a float array, read off a dict in the order of `items`;
+    a missing item or a NaN or infinite weight is refused."""
+    if isinstance(weights, dict):
+        missing = next((x for x in items if x not in weights), None)
+        if missing is not None:
+            raise ContractViolation(f"no weight for {kind} {missing}")
+        weights = [float(weights[x]) for x in items]
+    arr = np.asarray(weights, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ContractViolation(f"{kind} weights must be finite")
     return arr
 
 
@@ -79,25 +88,20 @@ def ratio_functional(g: Graph, mode: str, weights) -> float:
     weighting, with equality at the LP-dual-optimal one.
     """
     if mode == "edge":
-        w = _edge_weights(g, weights)
-        if not w.any():
-            raise ContractViolation("weights must not be identically zero")
-        d = shortest_path_metric(g, w)
-        denom = pair_sum(d)
-        if denom <= 0:
-            raise ContractViolation("all distances are zero")
-        num = float(sum(d[u, v] for u, v in g.edges))
-        return num / denom
-    if mode == "vertex":
-        s = _vertex_weights(g, weights)
-        if not s.any():
-            raise ContractViolation("weights must not be identically zero")
-        d = shortest_path_metric(g, derived_edge_weights(g, s))
-        denom = pair_sum(d)
-        if denom <= 0:
-            raise ContractViolation("all distances are zero")
-        return float(s.sum()) / denom
-    raise ContractViolation(f"mode must be 'edge' or 'vertex', got {mode!r}")
+        w = own = _edge_weights(g, weights)
+    elif mode == "vertex":
+        own = _vertex_weights(g, weights)
+        w = derived_edge_weights(g, own)
+    else:
+        raise ContractViolation(f"mode must be 'edge' or 'vertex', got {mode!r}")
+    if not own.any():
+        raise ContractViolation("weights must not be identically zero")
+    d = shortest_path_metric(g, w)
+    denom = pair_sum(d)
+    if denom <= 0:
+        raise ContractViolation("all distances are zero")
+    num = sum(d[u, v] for u, v in g.edges) if mode == "edge" else own.sum()
+    return float(num) / denom
 
 
 def _edge_cut_size(g: Graph, a_mask: int) -> int:
@@ -213,6 +217,8 @@ def line_to_cut_sweep(g: Graph, f) -> tuple[EdgeCut, Fraction]:
     vals = np.asarray(f, dtype=float)
     if vals.shape != (g.n,):
         raise ContractViolation("need one value per vertex")
+    if not np.isfinite(vals).all():
+        raise ContractViolation("f must be finite")
     thresholds = np.unique(vals)
     if len(thresholds) < 2:
         raise ContractViolation("f is constant")

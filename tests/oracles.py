@@ -874,7 +874,8 @@ def meeting_groups(groups):
     segs = [seg for group in groups for seg in group]
     ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
     curve_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    found = [(np.zeros(0, dtype=np.int64),) * 2, *_segment_pairs(ends, curve_of)]
+    found = [(np.zeros(0, dtype=np.int64),) * 2]
+    found += [(a, b) for a, b, _ in _segment_pairs(ends, curve_of)]
     a, b = (np.concatenate(column) for column in zip(*found))
     by = np.lexsort((b, a, curve_of[b], curve_of[a]))
     a, b = a[by], b[by]

@@ -331,6 +331,21 @@ def test_fhl_sweep_contracts(p3):
         fhl_sweep(graph_from_pairs(3, [(0, 1)]), np.ones(3), [0.0, 1.0, 2.0])
 
 
+def test_fhl_sweep_refuses_a_non_finite_embedding(p3):
+    # f = [0, nan, 1] used to pass the Lipschitz check and return S = {1}
+    # with a NaN bound, so the bound check compared false and was skipped
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ContractViolation, match="f must be finite"):
+            fhl_sweep(p3, np.ones(3), [0.0, bad, 1.0])
+
+
+def test_fhl_sweep_refuses_non_finite_weights(p3):
+    # s = [1, nan, 1] used to return a NaN bound
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ContractViolation, match="vertex weights must be finite"):
+            fhl_sweep(p3, [1.0, bad, 1.0], [0.0, 1.0, 2.0])
+
+
 def test_fhl_sweep_star_contract():
     # star K_{1,3}: leaf embedding value 0, center and other leaves at 1
     # (1-Lipschitz for unit weights); the theorem inequality is the contract

@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from stringsep.geometry import (
     _coords,
     _meeting,
     _meeting_keys,
-    _meets,
+    _segment_pairs,
     intersection_graph,
+    orientation,
     parse_strings_file,
     random_segment_instance,
     segments_intersect,
@@ -171,6 +173,46 @@ def test_parse_strings_file_errors_carry_the_line():
     assert err.value.line == 3 and str(err.value) == "line 3: repeated curve id 'a'"
 
 
+id_text = st.text(
+    st.one_of(st.sampled_from("a:# \t\n\r\x0b\x0c\x1c\x85\u2028\xa0"), st.characters()),
+    max_size=5,
+)
+
+
+@settings(max_examples=400)
+@given(id_text)
+def test_write_strings_file_refuses_exactly_the_ids_it_cannot_read_back(label):
+    rep = StringRepresentation((PolylineCurve(label, ((0, 0), (1, 1))),))
+    line = f"{label}: 0 0 1 1\n"  # the line the writer would write
+    try:
+        readable = parse_strings_file(line).curves == rep.curves
+    except ParseError:
+        readable = False
+    if readable:
+        assert write_strings_file(rep) == line
+    else:
+        with pytest.raises(ContractViolation, match=re.escape(repr(label))):
+            write_strings_file(rep)
+
+
+@pytest.mark.parametrize("label", ["a:b", ":", "a\nb", "a\rb", "a\u2028b", " a", "a ", "a\n"])
+def test_write_strings_file_refuses_examples(label):
+    rep = StringRepresentation((PolylineCurve(label, ((0, 0), (1, 1))),))
+    with pytest.raises(ContractViolation, match=re.escape(repr(label))):
+        write_strings_file(rep)
+
+
+def test_write_strings_file_round_trips():
+    # the empty id included
+    rep = StringRepresentation(
+        (PolylineCurve("", ((0, 0), (1, 1))), PolylineCurve("b c", ((0, 1), (1, 0))),
+         PolylineCurve("#x", ((5, 5), (6, 7), (8, 5))))
+    )
+    text = write_strings_file(rep)
+    assert text == ": 0 0 1 1\n#x: 5 5 6 7 8 5\nb c: 0 1 1 0\n"
+    assert parse_strings_file(text).sorted_curves() == rep.sorted_curves()
+
+
 def test_random_instance_standard():
     rep = random_segment_instance(20, seed=7)
     assert len(rep.curves) == 20
@@ -282,24 +324,40 @@ def test_point_keys_are_the_exact_fraction_points(a, b):
 
 # the 6x6 grid, placed in frames (x, y) -> (base + step x, base + step y)
 # that keep every incidence: near 2^29 and spread to +-(2^30 - 1) the screen
-# runs in int64, at 2^30 and 2^70 on Python ints
+# runs in int64, at 2^30 and 2^70 on Python ints; spread to 3 * 2^60 the
+# coordinates fit in int64 but their cross products do not
 grid6 = st.tuples(st.integers(0, 5), st.integers(0, 5))
 SCREEN_FRAMES = [
     (0, 1), (2**29 - 5, 1), (-(2**29), 1), (2**30, 1), (2**70, 1), (-(2**70), 1),
-    (-(2**30 - 1), 429496729),
+    (-(2**30 - 1), 429496729), (-(2**61), 2**60),
 ]
+
+
+def _screened(p, q, r, s):
+    """Whether _segment_pairs yields the segments pq and rs, each its own
+    curve, as a pair, whose sign row must then be the scalar orientations."""
+    ends = _coords([p + q, r + s]).reshape(-1, 4)
+    pairs, rows = [], []
+    for a, b, signs in _segment_pairs(ends, np.arange(2)):
+        pairs += zip(a.tolist(), b.tolist())
+        rows += signs.T.tolist()
+    assert pairs in ([], [(0, 1)])
+    if pairs:
+        assert rows == [[orientation(p, q, r), orientation(p, q, s),
+                         orientation(r, s, p), orientation(r, s, q)]]
+    return bool(pairs)
 
 
 @pytest.mark.parametrize("base,step", SCREEN_FRAMES)
 @settings(max_examples=150)
 @given(st.lists(st.tuples(grid6, grid6, grid6, grid6), min_size=1, max_size=20))
-def test_meets_matches_segments_intersect(base, step, quads):
+def test_segment_pairs_match_segments_intersect(base, step, quads):
     quads = [q for q in quads if q[0] != q[1] and q[2] != q[3]]
     assume(quads)
-    quads = [[(base + step * x, base + step * y) for x, y in q] for q in quads]
-    want = [scan_segments_intersect(*q) is not SegmentRelation.DISJOINT for q in quads]
-    P, Q, R, S = (_coords([q[i] for q in quads]) for i in range(4))
-    assert _meets(P, Q, R, S).tolist() == want
+    for p, q, r, s in ([(base + step * x, base + step * y) for x, y in q] for q in quads):
+        want = scan_segments_intersect(p, q, r, s) is not SegmentRelation.DISJOINT
+        assert _screened(p, q, r, s) == want
+        assert _screened(r, s, p, q) == want
 
 
 def _assert_meeting_matches_scan(p, q, r, s):
@@ -345,15 +403,14 @@ def test_meeting_matches_scan_meeting_examples(base, step, quad, rel):
 @pytest.mark.parametrize("base,step", SCREEN_FRAMES)
 @settings(max_examples=150)
 @given(st.lists(st.tuples(grid6, grid6, grid6), min_size=1, max_size=20))
-def test_meets_one_point_segment_is_on_segment(base, step, triples):
+def test_segment_pairs_one_point_segment_is_on_segment(base, step, triples):
     # a vertex point v as the segment (v, v), on either side of the screen
     triples = [t for t in triples if t[0] != t[1]]
     assume(triples)
-    triples = [[(base + step * x, base + step * y) for x, y in t] for t in triples]
-    want = [on_segment(p, q, v) for p, q, v in triples]
-    P, Q, V = (_coords([t[i] for t in triples]) for i in range(3))
-    assert _meets(P, Q, V, V).tolist() == want
-    assert _meets(V, V, P, Q).tolist() == want
+    for p, q, v in ([(base + step * x, base + step * y) for x, y in t] for t in triples):
+        want = on_segment(p, q, v)
+        assert _screened(p, q, v, v) == want
+        assert _screened(v, v, p, q) == want
 
 
 # the 6x6 grid in frames about the int64 bound of the keys: the corners
@@ -383,12 +440,20 @@ def _meeting_rows(groups):
     return [(a, b, over, None if over else tuple(k)) for a, b, over, k in rows], key.dtype
 
 
+# each also in chunks of one box: the signs stay with their pairs across
+# the concatenation of the chunks and the sort
+PAIR_CHUNKS = (geometry._PAIR_CHUNK, 1)
+
+
 @KEY_FRAME_STEPS
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.lists(grid6_segment, min_size=1, max_size=3), min_size=2, max_size=5))
 def test_meeting_keys_match_scan_oracle(base, step, groups):
     groups = _framed(groups, base, step)
-    assert _meeting_rows(groups)[0] == scan_meeting_keys(groups)
+    want = scan_meeting_keys(groups)
+    for chunk in PAIR_CHUNKS:
+        with patch.object(geometry, "_PAIR_CHUNK", chunk):
+            assert _meeting_rows(groups)[0] == want
 
 
 @pytest.mark.parametrize("base,step,dtype", KEY_FRAMES.values(), ids=list(KEY_FRAMES))
@@ -405,9 +470,11 @@ def test_meeting_keys_match_scan_oracle(base, step, groups):
 def test_meeting_keys_match_scan_oracle_examples(base, step, dtype, groups):
     # each example has a point at x = base, so the frame sets the dtype
     groups = _framed(groups, base, step)
-    rows, got_dtype = _meeting_rows(groups)
-    assert rows and rows == scan_meeting_keys(groups)
-    assert got_dtype == dtype
+    for chunk in PAIR_CHUNKS:
+        with patch.object(geometry, "_PAIR_CHUNK", chunk):
+            rows, got_dtype = _meeting_rows(groups)
+        assert rows and rows == scan_meeting_keys(groups)
+        assert got_dtype == dtype
 
 
 @KEY_FRAME_STEPS

@@ -80,6 +80,37 @@ def test_ratio_functional_rejects_zero(p3):
         ratio_functional(p3, "edge", [0, 0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_shortest_path_metric_refuses_non_finite_weights(p3, bad):
+    # a NaN weight used to give infinite distances on a connected graph
+    with pytest.raises(ContractViolation, match="edge weights must be finite"):
+        shortest_path_metric(p3, [bad, 1])
+    with pytest.raises(ContractViolation, match="edge weights must be finite"):
+        shortest_path_metric(p3, {(0, 1): 1, (1, 2): bad})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_ratio_functional_refuses_non_finite_weights(p3, bad):
+    # a NaN weight used to give a NaN ratio
+    with pytest.raises(ContractViolation, match="edge weights must be finite"):
+        ratio_functional(p3, "edge", [bad, 1])
+    with pytest.raises(ContractViolation, match="vertex weights must be finite"):
+        ratio_functional(p3, "vertex", [1, bad, 1])
+
+
+def test_ratio_functional_names_a_missing_weight(p3):
+    # an empty dict used to raise a bare KeyError
+    with pytest.raises(ContractViolation, match=r"no weight for edge \(0, 1\)"):
+        ratio_functional(p3, "edge", {})
+    with pytest.raises(ContractViolation, match=r"no weight for edge \(1, 2\)"):
+        ratio_functional(p3, "edge", {(0, 1): 1.0})
+    with pytest.raises(ContractViolation, match="no weight for vertex 2"):
+        ratio_functional(p3, "vertex", {0: 1.0, 1: 1.0})
+    assert ratio_functional(p3, "edge", {(0, 1): 1, (1, 2): 1}) == ratio_functional(
+        p3, "edge", [1, 1]
+    )
+
+
 def test_ratio_edge_lower_bounds_inverse_congestion():
     rng = np.random.default_rng(11)
     for seed in range(6):
@@ -179,6 +210,10 @@ def test_line_to_cut_sweep_examples(p3, c4, k4):
     assert val == Fraction(1, 2) and cut.A == frozenset({0, 1})
     with pytest.raises(ContractViolation):
         line_to_cut_sweep(p3, [1, 1, 1])
+    with pytest.raises(ContractViolation, match="f must be finite"):
+        line_to_cut_sweep(p3, [0, float("nan"), 1])
+    with pytest.raises(ContractViolation, match="f must be finite"):
+        line_to_cut_sweep(p3, [0, 1, float("inf")])
 
 
 def test_sweep_beats_line_metric_ratio():
