@@ -40,7 +40,7 @@ from itertools import combinations
 import numpy as np
 
 from .embedding import _spread, best_embedding, default_trials
-from .errors import ContractViolation, SizeCapExceeded
+from .errors import ContractViolation, SizeCapExceeded, _integer
 from .graphs import Graph, VertexCut, EdgeCut, balance_limit, check_separator
 from .metrics import derived_edge_weights, shortest_path_metric, sparsity_exact, _vertex_weights
 
@@ -343,6 +343,7 @@ def find_separator(g: Graph, seed: int = 0, trials: int | None = None) -> Separa
         raise ContractViolation("separator needs n >= 2")
     if trials is not None and trials < 1:
         raise ContractViolation("trials must be >= 1")
+    seed = _integer(seed)
     limit = balance_limit(g.n)
     separator: set[int] = set()
     trace: list[tuple[int, float]] = []

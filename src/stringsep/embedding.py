@@ -41,13 +41,12 @@ reference the tests compare with.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ContractViolation
+from .errors import ContractViolation, _integer
 
 # trial rows that best_embedding holds at once: a fixed budget of float64
 # values (512 KiB), so its memory does not grow with the number of trials
@@ -115,18 +114,16 @@ def bourgain_sample(d: np.ndarray, seed: int) -> Embedding:
     seed = _integer(seed)
     if seed < 0:
         raise ContractViolation(f"seed must be non-negative, got {seed}")
-    if d.shape[0] < 2:
-        raise ContractViolation("need at least two points")
+    _check_metric(d)
     rng = np.random.default_rng((seed, 431))
     return _embedding(seed, *_sample(d, rng, np.empty(d.shape[0])))
 
 
-def _integer(seed) -> int:
-    """seed as a Python int, so _mix's products are not fixed-width."""
-    try:
-        return operator.index(seed)
-    except TypeError:
-        raise ContractViolation(f"seed must be an integer, got {seed!r}") from None
+def _check_metric(d: np.ndarray) -> None:
+    if d.shape[0] < 2:
+        raise ContractViolation("need at least two points")
+    if not np.isfinite(d).all():
+        raise ContractViolation("metric entries must be finite")
 
 
 def default_trials(n: int) -> int:
@@ -152,9 +149,8 @@ def best_embedding(d: np.ndarray, trials: int, seed: int) -> Embedding:
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
     seed = _integer(seed)
+    _check_metric(d)
     n = d.shape[0]
-    if n < 2:
-        raise ContractViolation("need at least two points")
     rows = max(1, _BLOCK_ELEMS // n)
     block = np.empty((min(rows, trials), n))
     coef = _coefficients(n)
@@ -242,6 +238,11 @@ class _Words(ISeedSequence):
 
 
 def lipschitz_defect(d: np.ndarray, values) -> float:
-    """max over pairs of |f(u) - f(v)| - d(u, v); <= 0 means 1-Lipschitz."""
+    """max over pairs of |f(u) - f(v)| - d(u, v); <= 0 means 1-Lipschitz.
+    One finite value per point of the finite metric d is required."""
     f = np.asarray(values, dtype=float)
+    if f.shape != d.shape[:1]:
+        raise ContractViolation(f"need one value per point, got {f.size} for {d.shape[0]}")
+    if not (np.isfinite(f).all() and np.isfinite(d).all()):
+        raise ContractViolation("values and metric entries must be finite")
     return float((np.abs(f[:, None] - f[None, :]) - d).max())

@@ -1,8 +1,19 @@
-"""Shared exception types."""
+"""Shared exception types, and the seed check every seeded entry point makes."""
+
+import operator
 
 
 class ContractViolation(ValueError):
     """An operation was called with inputs breaking its stated precondition."""
+
+
+def _integer(seed) -> int:
+    """seed as a Python int, or ContractViolation naming it: a float is
+    refused, not truncated, and products of the int are not fixed-width."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise ContractViolation(f"seed must be an integer, got {seed!r}") from None
 
 
 class ParseError(ValueError):

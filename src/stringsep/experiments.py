@@ -22,7 +22,7 @@ import numpy as np
 
 from .congestion import decompose_to_paths, edge_congestion, vertex_congestion
 from .cuts import find_separator
-from .errors import ContractViolation, NoVertexCut
+from .errors import ContractViolation, NoVertexCut, _integer
 from .graphs import Graph
 from .metrics import sparsity_exact
 
@@ -64,6 +64,7 @@ def drawing_conflict_experiment(g: Graph, trials: int, seed: int) -> ConflictSta
     # the infinite flow of a disconnected graph, before a bad seed is reported
     flows = vertex_congestion(g)
     phi = decompose_to_paths(g, flows)
+    seed = _integer(seed)
     if seed < 0:
         raise ContractViolation(f"seed must be non-negative, got {seed}")
     pairs = [(u, v) for u in g.vertices() for v in range(u + 1, g.n)]

@@ -8,13 +8,14 @@ are invariant under integer translation and never depend on an epsilon.
 Many segment pairs at once go through one screen, the sweep
 `_segment_pairs`: it decides exactly and as arrays whether closed segments
 share a point, from the four orientation signs of each candidate pair, and
-yields the pairs that do with their signs.  `_meeting_keys` reuses those
-signs to find where the pairs of distinct curves meet, as `_meeting` does
-for one pair.  Both compute in int64 below a stated bound on every
-|coordinate| (2^30 for the screen's cross products, 2^19 for a key's
-products) and otherwise on Python ints (dtype=object); the code is the
-same and the dtype follows from the input.  The scalar `_meeting` serves
-single pairs: the generator's box hits and `segments_intersect`.
+yields the pairs that do with their signs.  Its one caller `_meeting_keys`
+reuses those signs to find where distinct curves meet, as `_meeting` does
+for one pair, and reads each curve's simplicity off the same pairs.  Both
+compute in int64 below a stated bound on every |coordinate| (2^30 for the
+screen's cross products, 2^19 for a key's products) and otherwise on Python
+ints (dtype=object); the code is the same and the dtype follows from the
+input.  The scalar `_meeting` serves single pairs: the generator's box hits
+and `segments_intersect`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ContractViolation, GenerationError, ParseError, StandardnessError
+from .errors import ContractViolation, GenerationError, ParseError, StandardnessError, _integer
 from .graphs import Graph, int_tokens, numbered_lines
 
 Point = tuple[int, int]
@@ -183,40 +184,31 @@ class PolylineCurve:
     def validate(self) -> None:
         """Raise ContractViolation for the first fault met: too few points, a
         repeated point, then in order of i, segments i, i+1 that double back
-        or segments i < j - 1 that share a point.  The segments that meet come
-        from one _segment_pairs call, each segment its own curve."""
-        if len(self.points) < 2:
-            raise ContractViolation(f"curve {self.id}: needs at least 2 points")
-        for a, b in self.segments:
-            if a == b:
-                raise ContractViolation(f"curve {self.id}: repeated consecutive point {a}")
-        segs, n = self.segments, len(self.segments)
-        # the least i * n + j over the segments i < j - 1 that meet, else n * n
-        least = n * n
-        if n > 2:
-            ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
-            for a, b, _ in _segment_pairs(ends, np.arange(n)):
-                least = min(least, int((a * n + b)[b - a > 1].min(initial=least)))
-        i0, j0 = divmod(least, n)
-        for i, ((p, q), (_, s)) in enumerate(zip(segs[: i0 + 1], segs[1:])):
-            # adjacent segments: only the shared corner, no doubling back
-            if orientation(p, q, s) == 0:
-                dot = (p[0] - q[0]) * (s[0] - q[0]) + (p[1] - q[1]) * (s[1] - q[1])
-                if dot > 0:
-                    raise ContractViolation(
-                        f"curve {self.id}: segments {i},{i + 1} double back at {q}"
-                    )
-        if i0 < n:
-            raise ContractViolation(f"curve {self.id}: non-adjacent segments {i0},{j0} intersect")
+        or segments i < j - 1 that share a point.  This is
+        validate_standardness of the curve alone."""
+        validate_standardness(StringRepresentation((self,)))
+
+
+def _fault(curve: PolylineCurve, s: int, t: int) -> str:
+    """The message of the fault (s, t) that _meeting_keys finds in `curve`."""
+    if len(curve.points) < 2:
+        return f"curve {curve.id}: needs at least 2 points"
+    if s < 0:
+        return f"curve {curve.id}: repeated consecutive point {curve.points[t]}"
+    if t == s + 1:
+        return f"curve {curve.id}: segments {s},{t} double back at {curve.points[t]}"
+    return f"curve {curve.id}: non-adjacent segments {s},{t} intersect"
 
 
 def _meeting_keys(groups):
-    """Every pair of segments of distinct groups that share a point, from
-    one _segment_pairs call, as arrays in order of (group pair, segments):
-    the groups i < j, whether the pair overlaps on a sub-segment, and the
-    key (X, Y, D) of its one shared point as a row of a (k, 3) array (a
-    row of no meaning where it overlaps).  A group may hold a one-point
-    segment (p, p).
+    """Every pair of segments of distinct groups that share a point, and
+    each group's first fault as a curve, from one _segment_pairs call.
+
+    The pairs come as arrays in order of (group pair, segments): the groups
+    i < j, whether the pair overlaps on a sub-segment, and the key (X, Y, D)
+    of its one shared point as a row of a (k, 3) array (a row of no meaning
+    where it overlaps).  A group may hold a one-point segment (p, p).  The
+    faults come as (group, s, t), in group order, for _fault to read.
 
     Decided as _meeting decides it, from the orientations o(p,q,r),
     o(p,q,s), o(r,s,p) and o(r,s,q) that _segment_pairs yields with each
@@ -224,10 +216,31 @@ def _meeting_keys(groups):
     pairs are collinear touches.  The keys are computed in int64 when every
     |coordinate| is below _KEY_BOUND, else on Python ints.
     """
+    sizes = np.array([len(group) for group in groups], dtype=np.int64)
     ends = _coords([p + q for group in groups for p, q in group]).reshape(-1, 4)
-    curve_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    empty = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((4, 0), dtype=np.int8),)
-    a, b, o = (np.concatenate(c, axis=-1) for c in zip(empty, *_segment_pairs(ends, curve_of)))
+    curve_of = np.repeat(np.arange(len(groups)), sizes)
+    # each segment's number in its group, and each group's least fault
+    # (s, t) as s * base + t, (n, n) while none of its n segments has one
+    within, base = np.arange(len(ends)) - (np.cumsum(sizes) - sizes)[curve_of], len(ends) + 1
+    least = sizes * (base + 1)
+    # consecutive segments pq, qs double back: (q - p) x (s - q) = 0 > (q - p) . (s - q)
+    k, exact = np.flatnonzero(curve_of[1:] == curve_of[:-1]), _exact(ends, _INT64_BOUND)
+    u, v = exact[k, 2:] - exact[k, :2], exact[k + 1, 2:] - exact[k, 2:]
+    k = k[(u[:, 0] * v[:, 1] == u[:, 1] * v[:, 0]) & ((u * v).sum(axis=1) < 0)]
+    np.minimum.at(least, curve_of[k], within[k] * (base + 1) + 1)
+    # a one-point segment t comes first, as (-1, t)
+    point = np.flatnonzero((ends[:, :2] == ends[:, 2:]).all(axis=1))
+    np.minimum.at(least, curve_of[point], within[point] - base)
+    found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((4, 0), dtype=np.int8),)]
+    for a, b, o in _segment_pairs(ends, curve_of):
+        # pairs of one group are reduced as they come, so they take one chunk
+        one = curve_of[a] == curve_of[b]
+        np.minimum.at(least, curve_of[a[one]], within[a[one]] * base + within[b[one]])
+        found.append((a[~one], b[~one], o[:, ~one]))
+    s, t = np.divmod(least, base)
+    bad = np.flatnonzero((s < sizes) | (sizes == 0)).tolist()
+    faults = [(g, int(s[g]), int(t[g])) for g in bad]
+    a, b, o = (np.concatenate(c, axis=-1) for c in zip(*found))
     by = np.lexsort((b, a, curve_of[b], curve_of[a]))
     a, b, (o1, o2, o3, o4) = a[by], b[by], o[:, by]
     ends = _exact(ends, _KEY_BOUND)
@@ -255,23 +268,23 @@ def _meeting_keys(groups):
     x, y, den = (px * den + num * dx) * sign, (py * den + num * dy) * sign, den * sign
     g = np.gcd(np.gcd(x, y), den)
     key[k] = np.stack([x // g, y // g, den // g], axis=1)
-    return curve_of[a], curve_of[b], overlap, key
+    return curve_of[a], curve_of[b], overlap, key, faults
 
 
 def _segment_pairs(ends, curve_of):
-    """Yield, a chunk at a time, the segment pairs (a, b), a < b, of distinct
-    curves that share a point, from the segments as the rows (x0, y0, x1, y1)
-    of the _coords array `ends`: two index arrays and the (4, k) int8 array
-    of each pair's orientations o(p,q,r), o(p,q,s), o(r,s,p) and o(r,s,q),
-    pq segment a and rs segment b.  Segments must be listed curve by curve,
-    so a is of the lower curve.
+    """Yield, a chunk at a time, the segment pairs (a, b), a < b, but for
+    consecutive segments of one curve, that share a point, from the rows
+    (x0, y0, x1, y1) of the _coords array `ends`: two index arrays and the
+    (4, k) int8 array of each pair's orientations o(p,q,r), o(p,q,s),
+    o(r,s,p) and o(r,s,q), pq segment a and rs segment b.  Segments must be
+    listed curve by curve, so a is of the lower curve.
 
     Candidates come from a sweep over the closed segment boxes sorted by
     left edge: each box meets in x the boxes that start before it ends.
     They are expanded at most _PAIR_CHUNK at a time (or one box's worth),
     so the memory a chunk takes does not grow with the pairs found before
-    it, and pairs of one curve and pairs whose y-ranges miss are dropped.
-    The boxes of the rest meet, so a pair shares a point exactly when
+    it, and consecutive segments of one curve and pairs whose y-ranges miss
+    are dropped.  The boxes of the rest meet, so a pair shares a point exactly when
     o(p,q,r) o(p,q,s) <= 0 and o(r,s,p) o(r,s,q) <= 0.  That holds for a
     one-point segment r = s too (and likewise p = q): both o(r,s,.) are 0,
     which leaves o(p,q,r)^2 <= 0, that is, r lies on the line pq and in its
@@ -293,9 +306,9 @@ def _segment_pairs(ends, curve_of):
         w = width[lo:hi]
         first = np.repeat(np.arange(lo, hi), w)
         second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(w) - w, w)
-        a, b = order[first], order[second]
-        keep = (curve_of[a] != curve_of[b]) & (y0[a] <= y1[b]) & (y0[b] <= y1[a])
-        a, b = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+        a, b = np.minimum(order[first], order[second]), np.maximum(order[first], order[second])
+        keep = ((b - a > 1) | (curve_of[a] != curve_of[b])) & (y0[a] <= y1[b]) & (y0[b] <= y1[a])
+        a, b = a[keep], b[keep]
         (px, py, qx, qy), (rx, ry, sx, sy) = exact[a].T, exact[b].T
         dx, dy, ex, ey = qx - px, qy - py, sx - rx, sy - ry
         o = np.sign([dx * (ry - py) - dy * (rx - px), dx * (sy - py) - dy * (sx - px),
@@ -337,10 +350,10 @@ def validate_standardness(rep: StringRepresentation) -> dict[tuple[int, int], in
     violation raised does not depend on how the pairs were found.
     """
     curves = rep.sorted_curves()
-    for c in curves:
-        c.validate()
+    i, j, overlap, key, faults = _meeting_keys([c.segments for c in curves])
+    if faults:
+        raise ContractViolation(_fault(curves[faults[0][0]], *faults[0][1:]))
     n = len(curves)
-    i, j, overlap, key = _meeting_keys([c.segments for c in curves])
     pair = i * n + j
     rows = np.flatnonzero(~overlap)
     rows = rows[np.lexsort((pair[rows], key[rows, 2], key[rows, 1], key[rows, 0]))]
@@ -357,30 +370,19 @@ def validate_standardness(rep: StringRepresentation) -> dict[tuple[int, int], in
             raise StandardnessError(
                 f"curves {curves[i0].id} and {curves[j0].id} overlap on a common sub-segment"
             )
+        # the first point of this pair that an earlier pair owns, in the
+        # iteration order of its points as a set of Fractions built in key order
         points = dict.fromkeys(map(tuple, key[pair == first].tolist()))
         owner = {
-            pt: divmod(p, n)
+            _rational(pt): divmod(p, n)
             for pt, p in zip(map(tuple, keys[new_key].tolist()), pairs[new_key].tolist())
             if pt in points and p < first
         }
-        _raise_triple_point(curves, owner, i0, j0, points)
+        pt = next(pt for pt in {_rational(pk) for pk in points} if pt in owner)
+        involved = ", ".join(sorted({curves[k].id for k in (i0, j0, *owner[pt])}))
+        raise StandardnessError(f"triple point at ({pt[0]}, {pt[1]}): curves {involved}")
     found, counts = np.unique(pairs[new_point], return_counts=True)
     return {divmod(p, n): c for p, c in zip(found.tolist(), counts.tolist())}
-
-
-def _raise_triple_point(curves, owner, i, j, keys):
-    """Report the first point of the pair (i, j) that an earlier pair already
-    owns, in the iteration order of the pair's points as a set of Fractions
-    built in key order."""
-    key_of = {_rational(key): key for key in keys}
-    for pt in {_rational(key) for key in keys}:
-        prev = owner.get(key_of[pt])
-        if prev is not None:
-            involved = sorted({curves[k].id for k in (i, j, *prev)})
-            raise StandardnessError(
-                f"triple point at ({pt[0]}, {pt[1]}): curves {', '.join(involved)}"
-            )
-    raise AssertionError("a shared key must come from a shared point")
 
 
 def intersection_graph(rep: StringRepresentation) -> tuple[Graph, dict[tuple[int, int], int]]:
@@ -452,6 +454,7 @@ def random_segment_instance(
     """
     if count < 1:
         raise ContractViolation("count must be >= 1")
+    seed = _integer(seed)
     if seed < 0:
         raise ContractViolation(f"seed must be non-negative, got {seed}")
     if span is not None and span < 1:
@@ -475,7 +478,6 @@ def random_segment_instance(
             if p == q:
                 continue
             new_pts: list[PointKey] = []
-            ok = True
             x_lo, x_hi, y_lo, y_hi = cand = (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
             hits = np.flatnonzero(
                 (box[0, :k] <= x_hi) & (box[1, :k] >= x_lo)
@@ -483,24 +485,18 @@ def random_segment_instance(
             )
             for h in hits.tolist():
                 rel, key = _meeting(p, q, *placed[h])
-                if rel is SegmentRelation.OVERLAPPING:
-                    ok = False
-                    break
+                if rel is SegmentRelation.OVERLAPPING or key in ((x0, y0, 1), (x1, y1, 1)):
+                    break  # an overlap, or an end of the candidate on placed[h]
                 if key is not None:
                     new_pts.append(key)
-                if key in ((x0, y0, 1), (x1, y1, 1)):
-                    ok = False  # an end of the candidate lies on placed[h]
+            else:
+                # no two old segments through one point of the new one, and
+                # no triple point
+                if len(set(new_pts)) == len(new_pts) and known_points.isdisjoint(new_pts):
+                    placed.append((p, q))
+                    box[:, k] = cand
+                    known_points.update(new_pts)
                     break
-            if not ok:
-                continue
-            if len(set(new_pts)) != len(new_pts):
-                continue  # two old segments through one point of the new one
-            if any(pt in known_points for pt in new_pts):
-                continue  # would create a triple point
-            placed.append((p, q))
-            box[:, k] = cand
-            known_points.update(new_pts)
-            break
         else:
             raise GenerationError(f"segment {k}: resample cap (1000) exceeded")
     width = len(str(count - 1))

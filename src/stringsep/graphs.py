@@ -13,7 +13,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ContractViolation, GenerationError, ParseError
+from .errors import ContractViolation, GenerationError, ParseError, _integer
 
 Edge = tuple[int, int]
 
@@ -224,6 +224,7 @@ def generate(kind: str, params: tuple[int, ...], seed: int | None = None) -> Gra
       gnp_connected (n, percent)  -- G(n, p) resampled until connected
       subdivided_complete (t)     -- K_t with every edge subdivided once
     """
+    seed = None if seed is None else _integer(seed)
     _require(seed is None or seed >= 0, f"seed must be non-negative, got {seed}")
     if kind == "complete":
         (n,) = params

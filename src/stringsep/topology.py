@@ -21,6 +21,7 @@ from .geometry import (
     PolylineCurve,
     RatPoint,
     StringRepresentation,
+    _fault,
     _meeting_keys,
     _rational,
     parse_points,
@@ -96,7 +97,7 @@ class WeakRealization:
         for each pair that does, in lexicographic order; None marks a pair
         that overlaps on a sub-segment."""
         edges = self.atg.graph.edges
-        i, j, overlap, key = self._meetings
+        i, j, overlap, key, _ = self._meetings
         rows = zip(i.tolist(), j.tolist(), overlap.tolist(), map(tuple, key.tolist()))
         out: dict[tuple[int, int], frozenset[RatPoint] | None] = {}
         for (a, b), group in groupby(rows, key=itemgetter(0, 1)):
@@ -130,21 +131,20 @@ def validate_weak_realization(w: WeakRealization) -> list[Violation]:
     no triple points, no edge passes through a non-incident vertex, vertex
     points are distinct, and every crossing pair of independent edges is
     allowed.  Adjacent edges may cross.  A curve that is not simple gives one
-    violation, the first fault that PolylineCurve.validate finds; these come
-    first, and the pair checks run on every drawing (a repeated point is a
-    one-point segment there), so every fault is listed.
+    violation, the first fault that PolylineCurve.validate finds, read off
+    the pair checks' pass; these come first, and the pair checks run on
+    every drawing (a repeated point is a one-point segment there).
     """
     g = w.atg.graph
-    out: list[Violation] = []
-    for e, c in zip(g.edges, w.edge_curves):
-        try:
-            c.validate()
-        except ContractViolation as exc:
-            out.append(Violation("not_simple", str(exc), edges=(e,)))
+    first, second, _, _, faults = w._meetings
+    out = [
+        Violation("not_simple", _fault(w.edge_curves[k], s, t), edges=(g.edges[k],))
+        for k, s, t in faults
+        if k < g.m  # a vertex point is a one-point segment
+    ]
     if len(set(w.vertex_points)) != g.n:
         out.append(Violation("overlap", "two vertices share a point"))
 
-    first, second, _, _ = w._meetings
     for i, j in dict.fromkeys(zip(first.tolist(), second.tolist())):
         if not i < g.m <= j or j - g.m in g.edges[i]:
             continue  # two edge curves, two vertex points, or an edge at its end

@@ -869,14 +869,15 @@ def scan_random_segment_instance(count: int, seed: int, span: int | None = None)
 def meeting_groups(groups):
     """Yield (i, j, the segment pairs ((p, q), (r, s)) of groups[i] x groups[j]
     that meet) for each pair i < j of meeting groups of segments, in
-    lexicographic order, all from one _segment_pairs call; a group may hold
-    a one-point segment (p, p)."""
+    lexicographic order, all from one _segment_pairs call, whose pairs of
+    one group are dropped; a group may hold a one-point segment (p, p)."""
     segs = [seg for group in groups for seg in group]
     ends = _coords([p + q for p, q in segs]).reshape(-1, 4)
     curve_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     found = [(np.zeros(0, dtype=np.int64),) * 2]
     found += [(a, b) for a, b, _ in _segment_pairs(ends, curve_of)]
     a, b = (np.concatenate(column) for column in zip(*found))
+    a, b = a[curve_of[a] != curve_of[b]], b[curve_of[a] != curve_of[b]]
     by = np.lexsort((b, a, curve_of[b], curve_of[a]))
     a, b = a[by], b[by]
     rows = zip(curve_of[a].tolist(), curve_of[b].tolist(), a.tolist(), b.tolist())

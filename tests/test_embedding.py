@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -18,7 +19,9 @@ from stringsep.embedding import (
     lipschitz_defect,
     scale_count,
 )
+from stringsep.cuts import find_separator
 from stringsep.errors import ContractViolation
+from stringsep.experiments import drawing_conflict_experiment, duality_report
 from stringsep.geometry import intersection_graph, random_segment_instance
 from stringsep.graphs import generate
 from stringsep.metrics import shortest_path_metric
@@ -108,6 +111,58 @@ def test_bad_seeds():
     # best_embedding takes any integer: _mix reduces it mod 2^64
     assert best_embedding(d, 3, np.int64(-5)) == best_embedding(d, 3, -5)
     assert bourgain_sample(d, np.uint64(2**64 - 1)) == bourgain_sample(d, 2**64 - 1)
+
+
+P3 = shortest_path_metric(generate("path", (3,)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_metric_is_refused(bad):
+    d = P3.copy()
+    d[0, 2] = d[2, 0] = bad
+    with pytest.raises(ContractViolation, match="^metric entries must be finite$"):
+        best_embedding(d, 5, 0)
+    with pytest.raises(ContractViolation, match="^metric entries must be finite$"):
+        bourgain_sample(d, 0)
+    with pytest.raises(ContractViolation, match="^values and metric entries must be finite$"):
+        lipschitz_defect(d, [0, 1, 2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_lipschitz_defect_refuses_non_finite_values(bad):
+    with pytest.raises(ContractViolation, match="^values and metric entries must be finite$"):
+        lipschitz_defect(P3, [0, bad, 1])
+
+
+@pytest.mark.parametrize("values", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]])
+def test_lipschitz_defect_refuses_a_value_count_other_than_n(values):
+    with pytest.raises(ContractViolation, match="^need one value per point, got"):
+        lipschitz_defect(P3, values)
+    assert lipschitz_defect(P3, [0, 1, 2]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: random_segment_instance(5, seed),
+        lambda seed: generate("gnp_connected", (5, 50), seed=seed),
+        lambda seed: generate("path", (3,), seed=seed),
+        lambda seed: drawing_conflict_experiment(generate("path", (3,)), 3, seed),
+        lambda seed: find_separator(generate("path", (3,)), seed=seed),
+        lambda seed: duality_report(generate("path", (3,)), seed=seed),
+        lambda seed: best_embedding(P3, 3, seed),
+        lambda seed: bourgain_sample(P3, seed),
+    ],
+    ids=["random_segment_instance", "generate-gnp", "generate-path",
+         "drawing_conflict_experiment", "find_separator", "duality_report", "best_embedding",
+         "bourgain_sample"],
+)
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "1"], ids=["float", "np.float64", "str"])
+def test_seeded_entry_points_refuse_a_non_integer_seed(call, seed):
+    # the message names the caller's value, not one derived from it
+    want = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ContractViolation, match=want):
+        call(seed)
 
 
 def test_success_probability_floor_small():

@@ -35,6 +35,7 @@ from .oracles import (
     curve_pair_points,
     fraction_curve_pair_points,
     fraction_intersection_graph,
+    fraction_validate_standardness,
     on_segment,
     scan_meeting,
     scan_meeting_keys,
@@ -305,7 +306,7 @@ def test_intersection_graph_matches_fraction_oracle_examples(point_lists):
 )
 def test_point_keys_are_the_exact_fraction_points(a, b):
     c1, c2 = PolylineCurve("a", tuple(a)), PolylineCurve("b", tuple(b))
-    _, _, overlap, key = _meeting_keys((c1.segments, c2.segments))
+    _, _, overlap, key, _ = _meeting_keys((c1.segments, c2.segments))
     try:
         want = fraction_curve_pair_points(c1, c2)
     except StandardnessError as exc:
@@ -435,7 +436,7 @@ def _framed(groups, base, step):
 
 
 def _meeting_rows(groups):
-    i, j, overlap, key = _meeting_keys(groups)
+    i, j, overlap, key, _ = _meeting_keys(groups)
     rows = zip(i.tolist(), j.tolist(), overlap.tolist(), key.tolist())
     return [(a, b, over, None if over else tuple(k)) for a, b, over, k in rows], key.dtype
 
@@ -548,6 +549,47 @@ def test_stacked_segments_match_fraction_oracle():
     assert (g, counts) == fraction_intersection_graph(rep)
 
 
+def _first_fault(rep):
+    """The first error of scan_validate_curve over the curves in id order,
+    then of fraction_validate_standardness, as (type, message)."""
+    for c in rep.sorted_curves():
+        if (fault := _validate_outcome(scan_validate_curve, c)) is not None:
+            return ContractViolation, fault
+    return _outcome(fraction_validate_standardness, rep)
+
+
+grid4_point = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def curve_collections(draw):
+    """Up to five curves of one to seven points on a 4x4 grid: one-point
+    curves, repeated points, double backs, self crossings and overlaps
+    between curves are all common.  Their ids sort in another order than
+    the curves come in."""
+    point_lists = draw(
+        st.lists(st.lists(grid4_point, min_size=1, max_size=7), min_size=1, max_size=5)
+    )
+    ids = draw(st.permutations(["7", "10", "3", "b", "a2"]))
+    return StringRepresentation(
+        tuple(PolylineCurve(ids[i], tuple(pts)) for i, pts in enumerate(point_lists))
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(curve_collections())
+def test_validate_standardness_first_fault_matches_oracles(rep):
+    got = _outcome(validate_standardness, rep)
+    want = _first_fault(rep)
+    if want is None:
+        assert isinstance(got, dict)
+    else:
+        assert got == want
+    for chunk in PAIR_CHUNKS:
+        with patch.object(geometry, "_PAIR_CHUNK", chunk):
+            assert _outcome(validate_standardness, rep) == got
+
+
 @ORACLE_EXAMPLES
 def test_pair_sweep_chunks_of_one_box(monkeypatch, point_lists):
     monkeypatch.setattr(geometry, "_PAIR_CHUNK", 1)
@@ -635,6 +677,24 @@ def test_curve_validate_memory_does_not_grow_with_crossings(monkeypatch):
         finally:
             tracemalloc.stop()
         assert got == _validate_outcome(scan_validate_curve, curve)
+    assert peaks[1] - peaks[0] < 256 * 1024
+
+
+def test_validate_standardness_memory_does_not_grow_with_crossings(monkeypatch):
+    # the star's pairs of one curve are reduced chunk by chunk in the one
+    # pass over the collection too, next to a segment that meets nothing
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 1 << 12)
+    peaks = []
+    for n in (301, 1001):
+        star = _star(n)
+        rep = StringRepresentation((star, PolylineCurve("far", ((5000, 0), (5001, 1)))))
+        tracemalloc.start()
+        try:
+            got = _outcome(validate_standardness, rep)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert got == (ContractViolation, _validate_outcome(scan_validate_curve, star))
     assert peaks[1] - peaks[0] < 256 * 1024
 
 

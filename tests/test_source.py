@@ -2,7 +2,8 @@
 not asserted, so they stay on under `python -O`, which strips `assert`
 statements.  The slow reference paths in `tests/oracles.py` stay test-only:
 the package imports nothing from `tests`.  No private code is left dead: the
-package names each of its private module-level definitions somewhere."""
+package names each of its private module-level definitions somewhere.  One
+routine sweeps segment pairs: `_segment_pairs` has one caller."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,24 @@ def test_no_private_definition_is_dead():
         if name.startswith("_") and not name.endswith("__") and name not in read
     ]
     assert dead == []
+
+
+
+def _names(node, name) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_segment_pairs_has_one_caller():
+    # one sweep per curve collection decides both where distinct curves meet
+    # and whether each curve is simple; a second screen would sweep again
+    reads = [path.name for path, node in _nodes() if _names(node, "_segment_pairs")]
+    callers = [
+        (path.name, fn.name)
+        for path, fn in _nodes()
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and _names(node.func, "_segment_pairs")
+    ]
+    assert reads == ["geometry.py"]
+    assert callers == [("geometry.py", "_meeting_keys")]

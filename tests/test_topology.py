@@ -584,17 +584,52 @@ def test_weak_to_strings_makes_one_segment_pair_pass(monkeypatch):
     monkeypatch.setattr(geometry, "_segment_pairs", spy)
     w = expo_family(4).realization
     weak_to_strings(w)
-    # validate, per edge curve of three or more segments, each its own group
-    want = [(rows(c.segments), list(range(len(c.segments)))) for c in w.edge_curves]
-    want = [call for call in want if len(call[0]) >= 3]
-    # then one pass over all edge segments and the vertex points
+    # one pass over all edge segments and the vertex points, which also
+    # decides whether each edge curve is simple
     m = len(w.edge_curves)
     segs = [seg for c in w.edge_curves for seg in c.segments]
     groups = [i for i, c in enumerate(w.edge_curves) for _ in c.segments]
     segs += [(p, p) for p in w.vertex_points]
     groups += list(range(m, m + len(w.vertex_points)))
-    want.append((rows(segs), groups))
-    assert calls == want
+    assert calls == [(rows(segs), groups)]
+
+
+def test_validate_standardness_makes_one_segment_pair_pass(monkeypatch):
+    rep, _ = weak_to_strings(expo_family(4).realization)
+    calls = []
+    real = geometry._segment_pairs
+
+    def spy(ends, curve_of):
+        calls.append(len(ends))
+        return real(ends, curve_of)
+
+    monkeypatch.setattr(geometry, "_segment_pairs", spy)
+    geometry.validate_standardness(rep)
+    # one pass over every segment decides both the pairs and each curve
+    assert calls == [sum(len(c.segments) for c in rep.curves)]
+    assert max(len(c.segments) for c in rep.curves) >= 3
+
+
+@st.composite
+def tangled_drawings(draw):
+    """A grid drawing whose edge curves bend through up to six grid points,
+    so they often cross or touch themselves, double back or repeat a point."""
+    w = draw(grid_drawings())
+    curves = tuple(
+        PolylineCurve(c.id, (c.points[0], *draw(st.lists(grid_point, max_size=6)), c.points[-1]))
+        for c in w.edge_curves
+    )
+    return WeakRealization(w.atg, w.vertex_points, curves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tangled_drawings())
+def test_not_simple_violations_match_pairwise_oracle(w):
+    got, want = validate_weak_realization(w), pairwise_validate_weak_realization(w)
+    assert [v for v in got if v.kind == "not_simple"] == [
+        v for v in want if v.kind == "not_simple"
+    ]
+    assert got == want
 
 
 @pytest.mark.parametrize("k", range(1, 8))
