@@ -120,14 +120,11 @@ def _peel(
     met on the way and drops the stranded arc at a dead end (it carries only
     roundoff).  Each path found is subtracted at its bottleneck weight,
     capped by the demand left.  Stops when the demand is served or `start`
-    has no flow left; returns the paths and the unserved demand.
+    has no flow left; returns the paths and the unserved demand.  Every
+    other step removes an arc, so a step that removes none raises.
     """
     paths: list[tuple[tuple[int, ...], float]] = []
-    guard = 0
     while demand > 1e-7:
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("path peeling failed to terminate")
         walk = [start]
         seen = {start: 0}
         while walk[-1] != stop:
@@ -146,13 +143,17 @@ def _peel(
         else:
             break
         w = min(cap, *(out[a][b] for a, b in zip(seq, seq[1:])))
+        spent = False
         for a, b in zip(seq, seq[1:]):
             out[a][b] -= w
             if out[a][b] <= FLOW_TOL:
                 del out[a][b]
+                spent = True
         if seq is walk:
             paths.append((tuple(walk), w))
             demand -= w
+        if not spent and demand > 1e-7:
+            raise RuntimeError("path peeling failed to terminate")
     return paths, demand
 
 
@@ -222,7 +223,7 @@ def validate_flows(g: Graph, flows: FlowSolution) -> None:
     """Check per-pair arcs, conservation and the load cap; raises ContractViolation.
 
     Every commodity's arcs are gathered into one (commodity, tail, head,
-    weight) array, each arc is looked up once in an `edge_of` table, and the
+    weight) array, each arc is looked up once among the sorted edges, and the
     sums are taken with `bincount`, which adds each bin's terms in the order
     of the commodity dicts, as a loop over them would.  The first violation
     is reported: a pair outside the graph; an arc that is not an edge (an end
@@ -244,10 +245,15 @@ def validate_flows(g: Graph, flows: FlowSolution) -> None:
         whole = [all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in arc) for arc in flat]
         arcs = np.where(np.array(whole, bool).reshape(-1, 1), arcs, -1).astype(np.int64)
     w = np.array([x for fl in fls for x in fl.values()], dtype=float)
-    # edge index per arc, -1 off the graph; an end outside [0, n) reads row or column n
-    edge_of = np.full((n + 1, n + 1), -1)
-    edge_of[g.ends[:, 0], g.ends[:, 1]] = edge_of[g.ends[:, 1], g.ends[:, 0]] = np.arange(g.m)
-    e = edge_of[tuple(np.where((arcs >= 0) & (arcs < n), arcs, n).T)]
+    # edge index per arc, -1 off the graph: the arc's code min * n + max is
+    # looked up among the edges' codes u * n + v, sorted; the appended code
+    # n * n is no arc's, and an arc with an end outside [0, n) codes as -1
+    codes = np.append(g.ends @ [n, 1], n * n)
+    order = np.argsort(codes)
+    ends = np.sort(arcs, axis=1)
+    code = np.where((ends[:, 0] >= 0) & (ends[:, 1] < n), ends @ [n, 1], -1)
+    e = order[np.searchsorted(codes, code, sorter=order)]
+    e[codes[e] != code] = -1
     off = np.flatnonzero(e < 0)
     if len(off):
         i = int(off[0])

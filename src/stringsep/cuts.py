@@ -341,7 +341,7 @@ def find_separator(g: Graph, seed: int = 0, trials: int | None = None) -> Separa
     """
     if g.n < 2:
         raise ContractViolation("separator needs n >= 2")
-    if trials is not None and trials < 1:
+    if trials is not None and _integer(trials, "trials") < 1:
         raise ContractViolation("trials must be >= 1")
     seed = _integer(seed)
     limit = balance_limit(g.n)

@@ -146,7 +146,7 @@ def best_embedding(d: np.ndarray, trials: int, seed: int) -> Embedding:
     the last bits.  A block's trial streams are seeded from one _seed_words
     pass, not one SeedSequence per trial.
     """
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ContractViolation("trials must be >= 1")
     seed = _integer(seed)
     _check_metric(d)

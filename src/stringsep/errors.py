@@ -1,4 +1,4 @@
-"""Shared exception types, and the seed check every seeded entry point makes."""
+"""Shared exception types, and the integer check of seeds and counts."""
 
 import operator
 
@@ -7,13 +7,13 @@ class ContractViolation(ValueError):
     """An operation was called with inputs breaking its stated precondition."""
 
 
-def _integer(seed) -> int:
-    """seed as a Python int, or ContractViolation naming it: a float is
-    refused, not truncated, and products of the int are not fixed-width."""
+def _integer(value, name: str = "seed") -> int:
+    """value as a Python int, or ContractViolation naming it `name`: a float
+    is refused, not truncated, and products of the int are not fixed-width."""
     try:
-        return operator.index(seed)
+        return operator.index(value)
     except TypeError:
-        raise ContractViolation(f"seed must be an integer, got {seed!r}") from None
+        raise ContractViolation(f"{name} must be an integer, got {value!r}") from None
 
 
 class ParseError(ValueError):

@@ -15,6 +15,7 @@ so the bound it reports holds for the paths it samples.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from .metrics import sparsity_exact
 def pcr_lower_bound(n: int) -> Fraction:
     """C(n, 5) / (n - 4): every 5 vertices of a drawn K_n force a crossing
     pair of independent edges, and a pair is charged at most n-4 times."""
-    if n < 5:
+    if _integer(n, "n") < 5:
         raise ContractViolation("needs n >= 5")
     return Fraction(math.comb(n, 5), n - 4)
 
@@ -58,7 +59,7 @@ def drawing_conflict_experiment(g: Graph, trials: int, seed: int) -> ConflictSta
     congestion is the vcong of the upper bound.  Path sampling is
     cumulative-weight inversion on per-trial derived streams.
     """
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ContractViolation("trials must be >= 1")
     # the LP refuses n < 2 and a graph beyond its cap, and decompose_to_paths
     # the infinite flow of a disconnected graph, before a bad seed is reported
@@ -70,42 +71,22 @@ def drawing_conflict_experiment(g: Graph, trials: int, seed: int) -> ConflictSta
     pairs = [(u, v) for u in g.vertices() for v in range(u + 1, g.n)]
     vcong = flows.congestion
 
-    # vertex-set and closed-neighborhood bitmasks per candidate path
-    path_masks: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
-    nbr = [0] * g.n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    for pair in pairs:
-        entries = []
-        acc = 0.0
-        for path, w in phi.paths[pair]:
-            mask = 0
-            closed = 0
-            for x in path:
-                mask |= 1 << x
-                closed |= (1 << x) | nbr[x]
-            acc += w
-            entries.append((mask, closed, acc))
-        path_masks[pair] = entries
+    # every candidate path, in pair order: its cumulative weight within its
+    # pair, and related[p, q] (p < q) when q meets p's closed neighbourhood
+    paths = [path for pair in pairs for path, _ in phi.paths[pair]]
+    cum = [np.cumsum([w for _, w in phi.paths[pair]]).tolist() for pair in pairs]
+    first = np.cumsum([0] + [len(c) for c in cum[:-1]]).tolist()
+    on = np.zeros((len(paths), g.n), dtype=np.int64)
+    on[np.repeat(np.arange(len(paths)), [len(p) for p in paths]), np.concatenate(paths)] = 1
+    closed = np.eye(g.n, dtype=np.int64)
+    closed[g.ends[:, 0], g.ends[:, 1]] = closed[g.ends[:, 1], g.ends[:, 0]] = 1
+    related = np.triu(on @ closed @ on.T > 0, 1)
 
     counts = []
     for t in range(trials):
-        rng = np.random.default_rng((seed, 59, t))
-        draws = rng.random(len(pairs))
-        chosen = []
-        for pi, pair in enumerate(pairs):
-            entries = path_masks[pair]
-            r = draws[pi] * entries[-1][2]
-            sel = next(e for e in entries if e[2] >= r - 1e-12)
-            chosen.append(sel)
-        x = 0
-        for i in range(len(chosen)):
-            mi, ci, _ = chosen[i]
-            for j in range(i + 1, len(chosen)):
-                if ci & chosen[j][0]:
-                    x += 1
-        counts.append(x)
+        draws = np.random.default_rng((seed, 59, t)).random(len(pairs)).tolist()
+        pick = [f + bisect_left(c, r * c[-1] - 1e-12) for f, c, r in zip(first, cum, draws)]
+        counts.append(int(related[np.ix_(pick, pick)].sum()))
 
     x_max = math.comb(len(pairs), 2)
     if not all(0 <= x <= x_max for x in counts):

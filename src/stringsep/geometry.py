@@ -452,12 +452,12 @@ def random_segment_instance(
     point with the candidate is a box hit, and any other box hit is
     DISJOINT, which neither rejects the candidate nor adds a point.
     """
-    if count < 1:
+    if _integer(count, "count") < 1:
         raise ContractViolation("count must be >= 1")
     seed = _integer(seed)
     if seed < 0:
         raise ContractViolation(f"seed must be non-negative, got {seed}")
-    if span is not None and span < 1:
+    if span is not None and _integer(span, "span") < 1:
         raise ContractViolation("span must be >= 1")
     rng = np.random.default_rng((seed, 977))
     side = max(8, 2 * count)

@@ -181,24 +181,21 @@ def _vspars_exact(g: Graph) -> tuple[Fraction, VertexCut]:
 def _balanced_split(comps: list[frozenset[int]], total: int) -> tuple[set[int], set[int]]:
     """Split whole components into two nonempty groups with sizes as close to
     total/2 as possible (this maximizes the denominator product)."""
-    comps = sorted(comps, key=lambda c: (min(c)))
+    comps = sorted(comps, key=min)
     sizes = [len(c) for c in comps]
-    # reachable[k][t]: can components k.. sum to t
-    t_max = total
-    reach = [[False] * (t_max + 1) for _ in range(len(comps) + 1)]
-    reach[len(comps)][0] = True
-    for k in range(len(comps) - 1, -1, -1):
-        for t in range(t_max + 1):
-            reach[k][t] = reach[k + 1][t] or (t >= sizes[k] and reach[k + 1][t - sizes[k]])
-    candidates = [t for t in range(1, total) if reach[0][t]]
-    target = min(candidates, key=lambda t: (abs(2 * t - total), t))
+    # reach[k] has bit t set when components k.. can sum to t
+    reach = [1]
+    for size in reversed(sizes):
+        reach.append(reach[-1] | reach[-1] << size)
+    reach.reverse()
+    fits = [t for t in range(1, total) if reach[0] >> t & 1]
+    t = min(fits, key=lambda t: (abs(2 * t - total), t))
     a: set[int] = set()
-    t = target
-    for k, comp in enumerate(comps):
+    for comp, size, rest in zip(comps, sizes, reach[1:]):
         # prefer taking earlier components when still completable
-        if t >= sizes[k] and reach[k + 1][t - sizes[k]]:
+        if t >= size and rest >> (t - size) & 1:
             a |= comp
-            t -= sizes[k]
+            t -= size
     if t != 0:
         raise RuntimeError(f"the components missed the split target by {t}")
     b = set().union(*comps) - a
@@ -219,15 +216,12 @@ def line_to_cut_sweep(g: Graph, f) -> tuple[EdgeCut, Fraction]:
         raise ContractViolation("need one value per vertex")
     if not np.isfinite(vals).all():
         raise ContractViolation("f must be finite")
-    thresholds = np.unique(vals)
-    if len(thresholds) < 2:
+    thresholds = np.unique(vals)[:-1]
+    if not len(thresholds):
         raise ContractViolation("f is constant")
-    best = None
-    best_cut = None
-    for t in thresholds[:-1]:
-        a = frozenset(int(v) for v in np.flatnonzero(vals <= t))
-        cross = sum(1 for u, v in g.edges if (u in a) != (v in a))
-        val = Fraction(cross, len(a) * (g.n - len(a)))
-        if best is None or val < best:
-            best, best_cut = val, a
-    return EdgeCut(best_cut), best
+    # per threshold t: |A_t|, and the edges with lower end <= t < upper end
+    lo, hi = np.sort(vals[g.ends], axis=1).T
+    size, low, high = (np.searchsorted(np.sort(x), thresholds, "right") for x in (vals, lo, hi))
+    ratios = [Fraction(c, s * (g.n - s)) for c, s in zip((low - high).tolist(), size.tolist())]
+    i = ratios.index(min(ratios))  # the first minimum
+    return EdgeCut(frozenset(np.flatnonzero(vals <= thresholds[i]).tolist())), ratios[i]

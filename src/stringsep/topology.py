@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation, ParseError, _integer
 from .geometry import (
     Point,
     PolylineCurve,
@@ -234,7 +234,7 @@ def expo_family(k: int) -> ExpoFamily:
     contains exactly the chord-spine pairs, so the drawing has no forbidden
     crossings and the realized counts witness the exponential growth.
     """
-    if not 1 <= k <= 12:
+    if not 1 <= _integer(k, "k") <= 12:
         raise ContractViolation("k must be in [1, 12]")
 
     a, b = 0, 1

@@ -66,6 +66,12 @@ one call.  `conflict_experiment_from_paths` is the conflict experiment as
 it was before it solved the vertex flow itself: the paths and vcong given
 apart.
 
+`scan_line_to_cut_sweep` builds each threshold's side as a set and scans
+every edge for it, and `table_balanced_split` fills a (k + 1) x (total + 1)
+table of the sums that components k.. reach; both are the package's code as
+it stood before `line_to_cut_sweep` searched sorted arrays and
+`metrics._balanced_split` kept the sums as bitsets.
+
 `on_segment`, `curve_pair_points`, `segment_shared_point`, `dense_rows`,
 `dual_of` and `validate_metric` have no caller in the package; they serve
 the tests only.
@@ -111,6 +117,7 @@ from stringsep.geometry import (
 )
 from stringsep.graphs import (
     MAX_GRAPH_VERTICES,
+    EdgeCut,
     Graph,
     VertexCut,
     balance_limit,
@@ -1282,3 +1289,41 @@ def conflict_experiment_from_paths(g, phi, trials: int, seed: int, vcong: float)
         vcong=vcong,
         m=g.m,
     )
+
+
+def scan_line_to_cut_sweep(g, f) -> tuple[EdgeCut, Fraction]:
+    """line_to_cut_sweep with each threshold's side built as a set and every
+    edge scanned against it; the first minimum is kept."""
+    vals = np.asarray(f, dtype=float)
+    best = None
+    best_cut = None
+    for t in np.unique(vals)[:-1]:
+        a = frozenset(int(v) for v in np.flatnonzero(vals <= t))
+        cross = sum(1 for u, v in g.edges if (u in a) != (v in a))
+        val = Fraction(cross, len(a) * (g.n - len(a)))
+        if best is None or val < best:
+            best, best_cut = val, a
+    return EdgeCut(best_cut), best
+
+
+def table_balanced_split(comps, total: int) -> tuple[set[int], set[int]]:
+    """metrics._balanced_split with reach[k][t] (can components k.. sum to
+    t) kept as a (k + 1) x (total + 1) table of booleans."""
+    comps = sorted(comps, key=min)
+    sizes = [len(c) for c in comps]
+    reach = [[False] * (total + 1) for _ in range(len(comps) + 1)]
+    reach[len(comps)][0] = True
+    for k in range(len(comps) - 1, -1, -1):
+        for t in range(total + 1):
+            reach[k][t] = reach[k + 1][t] or (t >= sizes[k] and reach[k + 1][t - sizes[k]])
+    target = min((t for t in range(1, total) if reach[0][t]), key=lambda t: (abs(2 * t - total), t))
+    a: set[int] = set()
+    t = target
+    for k, comp in enumerate(comps):
+        if t >= sizes[k] and reach[k + 1][t - sizes[k]]:
+            a |= comp
+            t -= sizes[k]
+    b = set().union(*comps) - a
+    if min(b) < min(a):
+        a, b = b, a
+    return a, b

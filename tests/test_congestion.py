@@ -10,6 +10,7 @@ split-and-merge of `split_merge_congestion`.
 """
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -389,3 +390,36 @@ def test_arcs_off_the_graph_are_refused(p3, case, mode):
     with pytest.raises(ContractViolation) as exc:
         decompose_to_paths(p3, sol)
     assert str(exc.value) == want
+
+
+def test_validate_flows_memory_is_linear_in_n():
+    # the arcs are looked up among the sorted edges; an (n+1) x (n+1) table
+    # of edge indices would take 3.2 GB here
+    g = generate("path", (20_000,))
+    sol = FlowSolution("edge", 1.0, {(0, 1): {(0, 1): 1.0}})
+    tracemalloc.start()
+    try:
+        validate_flows(g, sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+def test_peel_decomposes_a_flow_over_10001_parallel_paths():
+    # one unit split evenly over the paths 0 - m - 1: every step peels a path
+    # and spends its two arcs, so the peel takes 10,001 steps and ends
+    k = 10_001
+    mids = range(2, k + 2)
+    g = graph_from_pairs(k + 2, [(0, m) for m in mids] + [(m, 1) for m in mids])
+    flow = {arc: 1 / k for m in mids for arc in ((0, m), (m, 1))}
+    paths = decompose_to_paths(g, FlowSolution("edge", 1.0, {(0, 1): flow})).paths[(0, 1)]
+    assert [p for p, _ in paths] == [(0, m, 1) for m in mids]
+    assert math.fsum(w for _, w in paths) == pytest.approx(1.0)
+
+
+def test_peel_refuses_a_step_that_spends_no_arc():
+    # an infinite cycle weight minus itself is nan, which is never spent
+    out = {0: {1: math.inf}, 1: {0: math.inf}}
+    with pytest.raises(RuntimeError, match="^path peeling failed to terminate$"):
+        _peel(out, 0, 2, math.inf)

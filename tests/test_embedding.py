@@ -21,10 +21,11 @@ from stringsep.embedding import (
 )
 from stringsep.cuts import find_separator
 from stringsep.errors import ContractViolation
-from stringsep.experiments import drawing_conflict_experiment, duality_report
+from stringsep.experiments import drawing_conflict_experiment, duality_report, pcr_lower_bound
 from stringsep.geometry import intersection_graph, random_segment_instance
 from stringsep.graphs import generate
 from stringsep.metrics import shortest_path_metric
+from stringsep.topology import expo_family
 
 from .conftest import connected_graphs
 from .oracles import column_sample, pairwise_best_embedding, scalar_mix
@@ -163,6 +164,28 @@ def test_seeded_entry_points_refuse_a_non_integer_seed(call, seed):
     want = f"^seed must be an integer, got {re.escape(repr(seed))}$"
     with pytest.raises(ContractViolation, match=want):
         call(seed)
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("trials", lambda x: best_embedding(P3, x, 0)),
+        ("trials", lambda x: find_separator(generate("path", (3,)), trials=x)),
+        ("trials", lambda x: drawing_conflict_experiment(generate("path", (3,)), x, 0)),
+        ("count", lambda x: random_segment_instance(x, 0)),
+        ("span", lambda x: random_segment_instance(5, 0, span=x)),
+        ("k", lambda x: expo_family(x)),
+        ("n", lambda x: pcr_lower_bound(x)),
+    ],
+    ids=["best_embedding", "find_separator", "drawing_conflict_experiment",
+         "random_segment_instance-count", "random_segment_instance-span", "expo_family",
+         "pcr_lower_bound"],
+)
+@pytest.mark.parametrize("value", [2.5, np.float64(6.0)], ids=["float", "np.float64"])
+def test_counts_refuse_a_non_integer_value(name, call, value):
+    want = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ContractViolation, match=want):
+        call(value)
 
 
 def test_success_probability_floor_small():

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stringsep.congestion import edge_congestion, vertex_congestion
 from stringsep.errors import ContractViolation, NoVertexCut
 from stringsep.graphs import generate
 from stringsep.metrics import (
+    _balanced_split,
     derived_edge_weights,
     line_to_cut_sweep,
     ratio_functional,
@@ -16,8 +17,8 @@ from stringsep.metrics import (
     sparsity_exact,
 )
 
-from .conftest import connected_graphs
-from .oracles import floyd_warshall, validate_metric
+from .conftest import arbitrary_graphs, connected_graphs
+from .oracles import floyd_warshall, scan_line_to_cut_sweep, table_balanced_split, validate_metric
 
 
 def test_shortest_path_examples(p3):
@@ -214,6 +215,29 @@ def test_line_to_cut_sweep_examples(p3, c4, k4):
         line_to_cut_sweep(p3, [0, float("nan"), 1])
     with pytest.raises(ContractViolation, match="f must be finite"):
         line_to_cut_sweep(p3, [0, 1, float("inf")])
+
+
+@pytest.mark.parametrize(
+    "values", [st.integers(0, 3), st.floats(-1e3, 1e3)], ids=["integers", "floats"]
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_line_to_cut_sweep_matches_the_scan_oracle(values, data):
+    # few integer values tie at many thresholds; the first minimum is kept
+    g = data.draw(arbitrary_graphs(min_n=2, max_n=10))
+    f = data.draw(st.lists(values, min_size=g.n, max_size=g.n))
+    assume(len(set(f)) > 1)
+    assert line_to_cut_sweep(g, f) == scan_line_to_cut_sweep(g, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 7), min_size=2, max_size=8), data=st.data())
+def test_balanced_split_matches_the_table_oracle(sizes, data):
+    # whole components of the given sizes over shuffled vertex labels
+    labels = data.draw(st.permutations(range(sum(sizes))))
+    ends = np.cumsum([0] + sizes).tolist()
+    comps = [frozenset(labels[a:b]) for a, b in zip(ends, ends[1:])]
+    assert _balanced_split(comps, sum(sizes)) == table_balanced_split(comps, sum(sizes))
 
 
 def test_sweep_beats_line_metric_ratio():
