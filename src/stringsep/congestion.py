@@ -116,19 +116,20 @@ def _peel(
 ) -> tuple[list[tuple[tuple[int, ...], float]], float]:
     """Peel paths start .. stop off the residual flow `out[a][b]`, in place.
 
-    Walks from `start` to the lowest-numbered next node, cancels any cycle
-    met on the way and drops the stranded arc at a dead end (it carries only
-    roundoff).  Each path found is subtracted at its bottleneck weight,
-    capped by the demand left.  Stops when the demand is served or `start`
-    has no flow left; returns the paths and the unserved demand.  Every
-    other step removes an arc, so a step that removes none raises.
+    Walks from `start` to the first key of out[a], which must be in key
+    order (a peel only deletes keys, so the first stays the least), cancels
+    any cycle met on the way and drops the stranded arc at a dead end (it
+    carries only roundoff).  Each path found is subtracted at its bottleneck
+    weight, capped by the demand left.  Stops when the demand is served or
+    `start` has no flow left; returns the paths and the unserved demand.
+    Every other step removes an arc, so a step that removes none raises.
     """
     paths: list[tuple[tuple[int, ...], float]] = []
     while demand > 1e-7:
         walk = [start]
         seen = {start: 0}
         while walk[-1] != stop:
-            nxt = min(out.get(walk[-1], ()), default=None)
+            nxt = next(iter(out.get(walk[-1], ())), None)
             if nxt is None or nxt in seen:
                 break
             seen[nxt] = len(walk)
@@ -173,6 +174,7 @@ def _solve(g: Graph, mode: str, allow_large: bool) -> FlowSolution:
         raise RuntimeError(f"congestion LP unexpectedly {sol.status}")
     tail, head = _arc_ends(g)
     blocks = sol.x[1:].reshape(g.n, -1)
+    by_head = np.lexsort((tail, head))  # so each back[b] lists its tails in order
 
     # peel each source block backward from every target; add each path to
     # its pair walked from the pair's lower end
@@ -180,7 +182,7 @@ def _solve(g: Graph, mode: str, allow_large: bool) -> FlowSolution:
         (u, v): {} for u in g.vertices() for v in g.vertices() if u < v
     }
     for s in g.vertices():
-        nz = np.flatnonzero(blocks[s] > FLOW_TOL)
+        nz = by_head[blocks[s, by_head] > FLOW_TOL]
         back: dict[int, dict[int, float]] = {}
         for a, b, w in zip(tail[nz].tolist(), head[nz].tolist(), blocks[s, nz].tolist()):
             back.setdefault(b, {})[a] = w
@@ -226,24 +228,33 @@ def validate_flows(g: Graph, flows: FlowSolution) -> None:
     weight) array, each arc is looked up once among the sorted edges, and the
     sums are taken with `bincount`, which adds each bin's terms in the order
     of the commodity dicts, as a loop over them would.  The first violation
-    is reported: a pair outside the graph; an arc that is not an edge (an end
-    not an integer in [0, n), equal or not adjacent), commodities then arcs in
-    order; conservation, commodities then vertices in order; then edges or
-    vertices in order.
+    is reported: a key not of length 2; a pair that is not two distinct
+    integers in [0, n); an arc that is not an edge (an end not an integer
+    in [0, n), equal or not adjacent), then a weight not finite and >= 0,
+    commodities then arcs in order; conservation, commodities then vertices
+    in order; then edges or vertices in order.
     """
     if not flows.is_finite():
         raise ContractViolation("infinite congestion carries no flows")
     n, pairs, fls = g.n, list(flows.commodities), flows.commodities.values()
-    st = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    if ((st < 0) | (st >= n)).any():
-        raise ContractViolation(f"a commodity pair names a vertex outside [0, {n})")
     k = np.repeat(np.arange(len(pairs)), [len(fl) for fl in fls])
-    flat = [arc for fl in fls for arc in fl]
-    arcs = np.array(flat).reshape(-1, 2)
-    if arcs.dtype.kind not in "iu":
-        # an arc with an end that is not an integer in [0, n) reads (-1, -1), no edge
-        whole = [all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in arc) for arc in flat]
-        arcs = np.where(np.array(whole, bool).reshape(-1, 1), arcs, -1).astype(np.int64)
+    keys = pairs + [arc for fl in fls for arc in fl]
+    if set(map(len, keys)) - {2}:
+        i = next(i for i, key in enumerate(keys) if len(key) != 2)
+        pair = pairs[i if i < len(pairs) else k[i - len(pairs)]]
+        raise ContractViolation(f"commodity {pair}: key {keys[i]} is not of length 2")
+    ends = np.array(keys).reshape(-1, 2)
+    if ends.dtype.kind not in "iu":
+        # a key with an end that is not an integer in [0, n) reads (-1, -1)
+        whole = [all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in key) for key in keys]
+        ends = np.where(np.array(whole, bool).reshape(-1, 1), ends, -1).astype(np.int64)
+    (st, arcs), flat = np.split(ends, [len(pairs)]), keys[len(pairs):]
+    bad = np.flatnonzero(((st < 0) | (st >= n)).any(axis=1) | (st[:, 0] == st[:, 1]))
+    if len(bad):
+        pair = pairs[bad[0]]
+        if pair[0] != pair[1] and all(isinstance(v, (int, np.integer)) for v in pair):
+            raise ContractViolation(f"a commodity pair names a vertex outside [0, {n})")
+        raise ContractViolation(f"commodity {pair}: not two distinct integers in [0, {n})")
     w = np.array([x for fl in fls for x in fl.values()], dtype=float)
     # edge index per arc, -1 off the graph: the arc's code min * n + max is
     # looked up among the edges' codes u * n + v, sorted; the appended code
@@ -260,6 +271,11 @@ def validate_flows(g: Graph, flows: FlowSolution) -> None:
         raise ContractViolation(
             "commodity {}: arc ({}, {}) is not an edge of the graph".format(pairs[k[i]], *flat[i])
         )
+    bad = np.flatnonzero(~np.isfinite(w) | (w < 0))
+    if len(bad):
+        i = int(bad[0])
+        raise ContractViolation("commodity {}: arc ({}, {}) weight {} is not finite and >= 0"
+                                .format(pairs[k[i]], *flat[i], float(w[i])))
     a, b = arcs.T
     size = len(pairs) * n
     net = (np.bincount(k * n + a, w, size) - np.bincount(k * n + b, w, size)).reshape(-1, n)
@@ -297,7 +313,7 @@ def decompose_to_paths(g: Graph, flows: FlowSolution) -> PathFlow:
     out: dict[Pair, tuple[tuple[tuple[int, ...], float], ...]] = {}
     for (s, t), fl in flows.commodities.items():
         fwd: dict[int, dict[int, float]] = {}
-        for (a, b), w in fl.items():
+        for (a, b), w in sorted(fl.items()):
             if w > FLOW_TOL:
                 fwd.setdefault(a, {})[b] = w
         found, _ = _peel(fwd, s, t, math.inf)

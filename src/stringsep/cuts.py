@@ -14,9 +14,9 @@ minimum cuts of successive positions are nested (Gallo, Grigoriadis &
 Tarjan, "A fast parametric maximum flow algorithm and applications", SIAM
 J. Comput. 1989).  One flow and the last position's source side serve all
 n-1 splits; each position searches only outside that side, so the final
-searches of the whole sweep reach every node once (_sweep_cuts).  Only
-the winner's sides are built as sets, and min_vertex_cut recomputes the
-winner as a cross-check.
+searches of the whole sweep reach every node once (_sweep_cuts).  |A_i|
+is the number of out-nodes in that side; only the winner's sides are built
+as sets, and min_vertex_cut recomputes the winner as a cross-check.
 
 A sweep position whose A or B side is empty has sparsity exactly 1/n
 (|S| / (|S| n)), while every non-complete graph admits a proper cut of
@@ -134,13 +134,12 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
     finite, non-constant and 1-Lipschitz with respect to the metric of the
     derived edge weights of s, which is checked edge by edge.
 
-    The cuts come from one flow and one source side carried across the
-    positions (_sweep_cuts).
-    Side sizes are counted from the places of the cut vertices in the
-    order; only the winner's sides are built.  Checked at run time: the
-    flow value equals the cut size at every position, min_vertex_cut
-    recomputes the winner's cut from an empty flow and certifies it
-    minimum, and the sparsity is within its bound.
+    The cuts and |A_i| come from one flow and one source side carried
+    across the positions (_sweep_cuts), |B_i| = n - |A_i| - |S_i|, and only
+    the winner's sides are built.  Checked at run time: the flow value
+    equals the cut size at every position, min_vertex_cut recomputes the
+    winner's cut from an empty flow and certifies it minimum, and the
+    sparsity is within its bound.
     """
     weights = _vertex_weights(g, s)
     vals = np.asarray(f, dtype=float)
@@ -164,20 +163,11 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
         )
 
     order = sorted(g.vertices(), key=lambda v: (vals[v], v))
-    place = {v: i for i, v in enumerate(order)}
     best = None
     best_key = None
     positions = []
-    prev, k = frozenset(), 0  # the last cut and k = |its vertices in the prefix|
-    for i, s_i in enumerate(_sweep_cuts(g, order), start=1):
-        # |A_i| = i - k, |B_i| = n - i - |S_i in the suffix|; k follows the
-        # vertex that joins the prefix and the vertices the cut gains or loses
-        k += order[i - 1] in prev
-        for u in prev ^ s_i:
-            if place[u] < i:
-                k += 1 if u in s_i else -1
-        prev = s_i
-        a_size, b_size = i - k, g.n - i - len(s_i) + k
+    for i, (s_i, a_size) in enumerate(_sweep_cuts(g, order), start=1):
+        b_size = g.n - a_size - len(s_i)
         val = Fraction(len(s_i), (a_size + len(s_i)) * (b_size + len(s_i)))
         positions.append(SweepPosition(i, len(s_i), val, a_size, b_size))
         key = (val, not (a_size and b_size), i)  # prefer proper cuts at equal sparsity
@@ -199,7 +189,8 @@ def fhl_sweep(g: Graph, s, f) -> SweepResult:
 
 
 def _sweep_cuts(g: Graph, order):
-    """The cut min_vertex_cut(g, order[:i], order[i:]) for i = 1..n-1.
+    """The cut S_i = min_vertex_cut(g, order[:i], order[i:]) and |A_i| =
+    |order[:i] - S_i| for i = 1..n-1.
 
     One flow is kept across the positions, stored as pred[v]: the vertex
     before v on its vertex-disjoint path, _SRC if v starts it, _NONE if v
@@ -220,7 +211,9 @@ def _sweep_cuts(g: Graph, order):
     source sides of successive positions are nested (Gallo, Grigoriadis &
     Tarjan, SIAM J. Comput. 1989), so R plus the nodes of the last search
     is this position's side.  The cut, the vertices whose in-node is in R
-    and whose out-node is not, changes only at those nodes.  Every node
+    and whose out-node is not, changes only at those nodes, and so does
+    |A_i|, the out-nodes in R: an X vertex off the cut has both nodes in R,
+    and a Y vertex's out-node would end an augmenting path.  Every node
     joins R once, so the last searches cost O(n + m) over the sweep.
     """
     n = g.n
@@ -229,7 +222,7 @@ def _sweep_cuts(g: Graph, order):
     is_y = [True] * n
     reached: set[int] = set()
     cut: set[int] = set()
-    value = 0
+    value = side = 0
     for v in order[:-1]:
         marked = [2 * v]
         if (p := pred[v]) != _NONE:  # cancel the path p -> v
@@ -240,6 +233,7 @@ def _sweep_cuts(g: Graph, order):
         units, par = _max_flow(adj, pred, is_y, marked, reached)
         value += units
         reached.update(par)
+        side += sum(a & 1 for a in par)
         for a in par:
             if a & 1 or a + 1 in reached:
                 cut.discard(a >> 1)
@@ -247,7 +241,7 @@ def _sweep_cuts(g: Graph, order):
                 cut.add(a >> 1)
         if len(cut) != value:
             raise RuntimeError("sweep flow value disagrees with the extracted cut")
-        yield frozenset(cut)
+        yield frozenset(cut), side
 
 
 def _max_flow(adj, pred, is_y, seeds, blocked):
@@ -257,7 +251,7 @@ def _max_flow(adj, pred, is_y, seeds, blocked):
     augmenting path."""
     units = 0
     while True:
-        par, _, end = _augmenting_search(adj, pred, is_y, seeds, blocked)
+        par, end = _augmenting_search(adj, pred, is_y, seeds, blocked)
         if end is None:
             return units, par
         _augment(par, pred, end)
@@ -276,9 +270,9 @@ def _augmenting_search(adj, pred, is_y, seeds, blocked):
     in(v) goes to out(v) when v is free, else back along the unit into v,
     so each out-node is reached once.  Reached back along the unit p -> v,
     out(p) also leads back through p's split arc to in(p).  Returns the
-    parents of the nodes reached (a dict, _SRC for the seeds), the in-nodes
-    reached in order, and the out-node of the first Y vertex reached, or
-    None when no augmenting path is left.
+    parents of the nodes reached (a dict, _SRC for the seeds) and the
+    out-node of the first Y vertex reached, or None when no augmenting path
+    is left.
     """
     par = dict.fromkeys(seeds, _SRC)
     queue = list(seeds)
@@ -298,12 +292,12 @@ def _augmenting_search(adj, pred, is_y, seeds, blocked):
         par[b] = a
         v = b >> 1
         if is_y[v]:
-            return par, queue, b
+            return par, b
         for c in adj[v]:
             if c not in par and c not in blocked:
                 par[c] = b
                 queue.append(c)
-    return par, queue, None
+    return par, None
 
 
 def _augment(par, pred, end):

@@ -10,12 +10,12 @@ Many segment pairs at once go through one screen, the sweep
 share a point, from the four orientation signs of each candidate pair, and
 yields the pairs that do with their signs.  Its one caller `_meeting_keys`
 reuses those signs to find where distinct curves meet, as `_meeting` does
-for one pair, and reads each curve's simplicity off the same pairs.  Both
-compute in int64 below a stated bound on every |coordinate| (2^30 for the
-screen's cross products, 2^19 for a key's products) and otherwise on Python
-ints (dtype=object); the code is the same and the dtype follows from the
-input.  The scalar `_meeting` serves single pairs: the generator's box hits
-and `segments_intersect`.
+for one pair (off a common line by one formula), and reads each curve's
+simplicity off the same pairs.  Both compute in int64 below a stated bound
+on every |coordinate| (2^30 for the screen's cross products, 2^19 for a
+key's products) and otherwise on Python ints (dtype=object); the code is
+the same and the dtype follows from the input.  The scalar `_meeting`
+serves single pairs: the generator's box hits and `segments_intersect`.
 """
 
 from __future__ import annotations
@@ -81,17 +81,6 @@ def _meeting(p, q, r, s) -> tuple[SegmentRelation, PointKey | None]:
     o2 = orientation(p, q, s)
     o3 = orientation(r, s, p)
     o4 = orientation(r, s, q)
-    if o1 * o2 < 0 and o3 * o4 < 0:
-        # p + t (q - p) with t = num / den = cross(r - p, s - r) / cross(q - p, s - r)
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        ex, ey = s[0] - r[0], s[1] - r[1]
-        den = dx * ey - dy * ex
-        num = (r[0] - p[0]) * ey - (r[1] - p[1]) * ex
-        x, y = p[0] * den + num * dx, p[1] * den + num * dy
-        if den < 0:
-            x, y, den = -x, -y, -den
-        g = gcd(x, y, den)
-        return SegmentRelation.PROPER_CROSSING, (x // g, y // g, den // g)
     if o1 == 0 and o2 == 0:
         # collinear: compare 1-d extents along an axis the line is not constant on
         axis = 0 if p[0] != q[0] else 1
@@ -107,10 +96,18 @@ def _meeting(p, q, r, s) -> tuple[SegmentRelation, PointKey | None]:
         return SegmentRelation.TOUCHING, (pt[0], pt[1], 1)
     if o1 * o2 > 0 or o3 * o4 > 0:
         return SegmentRelation.DISJOINT, None
-    # the lines differ and each segment reaches the other's line, so the
-    # endpoint whose orientation is 0 lies where the lines meet, on both segments
-    pt = r if o1 == 0 else s if o2 == 0 else p if o3 == 0 else q
-    return SegmentRelation.TOUCHING, (pt[0], pt[1], 1)
+    # the lines cross at p + t (q - p), t = num / den, den != 0; a touch
+    # crosses at an end, which the gcd step keys (x, y, 1)
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    ex, ey = s[0] - r[0], s[1] - r[1]
+    den = dx * ey - dy * ex
+    num = (r[0] - p[0]) * ey - (r[1] - p[1]) * ex
+    x, y = p[0] * den + num * dx, p[1] * den + num * dy
+    if den < 0:
+        x, y, den = -x, -y, -den
+    g = gcd(x, y, den)
+    rel = SegmentRelation.PROPER_CROSSING if o1 * o2 * o3 * o4 else SegmentRelation.TOUCHING
+    return rel, (x // g, y // g, den // g)
 
 
 def _coords(values) -> np.ndarray:
@@ -213,8 +210,9 @@ def _meeting_keys(groups):
     Decided as _meeting decides it, from the orientations o(p,q,r),
     o(p,q,s), o(r,s,p) and o(r,s,q) that _segment_pairs yields with each
     pair; a one-point segment makes both orientations about it 0, so its
-    pairs are collinear touches.  The keys are computed in int64 when every
-    |coordinate| is below _KEY_BOUND, else on Python ints.
+    pairs are collinear touches.  Every pair off a common line takes its
+    key from the formula of _meeting.  The keys are computed in int64 when
+    every |coordinate| is below _KEY_BOUND, else on Python ints.
     """
     sizes = np.array([len(group) for group in groups], dtype=np.int64)
     ends = _coords([p + q for group in groups for p, q in group]).reshape(-1, 4)
@@ -252,14 +250,11 @@ def _meeting_keys(groups):
     lo = np.maximum(np.minimum(along[0], along[1]), np.minimum(along[2], along[3]))
     hi = np.minimum(np.maximum(along[0], along[1]), np.maximum(along[2], along[3]))
     overlap = collinear & (lo < hi)
-    # a touch: on a common line the first end at lo, else the end whose
-    # orientation is 0
-    at = [collinear & (along[0] == lo), collinear & (along[1] == lo),
-          collinear & (along[2] == lo), collinear, o1 == 0, o2 == 0, o3 == 0]
+    # a touch on a common line: the first end at lo
     key = np.ones((len(a), 3), dtype=ends.dtype)
-    key[:, :2] = np.select([c[:, None] for c in at], [P, Q, R, S, R, S, P], Q)
-    # a proper crossing: p + t (q - p), t = num / den as in _meeting
-    k = np.flatnonzero((o1 * o2 < 0) & (o3 * o4 < 0))
+    key[:, :2] = np.select([(u == lo)[:, None] for u in along[:3]], [P, Q, R], S)
+    # any other meeting: p + t (q - p), t = num / den as in _meeting
+    k = np.flatnonzero(~collinear)
     px, py, qx, qy, rx, ry, sx, sy = (v[k] for v in (px, py, qx, qy, rx, ry, sx, sy))
     dx, dy, ex, ey = qx - px, qy - py, sx - rx, sy - ry
     den = dx * ey - dy * ex

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import stringsep.congestion
 from stringsep.congestion import (
     FlowSolution,
     _peel,
@@ -392,6 +393,51 @@ def test_arcs_off_the_graph_are_refused(p3, case, mode):
     assert str(exc.value) == want
 
 
+# P3 flows refused before conservation, each added to or replacing one
+# valid commodity: weights that are not finite and >= 0, pairs that are not
+# two distinct integers in [0, 3), and keys not of length 2
+REFUSED = {  # commodity, its flow, the message
+    "negative weight": ((0, 2), {(0, 1): 0.5, (1, 0): -0.5, (1, 2): 1.0},
+                        "commodity (0, 2): arc (1, 0) weight -0.5 is not finite and >= 0"),
+    "nan weight": ((0, 1), {(0, 1): math.nan},
+                   "commodity (0, 1): arc (0, 1) weight nan is not finite and >= 0"),
+    "inf weight": ((1, 2), {(1, 2): math.inf, (2, 1): math.inf},
+                   "commodity (1, 2): arc (1, 2) weight inf is not finite and >= 0"),
+    "float pair": ((0.5, 1), {(0, 1): 1.0},
+                   "commodity (0.5, 1): not two distinct integers in [0, 3)"),
+    "integral float pair": ((0.0, 1.0), {(0, 1): 1.0},
+                            "commodity (0.0, 1.0): not two distinct integers in [0, 3)"),
+    "one-vertex pair": ((1, 1), {}, "commodity (1, 1): not two distinct integers in [0, 3)"),
+    "3-tuple pair": ((0, 1, 2), {(0, 1): 1.0, (1, 2): 1.0},
+                     "commodity (0, 1, 2): key (0, 1, 2) is not of length 2"),
+    "3-tuple arc": ((0, 1), {(0, 1, 2): 1.0}, "commodity (0, 1): key (0, 1, 2) is not of length 2"),
+    "1-tuple arc": ((0, 2), {(0, 1): 1.0, (1, 2): 1.0, (2,): 0.5},
+                    "commodity (0, 2): key (2,) is not of length 2"),
+}
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_validate_flows_refuses_what_is_not_a_flow(p3, case, mode):
+    pair, fl, want = REFUSED[case]
+    flows = {pair: fl}  # first, so that the pair (0.0, 1.0) keeps its key
+    valid = {(0, 1): {(0, 1): 1.0}, (0, 2): {(0, 1): 1.0, (1, 2): 1.0}, (1, 2): {(1, 2): 1.0}}
+    for other, other_fl in valid.items():
+        flows.setdefault(other, other_fl)
+    sol = FlowSolution(mode, 2.0, flows)
+    assert _verdict(validate_flows, p3, sol) == want
+    with pytest.raises(ContractViolation) as exc:
+        decompose_to_paths(p3, sol)
+    assert str(exc.value) == want
+
+
+def test_validate_flows_keeps_the_message_of_a_pair_outside_the_graph(p3):
+    # an integer pair outside [0, n) still reads as before, wherever it sits
+    flows = {(0, 1): {(0, 1): 1.0}, (2, 3): {}, (0.5, 1): {}}
+    want = "a commodity pair names a vertex outside [0, 3)"
+    assert _verdict(validate_flows, p3, FlowSolution("edge", 2.0, flows)) == want
+
+
 def test_validate_flows_memory_is_linear_in_n():
     # the arcs are looked up among the sorted edges; an (n+1) x (n+1) table
     # of edge indices would take 3.2 GB here
@@ -416,6 +462,44 @@ def test_peel_decomposes_a_flow_over_10001_parallel_paths():
     paths = decompose_to_paths(g, FlowSolution("edge", 1.0, {(0, 1): flow})).paths[(0, 1)]
     assert [p for p, _ in paths] == [(0, m, 1) for m in mids]
     assert math.fsum(w for _, w in paths) == pytest.approx(1.0)
+
+
+def test_decompose_does_not_depend_on_the_arc_order_of_a_commodity():
+    # the peel's maps are built in key order, so a commodity listed in
+    # descending arc order gives the paths of ascending order
+    for seed in range(4):
+        g = generate("gnp_connected", (7, 45), seed=seed)
+        for solve in (edge_congestion, vertex_congestion):
+            sol = solve(g)
+            got = [
+                decompose_to_paths(g, FlowSolution(sol.mode, sol.congestion, {
+                    pair: dict(sorted(fl.items(), reverse=descending))
+                    for pair, fl in sol.commodities.items()
+                })).paths
+                for descending in (False, True)
+            ]
+            assert got[0] == got[1] == scan_decompose_to_paths(g, sol).paths
+
+
+def test_peel_receives_key_ordered_maps_on_benchmark_graphs(monkeypatch):
+    # every map the peel is handed, the by-target split's after each peel of
+    # it included, lists every node's next nodes in ascending order
+    real, calls = _peel, []
+
+    def spy(out, start, stop, demand):
+        assert all(list(nxt) == sorted(nxt) for nxt in out.values())
+        calls.append(start)
+        return real(out, start, stop, demand)
+
+    monkeypatch.setattr(stringsep.congestion, "_peel", spy)
+    peels = 0
+    for kind, params, seed in BENCH_GRAPHS.values():
+        g = generate(kind, params, seed=seed)
+        for solve in (edge_congestion, vertex_congestion):
+            decompose_to_paths(g, solve(g, allow_large=True))
+            # n (n - 1) peels by target, then n (n - 1) / 2 by pair
+            peels += 3 * g.n * (g.n - 1) // 2
+    assert len(calls) == peels
 
 
 def test_peel_refuses_a_step_that_spends_no_arc():

@@ -147,9 +147,9 @@ def test_min_vertex_cut_certificate_catches_a_non_maximum_flow(monkeypatch):
     units = []
 
     def stop_after_one_unit(*args):
-        par, queue, end = real(*args)
+        par, end = real(*args)
         units.append(end)
-        return par, queue, end if len(units) == 1 else None
+        return par, end if len(units) == 1 else None
 
     monkeypatch.setattr(stringsep.cuts, "_augmenting_search", stop_after_one_unit)
     with pytest.raises(RuntimeError):
@@ -176,7 +176,7 @@ def _assert_sweep_cuts_match_oracle(g, seed):
     from min_vertex_cut and from the warm-started sweep alike."""
     emb = best_embedding(shortest_path_metric(g), default_trials(g.n), seed)
     order = sorted(g.vertices(), key=lambda v: (emb.values[v], v))
-    warm = list(_sweep_cuts(g, order))
+    warm = [cut for cut, _ in _sweep_cuts(g, order)]
     assert len(warm) == g.n - 1
     for i in range(1, g.n):
         xs, ys = order[:i], order[i:]
@@ -212,12 +212,14 @@ def test_sweep_cuts_match_edmonds_karp_on_dense_segment_instance():
 @settings(max_examples=300, deadline=None)
 @given(arbitrary_graphs(min_n=2, max_n=12), st.data())
 def test_sweep_cuts_match_edmonds_karp_in_any_vertex_order(g, data):
-    # disconnected graphs too, in orders that no embedding need give
+    # disconnected graphs too, in orders that no embedding need give; each
+    # A side's size, read off the flow's source side, is the prefix less the cut
     order = data.draw(st.permutations(range(g.n)))
     cuts = list(_sweep_cuts(g, order))
     assert len(cuts) == g.n - 1
-    for i, cut in enumerate(cuts, start=1):
+    for i, (cut, a_size) in enumerate(cuts, start=1):
         assert cut == edmonds_karp_vertex_cut(g, order[:i], order[i:]), (order, i)
+        assert a_size == len(set(order[:i]) - cut), (order, i)
 
 
 @pytest.mark.parametrize("count,span", [(140, 110), (400, 140)])
@@ -230,20 +232,21 @@ def test_sweep_cuts_match_restart_oracle_on_segment_cores(count, span):
     embedded = sorted(sub.vertices(), key=lambda v: (f[v], v))
     shuffled = np.random.default_rng(count).permutation(sub.n).tolist()
     for order in (embedded, shuffled):
-        assert list(_sweep_cuts(sub, order)) == list(restart_sweep_cuts(sub, order))
+        assert [cut for cut, _ in _sweep_cuts(sub, order)] == list(restart_sweep_cuts(sub, order))
 
 
 def test_sweep_cuts_drop_a_vertex_once_its_out_node_is_reached():
     # P4 in the order 1, 0, 2, 3: vertex 1 is the cut of positions 1 and 2;
     # at position 3 the last search reaches out(1), so 1 leaves the cut
-    assert list(_sweep_cuts(generate("path", (4,)), [1, 0, 2, 3])) == [{1}, {1}, {2}]
+    cuts = [cut for cut, _ in _sweep_cuts(generate("path", (4,)), [1, 0, 2, 3])]
+    assert cuts == [{1}, {1}, {2}]
 
 
 def test_sweep_cuts_search_from_the_partner_of_the_moved_vertex():
     # P3 in the order 1, 0, 2: position 1 sends the unit 1 -> 0; moving 0
     # into X cancels it, and the unit that replaces it, 1 -> 2, starts at
     # in(1), which a search from in(0) alone cannot enter
-    assert list(_sweep_cuts(generate("path", (3,)), [1, 0, 2])) == [{1}, {1}]
+    assert [cut for cut, _ in _sweep_cuts(generate("path", (3,)), [1, 0, 2])] == [{1}, {1}]
 
 
 def test_sweep_flow_paths_are_single_edges(monkeypatch):
@@ -264,7 +267,7 @@ def test_sweep_flow_paths_are_single_edges(monkeypatch):
         pairs = [(u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.3]
         g = graph_from_pairs(12, pairs)
         order = rng.permutation(12).tolist()
-        assert list(_sweep_cuts(g, order)) == list(restart_sweep_cuts(g, order))
+        assert [cut for cut, _ in _sweep_cuts(g, order)] == list(restart_sweep_cuts(g, order))
 
 
 def _assert_sweep_matches_set_oracle(g, seed):
@@ -295,7 +298,7 @@ def test_fhl_sweep_cross_check_catches_a_wrong_cut(monkeypatch):
     f = shortest_path_metric(g)[0]
     fhl_sweep(g, np.ones(g.n), f)
     monkeypatch.setattr(
-        stringsep.cuts, "_sweep_cuts", lambda g, order: (frozenset() for _ in order[1:])
+        stringsep.cuts, "_sweep_cuts", lambda g, order: ((frozenset(), i) for i in range(1, g.n))
     )
     with pytest.raises(RuntimeError, match="fresh max-flow"):
         fhl_sweep(g, np.ones(g.n), f)

@@ -390,6 +390,7 @@ def test_meeting_matches_scan_meeting(base, step, quads):
         (((0, 0), (5, 0), (1, 0), (3, 0)), SegmentRelation.OVERLAPPING),  # one inside the other
         (((0, 0), (2, 0), (0, 0), (0, 3)), SegmentRelation.TOUCHING),  # a shared endpoint
         (((0, 0), (4, 0), (2, 0), (2, 5)), SegmentRelation.TOUCHING),  # an end inside
+        (((0, 0), (6, 3), (2, 1), (1, 5)), SegmentRelation.TOUCHING),  # the same, sloped
         (((0, 0), (4, 0), (2, 1), (2, 5)), SegmentRelation.DISJOINT),
         (((0, 0), (4, 4), (0, 4), (4, 0)), SegmentRelation.PROPER_CROSSING),
         (((0, 0), (5, 1), (1, 2), (3, -3)), SegmentRelation.PROPER_CROSSING),
